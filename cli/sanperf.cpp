@@ -120,13 +120,6 @@ core::RunOptions with_known_axes(const core::ScenarioSpec& spec, const core::Run
   return options;
 }
 
-core::Scale parse_scale(const std::string& name) {
-  if (name == "quick") return core::Scale::quick();
-  if (name == "default") return core::Scale::defaults();
-  if (name == "full") return core::Scale::full();
-  throw std::invalid_argument{"unknown scale '" + name + "' (quick|default|full)"};
-}
-
 std::string axis_domain(const core::ParamAxis& axis) {
   std::string out;
   for (const auto& v : axis.values()) {
@@ -249,7 +242,7 @@ int cmd_run(const std::vector<std::string>& args) {
       runner = std::make_unique<core::ReplicationRunner>(static_cast<std::size_t>(n));
       options.runner = runner.get();
     } else if (arg == "--scale") {
-      options.scale = parse_scale(next());
+      options.scale = core::Scale::from_name(next());
     } else if (arg == "--seed") {
       options.seed = std::stoull(next());
     } else if (arg == "--format") {
@@ -422,7 +415,7 @@ int cmd_knee(const std::vector<std::string>& args) {
       }
       options.axis_overrides[kv.substr(0, eq)] = kv.substr(eq + 1);
     } else if (arg == "--scale") {
-      options.scale = parse_scale(next());
+      options.scale = core::Scale::from_name(next());
     } else if (arg == "--seed") {
       options.seed = std::stoull(next());
     } else if (arg == "--threads") {
@@ -767,7 +760,7 @@ int main(int argc, char** argv) {
       core::Scale scale = core::Scale::from_env();
       for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--scale" && i + 1 < args.size()) {
-          scale = parse_scale(args[++i]);
+          scale = core::Scale::from_name(args[++i]);
         } else {
           std::cerr << "sanperf list: unknown option '" << args[i] << "'\n";
           return usage(std::cerr, 2);

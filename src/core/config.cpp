@@ -1,6 +1,7 @@
 #include "core/config.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace sanperf::core {
 
@@ -53,13 +54,21 @@ const char* to_string(Algorithm algorithm) {
   return "?";
 }
 
+Scale Scale::from_name(std::string_view name) {
+  if (name == "quick") return quick();
+  if (name == "default") return defaults();
+  if (name == "full") return full();
+  throw std::invalid_argument{"unknown scale '" + std::string{name} + "' (quick|default|full)"};
+}
+
 Scale Scale::from_env() {
   const char* env = std::getenv("SANPERF_SCALE");
-  if (env == nullptr) return defaults();
-  const std::string v{env};
-  if (v == "quick") return quick();
-  if (v == "full") return full();
-  return defaults();
+  if (env == nullptr || *env == '\0') return defaults();
+  try {
+    return from_name(env);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument{std::string{"SANPERF_SCALE: "} + e.what()};
+  }
 }
 
 }  // namespace sanperf::core

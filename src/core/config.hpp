@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sanperf::core {
@@ -43,7 +44,12 @@ struct Scale {
   [[nodiscard]] static Scale defaults();
   [[nodiscard]] static Scale full();  ///< the paper's sample sizes
 
-  /// Reads SANPERF_SCALE (defaults to `defaults()` when unset/unknown).
+  /// The preset named `name`: quick, default or full. Throws
+  /// std::invalid_argument for any other name.
+  [[nodiscard]] static Scale from_name(std::string_view name);
+
+  /// The preset named by SANPERF_SCALE (see from_name); unset or empty
+  /// means `defaults()`.
   [[nodiscard]] static Scale from_env();
   [[nodiscard]] std::string name() const { return name_; }
 

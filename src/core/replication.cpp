@@ -1,6 +1,9 @@
 #include "core/replication.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "des/random.hpp"
 
@@ -98,9 +101,15 @@ void ReplicationRunner::for_each(std::size_t count,
 const ReplicationRunner& default_runner() {
   static const ReplicationRunner runner{[] {
     const char* env = std::getenv("SANPERF_THREADS");
-    if (env == nullptr) return std::size_t{0};
-    const long v = std::strtol(env, nullptr, 10);
-    return v > 0 ? static_cast<std::size_t>(v) : std::size_t{0};
+    if (env == nullptr || *env == '\0') return std::size_t{0};
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || errno == ERANGE || v < 1) {
+      throw std::invalid_argument{"SANPERF_THREADS must be an integer >= 1, got '" +
+                                  std::string{env} + "'"};
+    }
+    return static_cast<std::size_t>(v);
   }()};
   return runner;
 }

@@ -161,7 +161,8 @@ class ReplicationRunner {
 };
 
 /// Process-wide runner shared by the experiment drivers. Thread count comes
-/// from SANPERF_THREADS (unset or 0 means hardware concurrency).
+/// from SANPERF_THREADS (unset or empty means hardware concurrency); any
+/// value other than an integer >= 1 throws std::invalid_argument.
 [[nodiscard]] const ReplicationRunner& default_runner();
 
 /// Pairwise (tree) reduction of mergeable shards: merge(a, b) folds shard b

@@ -1767,19 +1767,21 @@ ScenarioSpec scale_n_sweep_spec() {
   ScenarioSpec spec;
   spec.name = "scale_n_sweep";
   spec.description =
-      "Engine throughput (events/s, ns/event, peak RSS) vs cluster size, heap vs ladder+batched";
+      "Engine throughput (events/s, ns/event, peak RSS) vs cluster size, unicast vs batched "
+      "broadcast";
   spec.notes =
       "The single-run scaling story: one open-loop MR stream per point at an\n"
       "offered load ~1/n^2 (the per-instance frame count is Theta(n^2), so\n"
       "this keeps utilisation comparable across sizes). The engine axis\n"
-      "compares the default configuration (binary-heap pending set,\n"
-      "per-receiver broadcast fan-out) against the scaling one (ladder\n"
-      "queue, batched hub broadcast). Simulated results -- delivered_per_s,\n"
-      "events, sim_ms -- are identical between heap_unicast rows and any\n"
-      "SANPERF_QUEUE override, and appear in the golden; the wall-clock\n"
-      "columns (events_per_s, ns_per_event, peak_rss_mb) are machine facts,\n"
-      "diffed with --ignore-cols in CI. peak_rss_mb is the process\n"
-      "high-water mark, so within a sweep only the largest n is clean.";
+      "compares per-receiver broadcast fan-out (heap_unicast) against\n"
+      "batched hub broadcast (ladder_batched). The 'ladder' in that label\n"
+      "names a queue backend that no longer exists; the label stays because\n"
+      "each point's seed hashes it, and renaming it would reseed the golden.\n"
+      "Simulated results -- delivered_per_s, events, sim_ms -- appear in the\n"
+      "golden; the wall-clock columns (events_per_s, ns_per_event,\n"
+      "peak_rss_mb) are machine facts, diffed with --ignore-cols in CI.\n"
+      "peak_rss_mb is the process high-water mark, so within a sweep only\n"
+      "the largest n is clean.";
   spec.needs_calibration = false;
   spec.axes = [](const Scale& scale) {
     std::vector<ParamAxis> axes{
@@ -1816,15 +1818,10 @@ ScenarioSpec scale_n_sweep_spec() {
       cfg.timers = timers;
       cfg.algorithm = Algorithm::kMostefaouiRaynal;
       const std::string engine = point.get_string("engine");
-      if (engine == "ladder_batched") {
-        cfg.queue_backend = des::QueueBackend::kLadder;
-        cfg.network.batched_broadcast = true;
-      } else if (engine == "heap_unicast") {
-        cfg.queue_backend = des::QueueBackend::kHeap;
-        cfg.network.batched_broadcast = false;
-      } else {
+      if (engine != "heap_unicast" && engine != "ladder_batched") {
         throw std::invalid_argument{"unknown engine '" + engine + "'"};
       }
+      cfg.network.batched_broadcast = engine == "ladder_batched";
       cfg.seed = workload_point_seed(ctx.seed, name, point);
       WorkloadSpec stream;
       stream.arrivals = ArrivalProcess::kOpenLoop;

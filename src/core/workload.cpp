@@ -221,7 +221,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   ccfg.network = cfg.network;
   ccfg.timers = cfg.timers;
   ccfg.topology = cfg.topology;
-  ccfg.queue_backend = cfg.queue_backend;
   ccfg.seed = cfg.seed;
   runtime::Cluster cluster{ccfg};
   std::optional<faults::FaultInjector> injector;

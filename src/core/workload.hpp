@@ -25,7 +25,6 @@
 
 #include "core/config.hpp"       // Algorithm
 #include "core/measurement.hpp"  // ExecOutcome, MeasuredLatency
-#include "des/simulator.hpp"     // QueueBackend
 #include "faults/plan.hpp"
 #include "net/params.hpp"
 #include "stats/summary.hpp"
@@ -71,9 +70,6 @@ struct WorkloadConfig {
   /// fixed membership, the legacy code paths). Hosts outside the set begin
   /// crashed and join via add_host plan events, decided in-stream.
   std::vector<int> initial_members;
-  /// Pending-set backend for the cluster's simulator (see ClusterConfig).
-  /// Pure performance knob: both backends pop the same event order.
-  des::QueueBackend queue_backend = des::default_queue_backend();
   std::uint64_t seed = 1;
 };
 

@@ -104,6 +104,11 @@ ContentionNetwork::ContentionNetwork(des::Simulator& sim, des::RandomEngine rng,
                                   std::to_string(topology->n_hosts()) + " hosts, cluster has " +
                                   std::to_string(hosts)};
     }
+    if (params.batched_broadcast) {
+      throw std::invalid_argument{
+          "ContentionNetwork: batched_broadcast coalesces on the single hub; topology '" +
+          topology->name() + "' has " + std::to_string(topology->racks().size()) + " racks"};
+    }
     routes_.emplace(*topology);
     links_.reserve(routes_->link_count());
     for (std::size_t i = 0; i < routes_->link_count(); ++i) links_.emplace_back(sim);
@@ -195,7 +200,7 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
   const auto n = static_cast<HostId>(cpus_.size());
   FrameRef frame{pool_, pool_->allocate(src, sim_->now(), std::move(body))};
 
-  if (!params_.batched_broadcast || routes_) {
+  if (!params_.batched_broadcast) {
     // Shared-body unicasts: per-receiver resource occupancy, RNG draw order
     // and event sequence identical to n-1 send() calls (only the n-1 body
     // copies are gone), so every pre-pool golden reproduces bit for bit.

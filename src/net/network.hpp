@@ -136,6 +136,8 @@ class ContentionNetwork {
   /// (or one with a single rack) is the paper's shared hub; a multi-rack
   /// topology switches step 4 to routed per-link delivery. The topology is
   /// compiled into a RouteTable at construction and not referenced after.
+  /// Throws std::invalid_argument for a multi-rack topology combined with
+  /// NetworkParams::batched_broadcast, which only the hub implements.
   ContentionNetwork(des::Simulator& sim, des::RandomEngine rng, NetworkParams params,
                     std::size_t hosts, const topo::Topology* topology = nullptr);
 
@@ -162,12 +164,12 @@ class ContentionNetwork {
 
   /// Starts a broadcast: one frame per receiver (ascending host id,
   /// skipping the sender) sharing a single pooled body. With
-  /// NetworkParams::batched_broadcast off -- or in routed mode -- the
-  /// per-receiver resource occupancy, RNG draw order and event sequence
-  /// are identical to n-1 send() calls, so results are bit-identical; on,
-  /// the hub path coalesces the fan-out into one sender-CPU job and one
-  /// medium burst (total occupancy unchanged), cutting the scheduled
-  /// events per broadcast from ~4(n-1) to ~n+1.
+  /// NetworkParams::batched_broadcast off, the per-receiver resource
+  /// occupancy, RNG draw order and event sequence are identical to n-1
+  /// send() calls, so results are bit-identical; on, the hub coalesces
+  /// the fan-out into one sender-CPU job and one medium burst (total
+  /// occupancy unchanged), cutting the scheduled events per broadcast
+  /// from ~4(n-1) to ~n+1.
   void broadcast(HostId src, FrameBody body, FrameClass cls = FrameClass::kProtocol);
 
   /// Marks a host as crashed: queued CPU work is discarded and future frames

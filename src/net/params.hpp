@@ -49,7 +49,8 @@ struct NetworkParams {
   /// burst (total resource occupancy unchanged), cutting the scheduled
   /// events per broadcast from ~4(n-1) to ~n+1. Off by default: the
   /// unbatched path is bit-identical to n-1 unicasts and is what every
-  /// pre-existing golden pins down. Ignored in routed mode.
+  /// pre-existing golden pins down. Hub only: ContentionNetwork rejects it
+  /// on a multi-rack topology.
   bool batched_broadcast = false;
 
   [[nodiscard]] static NetworkParams defaults() { return {}; }

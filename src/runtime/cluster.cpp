@@ -6,7 +6,6 @@ namespace sanperf::runtime {
 
 Cluster::Cluster(const ClusterConfig& cfg)
     : cfg_{cfg},
-      sim_{cfg.queue_backend},
       master_{cfg.seed},
       net_{sim_, master_.substream("net"), cfg.network, cfg.n, cfg.topology.get()} {
   if (cfg.n < 2) throw std::invalid_argument{"Cluster: need at least 2 processes"};

@@ -23,10 +23,6 @@ struct ClusterConfig {
   /// existing golden; multi-rack switches the network to routed delivery
   /// and scopes domain fault events (see faults::lower_plan).
   std::shared_ptr<const topo::Topology> topology;
-  /// Pending-set backend for the simulator. Both backends pop the same
-  /// event order, so this is a pure performance knob (ladder wins on large
-  /// clusters; see README "Scaling a single run").
-  des::QueueBackend queue_backend = des::default_queue_backend();
   std::uint64_t seed = 1;
 };
 

@@ -20,7 +20,6 @@
 #include "consensus/durable_log.hpp"
 #include "consensus/instance_gc.hpp"
 #include "consensus/payload.hpp"
-#include "des/ladder_queue.hpp"
 #include "des/simulator.hpp"
 #include "fd/failure_detector.hpp"
 #include "net/network.hpp"
@@ -175,41 +174,6 @@ TEST_F(AuditTest, SimulatedTimeRewindTrips) {
               sim.run_until(des::TimePoint::origin() + des::Duration::from_ms(100.0));
             }),
             "des.monotonic_time");
-}
-
-TEST_F(AuditTest, LadderTimeCorruptionTripsMonotonicTime) {
-  // The ladder-backed simulator: corrupt a rung-resident event's firing
-  // time without re-bucketing it. It stays filed under its original time
-  // band, so when that band is consumed the event fires in the past.
-  des::Simulator sim{des::QueueBackend::kLadder};
-  for (int i = 0; i < 64; ++i) {
-    sim.schedule_at(des::TimePoint::origin() + des::Duration::from_ms(10.0 + i), [] {});
-  }
-  const des::EventId late =
-      sim.schedule_at(des::TimePoint::origin() + des::Duration::from_ms(200.0), [] {});
-  // A few pops seed the rung structure; `late` is bucketed by its 200 ms.
-  sim.run_until(des::TimePoint::origin() + des::Duration::from_ms(12.0));
-  sim.audit_ladder_queue().audit_corrupt_slot_time(
-      late, des::TimePoint::origin() + des::Duration::from_ms(1.0));
-  EXPECT_EQ(tripped([&] {
-              sim.run_until(des::TimePoint::origin() + des::Duration::from_ms(1000.0));
-            }),
-            "des.monotonic_time");
-}
-
-TEST_F(AuditTest, LadderBucketRangeCorruptionTripsLadderConsistency) {
-  des::LadderQueue queue;
-  for (int i = 0; i < 64; ++i) {
-    queue.push(des::TimePoint::origin() + des::Duration::from_ms(i), [] {});
-  }
-  const des::EventId id =
-      queue.push(des::TimePoint::origin() + des::Duration::from_ms(63.5), [] {});
-  (void)queue.pop();  // seeds the rungs; `id` now sits in a late bucket
-  EXPECT_EQ(tripped([&] { queue.audit_check_ladder(); }), "");  // consistent before
-  // Rewrite its time far below its bucket's range: the structural
-  // self-check must catch the misfiled event.
-  queue.audit_corrupt_slot_time(id, des::TimePoint::origin() + des::Duration::from_ms(0.0001));
-  EXPECT_EQ(tripped([&] { queue.audit_check_ladder(); }), "des.ladder_consistency");
 }
 
 // --- net/ --------------------------------------------------------------------

@@ -2,7 +2,11 @@
 // calibration, simulation wrappers and the experiment drivers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/calibration.hpp"
 #include "core/config.hpp"
@@ -22,6 +26,36 @@ TEST(ScaleTest, PresetsAndEnvParsing) {
   EXPECT_EQ(Scale::full().class1_executions, 5000u);  // the paper's 5000
   EXPECT_EQ(Scale::full().class3_runs, 20u);
   EXPECT_EQ(Scale::full().class3_executions, 1000u);
+}
+
+TEST(ScaleTest, FromNameAcceptsThePresetsOnly) {
+  EXPECT_EQ(Scale::from_name("quick").name(), "quick");
+  EXPECT_EQ(Scale::from_name("default").name(), "default");
+  EXPECT_EQ(Scale::from_name("full").name(), "full");
+  try {
+    (void)Scale::from_name("qiuck");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown scale 'qiuck' (quick|default|full)");
+  }
+}
+
+TEST(ScaleTest, FromEnvRejectsAnUnknownScale) {
+  const char* prev = std::getenv("SANPERF_SCALE");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>{prev} : std::nullopt;
+  ::setenv("SANPERF_SCALE", "bogus", 1);
+  try {
+    (void)Scale::from_env();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "SANPERF_SCALE: unknown scale 'bogus' (quick|default|full)");
+  }
+  ::setenv("SANPERF_SCALE", "quick", 1);
+  EXPECT_EQ(Scale::from_env().name(), "quick");
+  ::unsetenv("SANPERF_SCALE");
+  EXPECT_EQ(Scale::from_env().name(), "default");
+  if (saved) ::setenv("SANPERF_SCALE", saved->c_str(), 1);
 }
 
 TEST(MeasureDelaysTest, UnicastMatchesNetworkGroundTruth) {

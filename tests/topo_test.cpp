@@ -12,9 +12,12 @@
 
 #include "core/campaign.hpp"
 #include "core/workload.hpp"
+#include "des/random.hpp"
+#include "des/simulator.hpp"
 #include "faults/lowering.hpp"
 #include "faults/plan.hpp"
 #include "faults/synth.hpp"
+#include "net/network.hpp"
 #include "topo/topology.hpp"
 
 namespace {
@@ -179,6 +182,25 @@ TEST(TopologyDegeneracyTest, MultiRackTopologyDiverges) {
   const auto routed =
       run_quick_stream(std::make_shared<const Topology>(Topology::uniform(5, 2, {}, uplink)));
   EXPECT_NE(routed.stats.mean_latency_ms, base.stats.mean_latency_ms);
+}
+
+TEST(TopologyDegeneracyTest, BatchedBroadcastIsRejectedOnMultiRackTopologies) {
+  des::Simulator sim;
+  auto params = net::NetworkParams::defaults();
+  params.batched_broadcast = true;
+  const Topology two_racks = Topology::uniform(4, 2);
+  try {
+    net::ContentionNetwork network{sim, des::RandomEngine{1}, params, 4, &two_racks};
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "ContentionNetwork: batched_broadcast coalesces on the single hub; topology '" +
+                  two_racks.name() + "' has 2 racks");
+  }
+  // The single hub, with or without an explicit one-rack topology, takes it.
+  const Topology hub = Topology::single_hub(4);
+  EXPECT_NO_THROW((net::ContentionNetwork{sim, des::RandomEngine{1}, params, 4, &hub}));
+  EXPECT_NO_THROW((net::ContentionNetwork{sim, des::RandomEngine{1}, params, 4}));
 }
 
 // --------------------------------------------------------------------------
