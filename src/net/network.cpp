@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -51,10 +53,14 @@ std::size_t FifoServer::drain(bool drop_in_service) {
 }
 
 HubMedium::HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts)
-    : sim_{&sim}, rng_{rng}, queues_(hosts) {}
+    : sim_{&sim}, rng_{rng}, queues_(hosts) {
+  ready_.reserve(hosts);
+}
 
 void HubMedium::submit(HostId src, des::Duration service, des::EventAction on_done) {
-  queues_.at(src).push_back({service, std::move(on_done)});
+  std::deque<Frame>& queue = queues_.at(src);
+  if (queue.empty()) ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), src), src);
+  queue.push_back({service, std::move(on_done)});
   ++backlog_;
   if (!busy_) start_next();
 }
@@ -62,14 +68,12 @@ void HubMedium::submit(HostId src, des::Duration service, des::EventAction on_do
 void HubMedium::start_next() {
   if (backlog_ == 0) return;
   // Uniform choice among backlogged hosts; each host transmits in FIFO.
-  std::vector<HostId> ready;
-  for (HostId h = 0; h < static_cast<HostId>(queues_.size()); ++h) {
-    if (!queues_[h].empty()) ready.push_back(h);
-  }
-  const HostId winner =
-      ready[static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(ready.size()) - 1))];
-  Frame frame = std::move(queues_[winner].front());
-  queues_[winner].pop_front();
+  const auto pick =
+      static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(ready_.size()) - 1));
+  std::deque<Frame>& queue = queues_[ready_[pick]];
+  Frame frame = std::move(queue.front());
+  queue.pop_front();
+  if (queue.empty()) ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
   --backlog_;
   busy_ = true;
   current_done_ = std::move(frame.on_done);

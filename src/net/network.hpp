@@ -96,7 +96,10 @@ class FifoServer {
 /// The shared half-duplex hub. Each host's NIC queues its frames in FIFO
 /// order, but when the medium frees up the next transmitting host is chosen
 /// uniformly among the backlogged ones -- the fairness CSMA/CD arbitration
-/// provides, and deliberately NOT a global arrival-order FIFO.
+/// provides, and deliberately NOT a global arrival-order FIFO. The
+/// backlogged hosts are kept as an ascending list, updated only when a
+/// host's queue turns non-empty or empty, so picking the next host costs
+/// one draw whatever n is.
 class HubMedium {
  public:
   HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts);
@@ -122,6 +125,9 @@ class HubMedium {
   des::Simulator* sim_;
   des::RandomEngine rng_;
   std::vector<std::deque<Frame>> queues_;  // per source host
+  /// Hosts with a non-empty queue, ascending: the draw in start_next()
+  /// indexes this list, so its order is part of the bit-exact contract.
+  std::vector<HostId> ready_;
   std::size_t backlog_ = 0;
   bool busy_ = false;
   des::EventAction current_done_;

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <any>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -303,6 +307,127 @@ TEST(HubMediumTest, IdleHubStartsImmediately) {
   EXPECT_DOUBLE_EQ(when, 5.0);
   EXPECT_FALSE(hub.busy());
   EXPECT_EQ(hub.backlog(), 0u);
+}
+
+// The hub as it arbitrated before it kept a list of backlogged hosts: per
+// frame, rescan every host queue and draw among the non-empty ones. Kept as
+// the reference HubMedium must reproduce draw for draw.
+class ScanHub {
+ public:
+  ScanHub(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts)
+      : sim_{&sim}, rng_{rng}, queues_(hosts) {}
+
+  void submit(HostId src, des::Duration service, des::EventAction on_done) {
+    queues_.at(src).push_back({service, std::move(on_done)});
+    if (!busy_) start_next();
+  }
+
+ private:
+  struct Frame {
+    des::Duration service;
+    des::EventAction on_done;
+  };
+
+  void start_next() {
+    std::vector<HostId> ready;
+    for (HostId h = 0; h < static_cast<HostId>(queues_.size()); ++h) {
+      if (!queues_[h].empty()) ready.push_back(h);
+    }
+    if (ready.empty()) return;
+    const HostId winner = ready[static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(ready.size()) - 1))];
+    current_done_ = std::move(queues_[winner].front().on_done);
+    const des::Duration service = queues_[winner].front().service;
+    queues_[winner].pop_front();
+    busy_ = true;
+    sim_->schedule(service, [this] {
+      busy_ = false;
+      auto done = std::move(current_done_);
+      done();
+      if (!busy_) start_next();
+    });
+  }
+
+  des::Simulator* sim_;
+  des::RandomEngine rng_;
+  std::vector<std::deque<Frame>> queues_;
+  bool busy_ = false;
+  des::EventAction current_done_;
+};
+
+/// One frame the schedule submits: when, from which host, for how long.
+struct HubSubmission {
+  double at_ms;
+  HostId src;
+  double service_ms;
+};
+
+/// A bursty open-loop schedule: busy phases offer about twice what the hub
+/// can serve and quiet phases about a third, so host queues pile up, drain
+/// and refill many times over.
+std::vector<HubSubmission> bursty_schedule(std::size_t hosts, std::size_t frames,
+                                           std::uint64_t seed) {
+  des::RandomEngine rng{seed};
+  std::vector<HubSubmission> schedule;
+  double t = 0;
+  for (std::size_t i = 0; i < frames; ++i) {
+    t += rng.exponential_mean((i / 64) % 2 == 0 ? 0.05 : 0.4);
+    const auto src = static_cast<HostId>(rng.uniform_int(0, static_cast<std::int64_t>(hosts) - 1));
+    schedule.push_back({t, src, rng.uniform(0.05, 0.15)});
+  }
+  return schedule;
+}
+
+/// What a hub did with a schedule: (frame id, completion instant in ns) in
+/// service order, and how often a frame arrived at an idle, empty hub.
+struct HubTrace {
+  std::vector<std::pair<std::size_t, std::int64_t>> served;
+  std::size_t idle_arrivals = 0;
+  std::size_t peak_backlog = 0;
+};
+
+/// Runs `schedule` through `Hub`; every third completion submits one more
+/// frame from inside the completion, as the network's receiver path does.
+template <typename Hub>
+HubTrace serve(const std::vector<HubSubmission>& schedule, std::size_t hosts, std::uint64_t seed) {
+  des::Simulator sim;
+  Hub hub{sim, des::RandomEngine{seed}, hosts};
+  HubTrace trace;
+  std::size_t in_hub = 0;
+  std::size_t next_id = schedule.size();
+  std::function<void(HostId, std::size_t, des::Duration)> submit;
+  std::function<void(std::size_t)> done = [&](std::size_t id) {
+    --in_hub;
+    trace.served.emplace_back(id, sim.now().ns());
+    if (id % 3 == 0) submit(static_cast<HostId>(id % hosts), next_id++, des::Duration::from_ms(0.07));
+  };
+  submit = [&](HostId src, std::size_t id, des::Duration service) {
+    if (in_hub++ == 0) ++trace.idle_arrivals;
+    trace.peak_backlog = std::max(trace.peak_backlog, in_hub);
+    hub.submit(src, service, [&done, id] { done(id); });
+  };
+  for (std::size_t id = 0; id < schedule.size(); ++id) {
+    const HubSubmission& s = schedule[id];
+    sim.schedule_at(des::TimePoint::origin() + des::Duration::from_ms(s.at_ms),
+                    [&submit, &s, id] { submit(s.src, id, des::Duration::from_ms(s.service_ms)); });
+  }
+  sim.run();
+  return trace;
+}
+
+TEST(HubMediumTest, BackloggedListMatchesPerFrameScan) {
+  for (const std::size_t n : {2u, 5u, 65u, 129u}) {
+    SCOPED_TRACE(n);
+    const auto schedule = bursty_schedule(n, 30 * n + 200, 1302 + n);
+    const HubTrace expected = serve<ScanHub>(schedule, n, 77);
+    const HubTrace actual = serve<HubMedium>(schedule, n, 77);
+    // The schedule is not degenerate: the hub empties and refills many
+    // times, and queues build up far past one frame in between.
+    EXPECT_GT(expected.idle_arrivals, 4u);
+    EXPECT_GT(expected.peak_backlog, 20u);
+    ASSERT_GT(expected.served.size(), schedule.size());
+    EXPECT_EQ(actual.served, expected.served);
+  }
 }
 
 // --------------------------------------------------------------------------
