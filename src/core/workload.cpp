@@ -492,7 +492,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     Slot& slot = slots.back();
     slot.start = sim.now();
     pending_changes.emplace(cid, PendingChange{add, host});
-    const std::vector<std::int64_t> payload{
+    std::vector<std::int64_t> payload{
         add ? -(static_cast<std::int64_t>(host) + 1) : -(static_cast<std::int64_t>(host) + 1001)};
     for (const consensus::MemberId m : view->members()) {
       auto& proc = cluster.process(static_cast<runtime::HostId>(m));

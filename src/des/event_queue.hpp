@@ -11,8 +11,9 @@
 //   * an indexed binary heap of slot indices orders the pending set; each
 //     slot tracks its heap position, so cancel() is a true O(log n)
 //     removal (no lazy-deletion churn of dead entries);
-//   * callables are stored in-place inside the slot (EventAction's small
-//     buffer); only oversized captures fall back to the heap.
+//   * callables are stored in-place inside the slot (EventAction's inline
+//     buffer); a callable that does not fit is a compile error, never a
+//     heap allocation.
 #pragma once
 
 #include <cstddef>
@@ -38,21 +39,33 @@ inline constexpr EventId kInvalidEventId = 0;
 
 /// Move-only callable with inline storage sized for the simulator's event
 /// closures (a this-pointer plus a couple of words, or a captured
-/// std::function). Construction from a small callable performs no heap
-/// allocation; larger callables degrade gracefully to a heap-held copy.
+/// std::function). Construction never allocates: a callable converts only
+/// if it fits the inline buffer and is nothrow-movable, so a closure that
+/// would need a heap-held copy does not compile. The usual culprit is a
+/// by-copy capture of a `const T&`, which stores a `const T` whose move is
+/// a copy; capture `x = T{x}` instead.
 class EventAction {
  public:
   /// Covers [this + id], [ptr, packet-by-value] and [this, std::function]
   /// captures used across the runtime layers.
   static constexpr std::size_t kInlineBytes = 64;
 
+  /// True for the callables EventAction stores: they fit the inline buffer
+  /// and relocate without throwing.
+  template <typename F>
+  static constexpr bool fits_inline_v = sizeof(F) <= kInlineBytes &&
+                                        alignof(F) <= alignof(std::max_align_t) &&
+                                        std::is_nothrow_move_constructible_v<F>;
+
   EventAction() noexcept = default;
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                                        std::is_invocable_r_v<void, std::decay_t<F>&> &&
+                                        fits_inline_v<std::decay_t<F>>>>
   EventAction(F&& f) {  // NOLINT(google-explicit-constructor): callable adaptor
-    emplace(std::forward<F>(f));
+    ::new (static_cast<void*>(buf_)) std::decay_t<F>(std::forward<F>(f));
+    vtable_ = vtable_for<std::decay_t<F>>();
   }
 
   EventAction(EventAction&& other) noexcept { move_from(other); }
@@ -92,12 +105,7 @@ class EventAction {
   };
 
   template <typename F>
-  static constexpr bool fits_inline_v = sizeof(F) <= kInlineBytes &&
-                                        alignof(F) <= alignof(std::max_align_t) &&
-                                        std::is_nothrow_move_constructible_v<F>;
-
-  template <typename F>
-  static const VTable* inline_vtable() {
+  static const VTable* vtable_for() {
     static const VTable vt{
         [](void* p) { (*static_cast<F*>(p))(); },
         [](void* dst, void* src) noexcept {
@@ -107,30 +115,6 @@ class EventAction {
         [](void* p) noexcept { static_cast<F*>(p)->~F(); },
     };
     return &vt;
-  }
-
-  template <typename F>
-  static const VTable* heap_vtable() {
-    static const VTable vt{
-        [](void* p) { (**static_cast<F**>(p))(); },
-        [](void* dst, void* src) noexcept {
-          ::new (dst) F*(*static_cast<F**>(src));
-        },
-        [](void* p) noexcept { delete *static_cast<F**>(p); },
-    };
-    return &vt;
-  }
-
-  template <typename F>
-  void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (fits_inline_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vtable_ = inline_vtable<D>();
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      vtable_ = heap_vtable<D>();
-    }
   }
 
   void move_from(EventAction& other) noexcept {

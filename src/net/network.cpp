@@ -323,7 +323,7 @@ void ContentionNetwork::receiver_edge_batched(const FrameRef& frame, HostId dst)
     pipeline = des::Duration::from_ms(pipeline.to_ms() * pipeline_scale_);
   }
   if (pipeline > des::Duration::zero()) {
-    sim_->schedule(pipeline, [this, frame, dst] { edge_arrive(frame, dst); });
+    sim_->schedule(pipeline, [this, frame = FrameRef{frame}, dst] { edge_arrive(frame, dst); });
   } else {
     edge_arrive(frame, dst);  // zero latency: no event, arrive in place
   }
@@ -366,7 +366,7 @@ void ContentionNetwork::edge_arrive(const FrameRef& frame, HostId dst) {
   for (int c = 0; c < copies; ++c) {
     // Step 6: receiver CPU.
     cpus_[dst].submit(des::Duration::from_ms(params_.recv_cpu_ms * cpu_scale_[dst]),
-                      [this, frame, dst] {
+                      [this, frame = FrameRef{frame}, dst] {
                         if (down_[dst]) {
                           ++frames_dropped_;
                           SANPERF_AUDIT_ONLY(--audit_in_flight_;)

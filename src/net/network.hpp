@@ -13,10 +13,12 @@
 // dropped before consuming the destination CPU.
 //
 // Frame bookkeeping is pooled (see frame_pool.hpp): a frame in flight is a
-// slot index into columnar storage, closures carry a 24-byte FrameRef
-// inside EventAction's inline buffer, and a broadcast shares one pooled
-// body across all n-1 receivers -- the steady-state send path performs no
-// heap allocation.
+// slot index into columnar storage, every closure carries its 24-byte
+// FrameRef inside EventAction's inline buffer (a closure that would not fit
+// does not compile), and a broadcast shares one pooled body across all n-1
+// receivers. The send path still allocates in one place: the std::deque job
+// queues of the CPUs and the hub take and free a chunk whenever they grow
+// or drain across a chunk boundary.
 //
 // Routed mode: constructed with a multi-rack topo::Topology, step 4 is no
 // longer one shared hub but the frame's compiled route -- each link on the

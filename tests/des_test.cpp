@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "des/event_queue.hpp"
@@ -301,6 +304,40 @@ TEST(EventQueueTest, CancelInMiddleOfHeapPreservesOrder) {
     for (std::size_t k = 1; k < fired.size(); ++k) EXPECT_LT(fired[k], fired[k - 1]);
     for (const int f : fired) EXPECT_NE(f, victim);
   }
+}
+
+// --- EventAction storage ----------------------------------------------------
+
+// Every callable lives in EventAction's inline buffer. One that is too big,
+// or whose move may throw (a slot could not relocate it), must not convert
+// at all: there is no heap-held fallback.
+TEST(EventActionTest, OnlyInlineNothrowMovableClosuresConvert) {
+  std::array<unsigned char, 56> bytes{};
+  bytes.fill(3);
+  int sum = 0;
+  auto at_limit = [bytes, &sum] {
+    for (const unsigned char b : bytes) sum += b;
+  };
+  const std::array<unsigned char, 72> big{};
+  auto oversized = [big] { static_cast<void>(big); };
+  const std::vector<std::int64_t> payload{1, 2};
+  auto const_copy = [payload] { static_cast<void>(payload); };  // holds a const vector
+  auto fresh_copy = [payload = std::vector<std::int64_t>{payload}] { static_cast<void>(payload); };
+
+  static_assert(sizeof(at_limit) == EventAction::kInlineBytes);
+  static_assert(std::is_nothrow_move_constructible_v<decltype(at_limit)>);
+  static_assert(std::is_constructible_v<EventAction, decltype(at_limit)>);
+  static_assert(sizeof(oversized) == 72);
+  static_assert(!std::is_constructible_v<EventAction, decltype(oversized)>);
+  static_assert(!std::is_nothrow_move_constructible_v<decltype(const_copy)>);
+  static_assert(!std::is_constructible_v<EventAction, decltype(const_copy)>);
+  static_assert(std::is_constructible_v<EventAction, decltype(fresh_copy)>);
+
+  // A closure at the size limit survives relocation intact.
+  EventAction first{at_limit};
+  EventAction second{std::move(first)};
+  second();
+  EXPECT_EQ(sum, 3 * 56);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -399,7 +400,9 @@ HubTrace serve(const std::vector<HubSubmission>& schedule, std::size_t hosts, st
   std::function<void(std::size_t)> done = [&](std::size_t id) {
     --in_hub;
     trace.served.emplace_back(id, sim.now().ns());
-    if (id % 3 == 0) submit(static_cast<HostId>(id % hosts), next_id++, des::Duration::from_ms(0.07));
+    if (id % 3 == 0) {
+      submit(static_cast<HostId>(id % hosts), next_id++, des::Duration::from_ms(0.07));
+    }
   };
   submit = [&](HostId src, std::size_t id, des::Duration service) {
     if (in_hub++ == 0) ++trace.idle_arrivals;
@@ -428,6 +431,19 @@ TEST(HubMediumTest, BackloggedListMatchesPerFrameScan) {
     ASSERT_GT(expected.served.size(), schedule.size());
     EXPECT_EQ(actual.served, expected.served);
   }
+}
+
+// A closure that copies a `const FrameRef&` holds a `const FrameRef`, whose
+// move is a reference-count-bumping copy that may throw: EventAction refuses
+// it instead of boxing it on the heap. The network's closures capture
+// `frame = FrameRef{frame}`, a movable copy.
+TEST(FrameRefTest, EventClosuresNeedAMovableCopy) {
+  const FrameRef none{};
+  const FrameRef& frame = none;
+  auto copies_const = [frame] { static_cast<void>(frame); };
+  auto holds_fresh = [frame = FrameRef{frame}] { static_cast<void>(frame); };
+  static_assert(!std::is_constructible_v<des::EventAction, decltype(copies_const)>);
+  static_assert(std::is_constructible_v<des::EventAction, decltype(holds_fresh)>);
 }
 
 // --------------------------------------------------------------------------
