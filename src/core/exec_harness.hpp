@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 
+#include "consensus/ct_consensus.hpp"
 #include "core/measurement.hpp"
 #include "faults/injector.hpp"
 #include "faults/lowering.hpp"

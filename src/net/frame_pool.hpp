@@ -16,6 +16,7 @@
 // vector capacity is recycled with the slot.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
