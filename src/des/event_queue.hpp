@@ -64,8 +64,9 @@ class EventAction {
                                         std::is_invocable_r_v<void, std::decay_t<F>&> &&
                                         fits_inline_v<std::decay_t<F>>>>
   EventAction(F&& f) {  // NOLINT(google-explicit-constructor): callable adaptor
-    ::new (static_cast<void*>(buf_)) std::decay_t<F>(std::forward<F>(f));
-    vtable_ = vtable_for<std::decay_t<F>>();
+    using D = std::decay_t<F>;
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    vtable_ = vtable_for<D>();
   }
 
   EventAction(EventAction&& other) noexcept { move_from(other); }

@@ -318,7 +318,7 @@ TEST(EventActionTest, OnlyInlineNothrowMovableClosuresConvert) {
   auto at_limit = [bytes, &sum] {
     for (const unsigned char b : bytes) sum += b;
   };
-  const std::array<unsigned char, 72> big{};
+  std::array<unsigned char, 72> big{};
   auto oversized = [big] { static_cast<void>(big); };
   const std::vector<std::int64_t> payload{1, 2};
   auto const_copy = [payload] { static_cast<void>(payload); };  // holds a const vector
