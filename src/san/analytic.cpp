@@ -10,7 +10,7 @@ CtmcTransientSolver::CtmcTransientSolver(const SanModel& model,
                                          std::function<bool(const Marking&)> stop,
                                          AnalyticOptions options)
     : model_{&model}, stop_{std::move(stop)}, options_{options} {
-  model_->validate();
+  model_->prepare();
   for (ActivityId a = 0; a < model_->activity_count(); ++a) {
     const Activity& act = model_->activity(a);
     if (act.timed && !act.delay.is_exponential()) {
@@ -24,21 +24,6 @@ CtmcTransientSolver::CtmcTransientSolver(const SanModel& model,
 }
 
 namespace {
-
-/// Enabled check mirroring SanSimulator::is_enabled.
-bool enabled_in(const SanModel& model, const Activity& act, const Marking& m) {
-  for (const PlaceId p : act.input_places) {
-    std::int32_t needed = 0;
-    for (const PlaceId q : act.input_places) {
-      if (q == p) ++needed;
-    }
-    if (m.get(p) < needed) return false;
-  }
-  for (const InputGateId g : act.input_gates) {
-    if (!model.in_gate(g).enabled(m)) return false;
-  }
-  return true;
-}
 
 /// Applies one firing of `act` with the chosen case to a copy of `m`.
 Marking fire_case(const SanModel& model, const Activity& act, const Case& chosen, Marking m) {
@@ -67,7 +52,7 @@ void CtmcTransientSolver::settle(const Marking& m, double prob,
     double total_weight = 0;
     for (ActivityId a = 0; a < model_->activity_count(); ++a) {
       const Activity& act = model_->activity(a);
-      if (act.timed || !enabled_in(*model_, act, m)) continue;
+      if (act.timed || !model_->enabled(a, m)) continue;
       enabled.push_back(a);
       total_weight += act.weight;
     }
@@ -130,7 +115,7 @@ void CtmcTransientSolver::explore() {
     bool any = false;
     for (ActivityId a = 0; a < model_->activity_count(); ++a) {
       const Activity& act = model_->activity(a);
-      if (!act.timed || !enabled_in(*model_, act, m)) continue;
+      if (!act.timed || !model_->enabled(a, m)) continue;
       any = true;
       const double rate = 1.0 / act.delay.mean_ms();
       for (const Case& c : act.cases) {

@@ -112,12 +112,6 @@ ActivityId SanModel::find_activity(const std::string& name) const {
   return it->second;
 }
 
-void SanModel::set_initial_tokens(PlaceId p, std::int32_t v) {
-  if (v < 0) throw std::logic_error{"SanModel: negative initial tokens"};
-  places_[p].initial = v;
-  touch();
-}
-
 Marking SanModel::initial_marking() const {
   Marking m{places_.size()};
   for (std::size_t p = 0; p < places_.size(); ++p) {
@@ -169,11 +163,14 @@ void SanModel::validate() const {
 
 void SanModel::prepare() const {
   validate();
-  if (dependents_dirty_) build_dependents();
+  if (tables_dirty_) build_tables();
 }
 
-void SanModel::build_dependents() const {
+void SanModel::build_tables() const {
   dependents_.assign(places_.size(), {});
+  arcs_.clear();
+  arc_begin_.assign(1, 0);
+  instantaneous_.assign((activities_.size() + 63) / 64, 0);
   for (std::size_t a = 0; a < activities_.size(); ++a) {
     const Activity& act = activities_[a];
     auto note = [&](PlaceId q) {
@@ -182,22 +179,52 @@ void SanModel::build_dependents() const {
         vec.push_back(static_cast<ActivityId>(a));
       }
     };
-    for (const PlaceId q : act.input_places) note(q);
+    for (const PlaceId q : act.input_places) {
+      note(q);
+      // Repeated arcs from one place fold into one entry; places keep the
+      // order of their first arc.
+      const auto first = arcs_.begin() + arc_begin_.back();
+      const auto it = std::find_if(first, arcs_.end(),
+                                   [q](const InputArc& arc) { return arc.place == q; });
+      if (it == arcs_.end()) {
+        arcs_.push_back({q, 1});
+      } else {
+        ++it->multiplicity;
+      }
+    }
+    arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
     for (const InputGateId g : act.input_gates) {
       for (const PlaceId q : input_gates_[g].reads) note(q);
     }
+    if (!act.timed) instantaneous_[a / 64] |= std::uint64_t{1} << (a % 64);
   }
   // Deduplicate (an activity may touch a place through several routes).
   for (auto& vec : dependents_) {
     std::sort(vec.begin(), vec.end());
     vec.erase(std::unique(vec.begin(), vec.end()), vec.end());
   }
-  dependents_dirty_ = false;
+  tables_dirty_ = false;
 }
 
 const std::vector<ActivityId>& SanModel::dependents(PlaceId p) const {
-  if (dependents_dirty_) build_dependents();
+  if (tables_dirty_) build_tables();
   return dependents_[p];
+}
+
+bool SanModel::enabled(ActivityId a, const Marking& m) const {
+  if (tables_dirty_) build_tables();
+  for (std::uint32_t i = arc_begin_[a]; i < arc_begin_[a + 1]; ++i) {
+    if (m.get(arcs_[i].place) < arcs_[i].multiplicity) return false;
+  }
+  for (const InputGateId g : activities_[a].input_gates) {
+    if (!input_gates_[g].enabled(m)) return false;
+  }
+  return true;
+}
+
+const std::vector<std::uint64_t>& SanModel::instantaneous_mask() const {
+  if (tables_dirty_) build_tables();
+  return instantaneous_;
 }
 
 }  // namespace sanperf::san

@@ -16,6 +16,12 @@
 // marking their predicate inspects. The simulator uses these lists to
 // re-evaluate only the activities affected by a firing, which keeps large
 // composed models (hundreds of activities) fast.
+//
+// prepare() compiles the structure into the flat tables a firing reads:
+// per place, the activities that depend on it; per activity, its input arcs
+// as distinct (place, multiplicity) pairs; and a bit mask of the
+// instantaneous activities. enabled() is the one enabling check, shared by
+// the simulator and the analytic solver.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +144,6 @@ class SanModel {
   [[nodiscard]] std::size_t activity_count() const { return activities_.size(); }
   [[nodiscard]] const std::string& place_name(PlaceId p) const { return places_[p].name; }
   [[nodiscard]] std::int32_t initial_tokens(PlaceId p) const { return places_[p].initial; }
-  void set_initial_tokens(PlaceId p, std::int32_t v);
 
   [[nodiscard]] const Activity& activity(ActivityId a) const { return activities_[a]; }
   [[nodiscard]] const InputGate& in_gate(InputGateId g) const { return input_gates_[g]; }
@@ -154,16 +159,26 @@ class SanModel {
   /// repeat call on an unmutated model is O(1).
   void validate() const;
 
-  /// Validates and eagerly builds the dependents cache. Call this (from one
-  /// thread) before sharing the model across concurrent simulators: after
-  /// prepare(), all accessors on an unmutated model are read-only and
-  /// thread-safe.
+  /// Validates and eagerly builds the compiled tables (dependents, input
+  /// arcs, instantaneous mask). Call this (from one thread) before sharing
+  /// the model across concurrent simulators: after prepare(), all accessors
+  /// on an unmutated model are read-only and thread-safe.
   void prepare() const;
 
+  /// The tables below are built lazily on first use after the last
+  /// mutation; NOT thread-safe while they are cold (see prepare()).
+
   /// Activities whose enabling can change when `p` changes (input arcs and
-  /// gate reads). Built lazily on first use after the last mutation; NOT
-  /// thread-safe while the cache is cold (see prepare()).
+  /// gate reads), in ascending id order.
   [[nodiscard]] const std::vector<ActivityId>& dependents(PlaceId p) const;
+
+  /// True when `m` covers the multiplicity of every input place of `a` and
+  /// every input gate predicate of `a` holds (arcs checked first, then the
+  /// gates in attachment order).
+  [[nodiscard]] bool enabled(ActivityId a, const Marking& m) const;
+
+  /// Bit a % 64 of word a / 64 is set iff activity a is instantaneous.
+  [[nodiscard]] const std::vector<std::uint64_t>& instantaneous_mask() const;
 
  private:
   friend class ActivityRef;
@@ -173,9 +188,15 @@ class SanModel {
     std::int32_t initial = 0;
   };
 
+  /// One input place of an activity with its arc multiplicity.
+  struct InputArc {
+    PlaceId place;
+    std::int32_t multiplicity;
+  };
+
   /// Marks cached derived state stale after any structural mutation.
   void touch() {
-    dependents_dirty_ = true;
+    tables_dirty_ = true;
     validated_ = false;
   }
 
@@ -184,7 +205,7 @@ class SanModel {
     return activities_[a];
   }
 
-  void build_dependents() const;
+  void build_tables() const;
 
   std::vector<PlaceInfo> places_;
   std::vector<Activity> activities_;
@@ -195,9 +216,12 @@ class SanModel {
   // det-lint: allow(unordered-container) name->id lookup only, never iterated
   std::unordered_map<std::string, ActivityId> activity_index_;
 
-  mutable bool dependents_dirty_ = true;
+  mutable bool tables_dirty_ = true;
   mutable bool validated_ = false;
   mutable std::vector<std::vector<ActivityId>> dependents_;
+  mutable std::vector<InputArc> arcs_;            ///< every activity's arcs, by activity
+  mutable std::vector<std::uint32_t> arc_begin_;  ///< activity a: [arc_begin_[a], arc_begin_[a+1])
+  mutable std::vector<std::uint64_t> instantaneous_;
 };
 
 }  // namespace sanperf::san

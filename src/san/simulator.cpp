@@ -1,13 +1,16 @@
 #include "san/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace sanperf::san {
 
 SanSimulator::SanSimulator(const SanModel& model, des::RandomEngine rng)
     : model_{&model}, rng_{rng} {
-  model_->validate();
+  model_->prepare();
   reset(rng);
 }
 
@@ -16,7 +19,8 @@ void SanSimulator::reset(des::RandomEngine rng) {
   marking_ = model_->initial_marking();
   now_ = des::TimePoint::origin();
   queue_.clear();
-  enabled_.assign(model_->activity_count(), 0);
+  enabled_.assign(model_->instantaneous_mask().size(), 0);
+  affected_.assign(enabled_.size(), 0);
   scheduled_.assign(model_->activity_count(), des::kInvalidEventId);
   fire_counts_.assign(model_->activity_count(), 0);
   total_firings_ = 0;
@@ -50,28 +54,10 @@ void SanSimulator::accrue_rewards(des::TimePoint to) {
   last_accrual_ = to;
 }
 
-bool SanSimulator::is_enabled(ActivityId a) const {
-  const Activity& act = model_->activity(a);
-  // Input arcs: the marking must cover each place's multiplicity.
-  for (std::size_t i = 0; i < act.input_places.size(); ++i) {
-    const PlaceId p = act.input_places[i];
-    std::int32_t needed = 0;
-    for (const PlaceId q : act.input_places) {
-      if (q == p) ++needed;
-    }
-    if (marking_.get(p) < needed) return false;
-    (void)i;
-  }
-  for (const InputGateId g : act.input_gates) {
-    if (!model_->in_gate(g).enabled(marking_)) return false;
-  }
-  return true;
-}
-
 void SanSimulator::refresh_activity(ActivityId a) {
-  const bool en = is_enabled(a);
-  if (en == static_cast<bool>(enabled_[a])) return;  // race policy: keep existing activation
-  enabled_[a] = en ? 1 : 0;
+  const bool en = model_->enabled(a, marking_);
+  if (en == is_enabled(a)) return;  // race policy: keep existing activation
+  set_enabled(a, en);
   const Activity& act = model_->activity(a);
   if (!act.timed) return;  // instantaneous set is derived from enabled_ flags
   if (en) {
@@ -118,34 +104,46 @@ void SanSimulator::fire(ActivityId a) {
   if (fire_hook_) fire_hook_(a, now_);
 
   // The fired activity's activation is spent: force re-evaluation.
-  enabled_[a] = 0;
+  set_enabled(a, false);
   if (act.timed) scheduled_[a] = des::kInvalidEventId;
 
-  // Re-evaluate only activities sensitive to changed places (plus `a`).
-  affected_.clear();
-  affected_.push_back(a);
-  const auto& after = marking_.raw();
-  for (std::size_t p = 0; p < after.size(); ++p) {
-    if (before_[p] == after[p]) continue;
-    const auto& deps = model_->dependents(static_cast<PlaceId>(p));
-    affected_.insert(affected_.end(), deps.begin(), deps.end());
+  // Re-evaluate only activities sensitive to changed places (plus `a`), in
+  // ascending id order. Compare the markings a block of kBlock places at a
+  // time; only a block that differs is scanned place by place.
+  constexpr std::size_t kBlock = 64 / sizeof(std::int32_t);
+  const auto mark = [this](ActivityId x) { affected_[x / 64] |= std::uint64_t{1} << (x % 64); };
+  mark(a);
+  const std::int32_t* before = before_.data();
+  const std::int32_t* after = marking_.raw().data();
+  const std::size_t places = before_.size();
+  for (std::size_t lo = 0; lo < places; lo += kBlock) {
+    const std::size_t hi = std::min(lo + kBlock, places);
+    if (std::memcmp(before + lo, after + lo, (hi - lo) * sizeof(std::int32_t)) == 0) continue;
+    for (std::size_t p = lo; p < hi; ++p) {
+      if (before[p] == after[p]) continue;
+      for (const ActivityId x : model_->dependents(static_cast<PlaceId>(p))) mark(x);
+    }
   }
-  std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()), affected_.end());
-  for (const ActivityId x : affected_) refresh_activity(x);
+  for (std::size_t w = 0; w < affected_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(affected_[w], 0); bits != 0; bits &= bits - 1) {
+      refresh_activity(static_cast<ActivityId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
 }
 
 std::optional<ActivityId> SanSimulator::pick_instantaneous() {
-  // Scan the (static) set of instantaneous activities for enabled ones.
+  // The enabled instantaneous activities, in ascending id order.
+  const std::vector<std::uint64_t>& instantaneous = model_->instantaneous_mask();
   inst_ids_.clear();
-  inst_weights_.clear();
-  for (ActivityId a = 0; a < model_->activity_count(); ++a) {
-    if (!enabled_[a] || model_->activity(a).timed) continue;
-    inst_ids_.push_back(a);
-    inst_weights_.push_back(model_->activity(a).weight);
+  for (std::size_t w = 0; w < enabled_.size(); ++w) {
+    for (std::uint64_t bits = enabled_[w] & instantaneous[w]; bits != 0; bits &= bits - 1) {
+      inst_ids_.push_back(static_cast<ActivityId>(w * 64 + std::countr_zero(bits)));
+    }
   }
   if (inst_ids_.empty()) return std::nullopt;
   if (inst_ids_.size() == 1) return inst_ids_.front();
+  inst_weights_.clear();
+  for (const ActivityId a : inst_ids_) inst_weights_.push_back(model_->activity(a).weight);
   return inst_ids_[rng_.categorical(inst_weights_)];
 }
 

@@ -9,6 +9,16 @@
 //     activity that fires and stays enabled also samples afresh;
 //   * after each firing only the activities whose inputs touch a changed
 //     place are re-evaluated (sensitivity lists from SanModel::dependents).
+//
+// A firing costs what it touches. The enabled set is a bitset, so picking
+// an instantaneous activity walks the words of (enabled & instantaneous) in
+// ascending id order and reads only the enabled candidates. The changed
+// places are found by comparing the markings before and after the firing
+// 16 places (64 bytes) at a time, scanning place by place only the blocks
+// that differ; their dependents go into a second bitset, refreshed in
+// ascending id order. Both give the candidates and the refresh order of a
+// full scan, so the draws are those of a full scan (san_test pins this
+// against a full-rescan reference).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +46,9 @@ struct RunResult {
 
 class SanSimulator {
  public:
-  /// The model must outlive the simulator and must already validate().
+  /// The model must outlive the simulator and must validate(). The
+  /// constructor calls model.prepare(); a model shared across threads must
+  /// be prepared before it is shared.
   SanSimulator(const SanModel& model, des::RandomEngine rng);
 
   /// Optional predicate: the run stops as soon as it holds (checked after
@@ -78,7 +90,13 @@ class SanSimulator {
   static constexpr std::uint64_t kMaxInstantaneousBurst = 1'000'000;
 
  private:
-  [[nodiscard]] bool is_enabled(ActivityId a) const;
+  [[nodiscard]] bool is_enabled(ActivityId a) const {
+    return ((enabled_[a / 64] >> (a % 64)) & 1) != 0;
+  }
+  void set_enabled(ActivityId a, bool en) {
+    const std::uint64_t bit = std::uint64_t{1} << (a % 64);
+    enabled_[a / 64] = en ? (enabled_[a / 64] | bit) : (enabled_[a / 64] & ~bit);
+  }
   void refresh_activity(ActivityId a);
   void refresh_all();
   /// Integrates rate rewards from the last accrual point to `to`.
@@ -94,7 +112,7 @@ class SanSimulator {
   des::TimePoint now_;
   des::EventQueue queue_;
 
-  std::vector<char> enabled_;            // per activity
+  std::vector<std::uint64_t> enabled_;   // bit a % 64 of word a / 64: activity a
   std::vector<des::EventId> scheduled_;  // per timed activity; 0 when none
   std::vector<std::uint64_t> fire_counts_;
   std::uint64_t total_firings_ = 0;
@@ -112,7 +130,7 @@ class SanSimulator {
   // scratch buffers reused across firings (the firing loop allocates
   // nothing in steady state)
   std::vector<std::int32_t> before_;
-  std::vector<ActivityId> affected_;
+  std::vector<std::uint64_t> affected_;  // bitset like enabled_; all zero between firings
   std::vector<ActivityId> inst_ids_;     // enabled instantaneous candidates
   std::vector<double> inst_weights_;
   std::vector<double> case_probs_;

@@ -3,7 +3,12 @@
 // composition helpers and transient studies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "san/compose.hpp"
 #include "san/distribution.hpp"
@@ -151,6 +156,32 @@ TEST(SanModelTest, DependentsIndexCoversArcsAndGateReads) {
   EXPECT_EQ(deps_a[0], act.id());
   EXPECT_EQ(deps_g[0], act.id());
   EXPECT_TRUE(m.dependents(out).empty());
+}
+
+TEST(SanModelTest, EnabledCountsRepeatedArcsAndMaskTracksMutation) {
+  SanModel m;
+  const PlaceId a = m.place("a", 2);
+  const PlaceId b = m.place("b", 1);
+  const auto gate = m.input_gate("b_empty", {b}, [b](const Marking& mk) { return mk.get(b) == 0; });
+  const auto pair = m.timed_activity("pair", Distribution::deterministic_ms(1)).in(a).in(b).in(a);
+  const auto gated = m.instant_activity("gated").in(a).in_gate(gate);
+  m.prepare();
+  Marking mk = m.initial_marking();
+  EXPECT_TRUE(m.enabled(pair.id(), mk));    // a = 2 covers its two arcs
+  EXPECT_FALSE(m.enabled(gated.id(), mk));  // the gate reads b = 1
+  mk.set(a, 1);
+  EXPECT_FALSE(m.enabled(pair.id(), mk));
+  mk.set(b, 0);
+  EXPECT_TRUE(m.enabled(gated.id(), mk));
+  EXPECT_EQ(m.instantaneous_mask(), std::vector<std::uint64_t>{0b10});
+
+  // A mutation after prepare() rebuilds the tables on next use.
+  for (int i = 0; i < 70; ++i) m.instant_activity("i" + std::to_string(i)).in(b);
+  const auto& mask = m.instantaneous_mask();
+  ASSERT_EQ(mask.size(), 2u);
+  EXPECT_EQ(mask[0], ~std::uint64_t{1});           // all but "pair"
+  EXPECT_EQ(mask[1], (std::uint64_t{1} << 8) - 1);  // activities 64..71
+  EXPECT_EQ(m.dependents(b).size(), 72u);
 }
 
 TEST(MarkingTest, RejectsNegativeTokens) {
@@ -418,6 +449,224 @@ TEST(SanSimulatorTest, ResourceGrabServeMutualExclusion) {
   EXPECT_EQ(sim.marking().get(server), 1);
   // 5 jobs serialised at 2 ms each.
   EXPECT_EQ(res.end_time, des::TimePoint::origin() + des::Duration::from_ms(10));
+}
+
+// --------------------------------------------------------------------------
+// Full-rescan reference
+// --------------------------------------------------------------------------
+
+struct Firing {
+  ActivityId activity;
+  des::TimePoint at;
+  friend bool operator==(const Firing&, const Firing&) = default;
+};
+
+/// SanSimulator's semantics with the sensitivity lists switched off: after
+/// every firing each activity is re-evaluated in ascending id order, and the
+/// instantaneous candidates come from a scan of every activity. Refreshing an
+/// activity whose enabling did not change draws nothing, so this fires the
+/// same activities at the same instants as the simulator.
+class RescanReference {
+ public:
+  RescanReference(const SanModel& model, std::uint64_t seed)
+      : model_{model}, rng_{seed}, marking_{model.initial_marking()},
+        enabled_(model.activity_count(), false) {}
+
+  void run(des::TimePoint deadline, std::size_t max_firings) {
+    max_firings_ = max_firings;
+    refresh_all();
+    settle();
+    while (firings.size() < max_firings_ && !pending_.empty()) {
+      const auto next = std::min_element(pending_.begin(), pending_.end(), [](auto& x, auto& y) {
+        return std::tie(x.at, x.seq) < std::tie(y.at, y.seq);
+      });
+      if (next->at > deadline) return;
+      now_ = next->at;
+      const ActivityId a = next->activity;
+      pending_.erase(next);
+      fire(a);
+      settle();
+    }
+  }
+
+  std::vector<Firing> firings;
+  std::size_t choices = 0;  ///< instantaneous picks among several candidates
+  [[nodiscard]] const Marking& marking() const { return marking_; }
+
+ private:
+  struct Pending {
+    des::TimePoint at;
+    std::uint64_t seq;
+    ActivityId activity;
+  };
+
+  [[nodiscard]] bool enabled(const Activity& act) const {
+    for (const PlaceId p : act.input_places) {
+      if (marking_.get(p) < std::count(act.input_places.begin(), act.input_places.end(), p)) {
+        return false;
+      }
+    }
+    return std::all_of(act.input_gates.begin(), act.input_gates.end(),
+                       [&](InputGateId g) { return model_.in_gate(g).enabled(marking_); });
+  }
+
+  void refresh_all() {
+    for (ActivityId a = 0; a < model_.activity_count(); ++a) {
+      const Activity& act = model_.activity(a);
+      const bool en = enabled(act);
+      if (en == enabled_[a]) continue;
+      enabled_[a] = en;
+      if (!act.timed) continue;
+      if (en) {
+        pending_.push_back({now_ + act.delay.sample(rng_), seq_++, a});
+      } else {
+        std::erase_if(pending_, [a](const Pending& p) { return p.activity == a; });
+      }
+    }
+  }
+
+  void settle() {
+    while (firings.size() < max_firings_) {
+      std::vector<ActivityId> ids;
+      std::vector<double> weights;
+      for (ActivityId a = 0; a < model_.activity_count(); ++a) {
+        if (!enabled_[a] || model_.activity(a).timed) continue;
+        ids.push_back(a);
+        weights.push_back(model_.activity(a).weight);
+      }
+      if (ids.empty()) return;
+      if (ids.size() > 1) ++choices;
+      fire(ids.size() == 1 ? ids.front() : ids[rng_.categorical(weights)]);
+    }
+  }
+
+  void fire(ActivityId a) {
+    const Activity& act = model_.activity(a);
+    for (const PlaceId p : act.input_places) marking_.add(p, -1);
+    for (const InputGateId g : act.input_gates) {
+      if (model_.in_gate(g).fire) model_.in_gate(g).fire(marking_);
+    }
+    const Case* chosen = &act.cases.front();
+    if (act.cases.size() > 1) {
+      std::vector<double> probs;
+      for (const Case& c : act.cases) probs.push_back(c.probability);
+      chosen = &act.cases[rng_.categorical(probs)];
+    }
+    for (const PlaceId p : chosen->output_places) marking_.add(p, 1);
+    for (const OutputGateId g : chosen->output_gates) model_.out_gate(g).fire(marking_);
+    firings.push_back({a, now_});
+    enabled_[a] = false;  // the activation is spent
+    refresh_all();
+  }
+
+  const SanModel& model_;
+  des::RandomEngine rng_;
+  Marking marking_;
+  des::TimePoint now_ = des::TimePoint::origin();
+  std::vector<bool> enabled_;
+  std::vector<Pending> pending_;
+  std::uint64_t seq_ = 0;
+  std::size_t max_firings_ = 0;
+};
+
+/// A random small SAN: 17 to 47 places (never a multiple of 16), repeated
+/// input arcs, input gates whose function writes a place and restores it,
+/// output gates that write arbitrary places, instantaneous activities with
+/// distinct weights, and zero-delay timed activities.
+SanModel random_san(des::RandomEngine& g) {
+  SanModel m;
+  const auto places = static_cast<PlaceId>(16 * g.uniform_int(1, 2) + g.uniform_int(1, 15));
+  for (PlaceId p = 0; p < places; ++p) {
+    m.place("p" + std::to_string(p), static_cast<std::int32_t>(g.uniform_int(0, 2)));
+  }
+  auto any_place = [&] { return static_cast<PlaceId>(g.uniform_int(0, places - 1)); };
+
+  std::vector<InputGateId> in_gates;
+  for (int i = 0; i < 6; ++i) {
+    const PlaceId r = any_place();
+    const PlaceId q = any_place();
+    const auto k = static_cast<std::int32_t>(g.uniform_int(1, 2));
+    std::function<void(Marking&)> fire;
+    switch (g.uniform_int(0, 2)) {
+      case 0:  // writes a place and restores it: no net change
+        fire = [q](Marking& mk) {
+          const std::int32_t v = mk.get(q);
+          mk.set(q, v + 7);
+          mk.set(q, v);
+        };
+        break;
+      case 1:
+        fire = [q](Marking& mk) { mk.add(q, 1); };
+        break;
+      default:
+        break;
+    }
+    in_gates.push_back(m.input_gate(
+        "ig" + std::to_string(i), {r}, [r, k](const Marking& mk) { return mk.get(r) < k; },
+        std::move(fire)));
+  }
+  std::vector<OutputGateId> out_gates;
+  for (int i = 0; i < 4; ++i) {
+    const PlaceId q = any_place();
+    out_gates.push_back(m.output_gate("og" + std::to_string(i), [q](Marking& mk) {
+      mk.set(q, (mk.get(q) + 2) % 3);
+    }));
+  }
+
+  const auto activities = g.uniform_int(8, 30);
+  for (std::int64_t i = 0; i < activities; ++i) {
+    const std::string name = "a" + std::to_string(i);
+    const bool instantaneous = g.bernoulli(0.35);
+    ActivityRef act = instantaneous
+        ? m.instant_activity(name, 0.5 + 0.25 * static_cast<double>(i))
+        : m.timed_activity(name, std::array{Distribution::deterministic_ms(0),
+                                            Distribution::deterministic_ms(1),
+                                            Distribution::exponential_ms(1),
+                                            Distribution::uniform_ms(0.5, 2)}[g.uniform_int(0, 3)]);
+    const auto arcs = g.uniform_int(0, 3);
+    PlaceId last = any_place();
+    for (std::int64_t j = 0; j < arcs; ++j) {
+      if (!g.bernoulli(0.3)) last = any_place();  // else repeat the previous arc
+      act.in(last);
+    }
+    const auto gates = g.uniform_int(arcs == 0 ? 1 : 0, 2);
+    for (std::int64_t j = 0; j < gates; ++j) act.in_gate(in_gates[g.uniform_int(0, 5)]);
+    const auto cases = g.uniform_int(1, 3);
+    for (std::int64_t c = 0; c < cases; ++c) {
+      if (cases > 1) act.case_prob(cases == 2 ? 0.5 : (c == 0 ? 0.5 : 0.25));
+      // case_prob() reuses an empty first case, so a split's cases are never empty.
+      for (std::int64_t j = g.uniform_int(cases > 1 ? 1 : 0, 2); j > 0; --j) act.out(any_place());
+      if (g.bernoulli(0.3)) act.out_gate(out_gates[g.uniform_int(0, 3)]);
+    }
+  }
+  return m;
+}
+
+TEST(SanSimulatorTest, MatchesFullRescanReferenceOnRandomModels) {
+  constexpr std::size_t kMaxFirings = 400;
+  const auto limit = des::Duration::from_ms(40);
+  des::RandomEngine gen{20260601};
+  std::size_t firings = 0;
+  std::size_t choices = 0;
+  for (std::uint64_t model_index = 0; model_index < 250; ++model_index) {
+    const SanModel model = random_san(gen);
+    RescanReference ref{model, model_index};
+    ref.run(des::TimePoint::origin() + limit, kMaxFirings);
+
+    std::vector<Firing> got;
+    SanSimulator sim{model, des::RandomEngine{model_index}};
+    sim.set_fire_hook([&](ActivityId a, des::TimePoint at) { got.push_back({a, at}); });
+    sim.set_stop_predicate([&](const Marking&) { return got.size() >= kMaxFirings; });
+    sim.run(limit);
+
+    ASSERT_EQ(got, ref.firings) << "model " << model_index;
+    ASSERT_EQ(sim.marking(), ref.marking()) << "model " << model_index;
+    firings += got.size();
+    choices += ref.choices;
+  }
+  // The models must exercise the paths the comparison is about.
+  EXPECT_GT(firings, 10'000u);
+  EXPECT_GT(choices, 100u);
 }
 
 // --------------------------------------------------------------------------
