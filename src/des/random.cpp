@@ -13,7 +13,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-RandomEngine::RandomEngine(std::uint64_t seed) : seed_{seed}, gen_{mix64(seed)} {}
+RandomEngine::RandomEngine(std::uint64_t seed) : seed_{seed} {}
+
+void RandomEngine::seed_generator() { gen_.emplace(mix64(seed_)); }
 
 std::uint64_t derive_seed(std::uint64_t parent_seed, std::string_view label,
                           std::uint64_t index) {
@@ -37,12 +39,12 @@ double RandomEngine::uniform(double a, double b) {
 
 double RandomEngine::uniform01() {
   // 53-bit mantissa construction: uniform in [0, 1).
-  return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
+  return static_cast<double>(gen()() >> 11) * 0x1.0p-53;
 }
 
 std::int64_t RandomEngine::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument{"uniform_int: lo > hi"};
-  return std::uniform_int_distribution<std::int64_t>{lo, hi}(gen_);
+  return std::uniform_int_distribution<std::int64_t>{lo, hi}(gen());
 }
 
 double RandomEngine::exponential_mean(double mean) {
@@ -54,12 +56,12 @@ double RandomEngine::exponential_mean(double mean) {
 }
 
 double RandomEngine::normal(double mean, double stddev) {
-  return std::normal_distribution<double>{mean, stddev}(gen_);
+  return std::normal_distribution<double>{mean, stddev}(gen());
 }
 
 double RandomEngine::weibull(double shape, double scale) {
   if (!(shape > 0) || !(scale > 0)) throw std::invalid_argument{"weibull: params <= 0"};
-  return std::weibull_distribution<double>{shape, scale}(gen_);
+  return std::weibull_distribution<double>{shape, scale}(gen());
 }
 
 bool RandomEngine::bernoulli(double p) { return uniform01() < p; }

@@ -4,9 +4,16 @@
 // from one); a run is fully determined by its master seed. Substreams are
 // derived by hashing the parent seed with a label, so adding a new consumer
 // does not perturb the draws seen by existing ones.
+//
+// An engine seeds its mt19937_64 (312 words) on its first draw, not when
+// it is built: most engines a run builds (per-process and per-link
+// streams, substreams that only derive further seeds) never draw. The
+// sequence of a seed is the same either way, a copy continues exactly like
+// the engine it was copied from, and substream() reads only the seed.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string_view>
 #include <vector>
@@ -40,13 +47,20 @@ class RandomEngine {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Raw 64-bit draw (for hashing/shuffling utilities).
-  [[nodiscard]] std::uint64_t next_u64() { return gen_(); }
+  [[nodiscard]] std::uint64_t next_u64() { return gen()(); }
 
   using result_type = std::mt19937_64::result_type;
 
  private:
+  /// The generator, seeded with mix64(seed) on first use.
+  std::mt19937_64& gen() {
+    if (!gen_) [[unlikely]] seed_generator();
+    return *gen_;
+  }
+  void seed_generator();
+
   std::uint64_t seed_;
-  std::mt19937_64 gen_;
+  std::optional<std::mt19937_64> gen_;
 };
 
 /// SplitMix64 finalizer; used for seed derivation and stable hashing.

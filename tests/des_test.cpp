@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <type_traits>
 #include <vector>
 
@@ -450,6 +451,43 @@ TEST(RandomTest, SubstreamsAreStableAndIndependent) {
   EXPECT_EQ(s1.next_u64(), s1b.next_u64());
   EXPECT_NE(s1.next_u64(), s2.next_u64());
   EXPECT_NE(s2.next_u64(), s3.next_u64());
+}
+
+// An engine seeds its generator on the first draw; none of that may show.
+TEST(RandomTest, FirstDrawSeedingYieldsTheEagerSequence) {
+  for (const std::uint64_t seed : {0ULL, 1ULL, 99ULL, 20020612ULL, ~0ULL}) {
+    RandomEngine lazy{seed};
+    std::mt19937_64 eager{mix64(seed)};
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(lazy.next_u64(), eager()) << seed << " draw " << i;
+  }
+}
+
+TEST(RandomTest, CopiesContinueLikeTheOriginal) {
+  RandomEngine original{31};
+  const RandomEngine before_first = original;
+  std::vector<std::uint64_t> drawn;
+  for (int i = 0; i < 10; ++i) drawn.push_back(original.next_u64());
+  const RandomEngine after_tenth = original;
+  for (int i = 0; i < 500; ++i) drawn.push_back(original.next_u64());
+
+  RandomEngine fresh = before_first;
+  for (const std::uint64_t x : drawn) ASSERT_EQ(fresh.next_u64(), x);
+  RandomEngine resumed = after_tenth;
+  for (std::size_t i = 10; i < drawn.size(); ++i) ASSERT_EQ(resumed.next_u64(), drawn[i]);
+  // Assignment over an engine that has drawn behaves like a copy too.
+  resumed = before_first;
+  EXPECT_EQ(resumed.next_u64(), drawn.front());
+}
+
+TEST(RandomTest, SubstreamSeedDoesNotDependOnDraws) {
+  const RandomEngine untouched{57};
+  RandomEngine drawn{57};
+  for (int i = 0; i < 7; ++i) (void)drawn.next_u64();
+  for (const std::uint64_t index : {0ULL, 1ULL, 4096ULL}) {
+    EXPECT_EQ(untouched.substream("net", index).seed(), drawn.substream("net", index).seed());
+    EXPECT_EQ(untouched.substream("net", index).next_u64(),
+              drawn.substream("net", index).next_u64());
+  }
 }
 
 TEST(RandomTest, UniformBounds) {
