@@ -7,8 +7,19 @@
 
 namespace sanperf::san {
 
+namespace {
+
+/// A uniform component's range: finite, with 0 <= a <= b.
+bool finite_range(double a, double b) {
+  return std::isfinite(a) && std::isfinite(b) && 0 <= a && a <= b;
+}
+
+}  // namespace
+
 Distribution Distribution::deterministic_ms(double ms) {
-  if (ms < 0) throw std::invalid_argument{"deterministic_ms: negative"};
+  if (!(std::isfinite(ms) && ms >= 0)) {
+    throw std::invalid_argument{"deterministic_ms: not a finite non-negative value"};
+  }
   Distribution d;
   d.components_.push_back({1.0, Kind::kDeterministic, ms, 0});
   d.weights_.push_back(1.0);
@@ -16,7 +27,9 @@ Distribution Distribution::deterministic_ms(double ms) {
 }
 
 Distribution Distribution::exponential_ms(double mean_ms) {
-  if (!(mean_ms > 0)) throw std::invalid_argument{"exponential_ms: mean <= 0"};
+  if (!(std::isfinite(mean_ms) && mean_ms > 0)) {
+    throw std::invalid_argument{"exponential_ms: mean not finite and > 0"};
+  }
   Distribution d;
   d.components_.push_back({1.0, Kind::kExponential, mean_ms, 0});
   d.weights_.push_back(1.0);
@@ -24,7 +37,7 @@ Distribution Distribution::exponential_ms(double mean_ms) {
 }
 
 Distribution Distribution::uniform_ms(double a_ms, double b_ms) {
-  if (!(0 <= a_ms && a_ms <= b_ms)) throw std::invalid_argument{"uniform_ms: bad range"};
+  if (!finite_range(a_ms, b_ms)) throw std::invalid_argument{"uniform_ms: bad range"};
   Distribution d;
   d.components_.push_back({1.0, Kind::kUniform, a_ms, b_ms});
   d.weights_.push_back(1.0);
@@ -32,7 +45,9 @@ Distribution Distribution::uniform_ms(double a_ms, double b_ms) {
 }
 
 Distribution Distribution::weibull_ms(double shape, double scale_ms) {
-  if (!(shape > 0 && scale_ms > 0)) throw std::invalid_argument{"weibull_ms: bad params"};
+  if (!(std::isfinite(shape) && std::isfinite(scale_ms) && shape > 0 && scale_ms > 0)) {
+    throw std::invalid_argument{"weibull_ms: bad params"};
+  }
   Distribution d;
   d.components_.push_back({1.0, Kind::kWeibull, shape, scale_ms});
   d.weights_.push_back(1.0);
@@ -42,6 +57,9 @@ Distribution Distribution::weibull_ms(double shape, double scale_ms) {
 Distribution Distribution::bimodal_uniform_ms(double p1, double a1, double b1, double a2,
                                               double b2) {
   if (!(p1 > 0 && p1 < 1)) throw std::invalid_argument{"bimodal_uniform_ms: p1 outside (0,1)"};
+  if (!finite_range(a1, b1) || !finite_range(a2, b2)) {
+    throw std::invalid_argument{"bimodal_uniform_ms: bad range"};
+  }
   Distribution d;
   d.components_.push_back({p1, Kind::kUniform, a1, b1});
   d.components_.push_back({1 - p1, Kind::kUniform, a2, b2});
@@ -58,7 +76,9 @@ Distribution Distribution::mixture(std::vector<std::pair<double, Distribution>> 
   if (parts.empty()) throw std::invalid_argument{"mixture: empty"};
   Distribution d;
   for (auto& [w, part] : parts) {
-    if (!(w > 0)) throw std::invalid_argument{"mixture: non-positive weight"};
+    if (!(std::isfinite(w) && w > 0)) {
+      throw std::invalid_argument{"mixture: weight not finite and > 0"};
+    }
     for (std::size_t i = 0; i < part.components_.size(); ++i) {
       Component c = part.components_[i];
       c.weight *= w;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -106,6 +107,41 @@ TEST(DistributionTest, RejectsBadParameters) {
   EXPECT_THROW(Distribution::weibull_ms(0, 1), std::invalid_argument);
   EXPECT_THROW(Distribution::bimodal_uniform_ms(1.5, 0, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(Distribution::mixture({}), std::invalid_argument);
+
+  // Non-finite parameters. deterministic_ms(NaN), exponential_ms(inf) and
+  // uniform_ms(0, inf) used to be accepted and sample INT64_MIN ns.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Distribution::deterministic_ms(nan), std::invalid_argument);
+  EXPECT_THROW(Distribution::deterministic_ms(inf), std::invalid_argument);
+  EXPECT_THROW(Distribution::exponential_ms(inf), std::invalid_argument);
+  EXPECT_THROW(Distribution::exponential_ms(nan), std::invalid_argument);
+  EXPECT_THROW(Distribution::uniform_ms(0, inf), std::invalid_argument);
+  EXPECT_THROW(Distribution::uniform_ms(nan, 1), std::invalid_argument);
+  EXPECT_THROW(Distribution::weibull_ms(inf, 1), std::invalid_argument);
+  EXPECT_THROW(Distribution::weibull_ms(2, inf), std::invalid_argument);
+  EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 0, 1, 2, inf), std::invalid_argument);
+  EXPECT_THROW(Distribution::bimodal_uniform_ms(nan, 0, 1, 2, 3), std::invalid_argument);
+  // Each mode needs 0 <= a <= b, as uniform_ms does: this one ran a SAN's
+  // clock backwards.
+  EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, -2, -1, -2, -1), std::invalid_argument);
+  EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 0, 1, 3, 2), std::invalid_argument);
+  EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 1, 0, 2, 3), std::invalid_argument);
+  const auto det = Distribution::deterministic_ms(1);
+  EXPECT_THROW(Distribution::mixture({{inf, det}}), std::invalid_argument);
+  EXPECT_THROW(Distribution::mixture({{nan, det}}), std::invalid_argument);
+  EXPECT_THROW(Distribution::mixture({{0.5, det}, {-1, det}}), std::invalid_argument);
+  // A rejection names its factory.
+  try {
+    (void)Distribution::bimodal_uniform_ms(0.5, -2, -1, -2, -1);
+    FAIL() << "accepted a negative mode";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("bimodal_uniform_ms"), std::string::npos);
+  }
+  // The boundaries stay accepted.
+  EXPECT_NO_THROW((void)Distribution::deterministic_ms(0));
+  EXPECT_NO_THROW((void)Distribution::uniform_ms(0, 0));
+  EXPECT_NO_THROW((void)Distribution::bimodal_uniform_ms(0.5, 0, 0, 1, 1));
 }
 
 // --------------------------------------------------------------------------
