@@ -167,6 +167,7 @@ void SanModel::prepare() const {
 }
 
 void SanModel::build_tables() const {
+  // Runs after validate(): every place and gate id below is in range.
   dependents_.assign(places_.size(), {});
   arcs_.clear();
   arc_begin_.assign(1, 0);
@@ -207,12 +208,12 @@ void SanModel::build_tables() const {
 }
 
 const std::vector<ActivityId>& SanModel::dependents(PlaceId p) const {
-  if (tables_dirty_) build_tables();
+  if (tables_dirty_) prepare();
   return dependents_[p];
 }
 
 bool SanModel::enabled(ActivityId a, const Marking& m) const {
-  if (tables_dirty_) build_tables();
+  if (tables_dirty_) prepare();
   for (std::uint32_t i = arc_begin_[a]; i < arc_begin_[a + 1]; ++i) {
     if (m.get(arcs_[i].place) < arcs_[i].multiplicity) return false;
   }
@@ -223,7 +224,7 @@ bool SanModel::enabled(ActivityId a, const Marking& m) const {
 }
 
 const std::vector<std::uint64_t>& SanModel::instantaneous_mask() const {
-  if (tables_dirty_) build_tables();
+  if (tables_dirty_) prepare();
   return instantaneous_;
 }
 

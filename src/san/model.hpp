@@ -165,8 +165,9 @@ class SanModel {
   /// on an unmutated model are read-only and thread-safe.
   void prepare() const;
 
-  /// The tables below are built lazily on first use after the last
-  /// mutation; NOT thread-safe while they are cold (see prepare()).
+  /// The accessors below call prepare() on first use after the last
+  /// mutation, so a model that does not validate throws there; NOT
+  /// thread-safe while the tables are cold.
 
   /// Activities whose enabling can change when `p` changes (input arcs and
   /// gate reads), in ascending id order.

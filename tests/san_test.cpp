@@ -218,6 +218,11 @@ TEST(SanModelTest, EnabledCountsRepeatedArcsAndMaskTracksMutation) {
   EXPECT_EQ(mask[0], ~std::uint64_t{1});           // all but "pair"
   EXPECT_EQ(mask[1], (std::uint64_t{1} << 8) - 1);  // activities 64..71
   EXPECT_EQ(m.dependents(b).size(), 72u);
+
+  // The lazy build validates first: an arc from a place that does not exist
+  // throws instead of indexing past the tables.
+  m.instant_activity("dangling").in(PlaceId{99});
+  EXPECT_THROW((void)m.instantaneous_mask(), std::logic_error);
 }
 
 TEST(MarkingTest, RejectsNegativeTokens) {
