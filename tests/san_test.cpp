@@ -108,8 +108,8 @@ TEST(DistributionTest, RejectsBadParameters) {
   EXPECT_THROW(Distribution::bimodal_uniform_ms(1.5, 0, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(Distribution::mixture({}), std::invalid_argument);
 
-  // Non-finite parameters. deterministic_ms(NaN), exponential_ms(inf) and
-  // uniform_ms(0, inf) used to be accepted and sample INT64_MIN ns.
+  // Non-finite parameters: deterministic_ms(NaN), exponential_ms(inf) and
+  // uniform_ms(0, inf) would sample INT64_MIN ns.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(Distribution::deterministic_ms(nan), std::invalid_argument);
@@ -122,8 +122,8 @@ TEST(DistributionTest, RejectsBadParameters) {
   EXPECT_THROW(Distribution::weibull_ms(2, inf), std::invalid_argument);
   EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 0, 1, 2, inf), std::invalid_argument);
   EXPECT_THROW(Distribution::bimodal_uniform_ms(nan, 0, 1, 2, 3), std::invalid_argument);
-  // Each mode needs 0 <= a <= b, as uniform_ms does: this one ran a SAN's
-  // clock backwards.
+  // Each mode needs 0 <= a <= b, as uniform_ms does: a negative mode runs a
+  // SAN's clock backwards.
   EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, -2, -1, -2, -1), std::invalid_argument);
   EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 0, 1, 3, 2), std::invalid_argument);
   EXPECT_THROW(Distribution::bimodal_uniform_ms(0.5, 1, 0, 2, 3), std::invalid_argument);
