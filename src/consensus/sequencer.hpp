@@ -1,53 +1,29 @@
-// Drives a sequence of consensus executions on a cluster and measures
-// per-execution latency (Section 2.3 / Section 4).
+// Drives a sequence of isolated Chandra-Toueg executions on a cluster and
+// measures per-execution latency: the paper's class-3 schedule (Section
+// 2.3 / Section 4).
 //
-// All alive processes propose at the same instant t0 (up to an emulated NTP
+// All processes propose at the same instant t0 (up to an emulated NTP
 // synchronisation skew of +-50 us); latency is t1 - t0 where t1 is the time
-// the *first* process decides. Consecutive executions are separated by
-// 10 ms between beginnings; with extremely bad failure detection the start
-// is pushed back so executions stay isolated (the paper's footnote 2).
-//
-// The sequencer is templated over the (instance-multiplexed) consensus
-// layer; ConsensusSequencer is the Chandra-Toueg instantiation every paper
-// campaign uses. For sustained load -- overlapping instances, offered-load
-// arrival processes -- use core::run_workload instead; this driver keeps
-// executions isolated on purpose.
+// the *first* process decides. Consecutive executions start 10 ms apart;
+// when an execution decides late, the next start is pushed back to 2 ms
+// after its decision so executions stay isolated (the paper's footnote 2).
+// An execution undecided after 5 s counts as undecided. These timings are
+// the paper's and are fixed; for overlapping instances or offered-load
+// arrival processes use core::run_workload instead.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "consensus/ct_consensus.hpp"
-#include "consensus/mr_consensus.hpp"
+#include "des/random.hpp"
+#include "des/time.hpp"
 #include "runtime/cluster.hpp"
 
 namespace sanperf::consensus {
 
 struct SequencerConfig {
   std::size_t executions = 100;
-  des::Duration separation = des::Duration::from_ms(10.0);
-  /// Half-width of the NTP start-time window (paper: +-50 us).
-  des::Duration ntp_skew = des::Duration::from_ms(0.05);
-  /// Give up on an execution after this long (counts as undecided).
-  des::Duration instance_timeout = des::Duration::from_ms(5000.0);
-  /// Extra quiet time required after a decision before the next start.
-  des::Duration settle_gap = des::Duration::from_ms(2.0);
-  /// Enable decided-instance garbage collection on the consensus layers
-  /// (see CtConsensus::set_gc_decided). Off by default: callers commonly
-  /// query decisions after the run.
-  bool gc_decided = false;
-  /// Rotate the round-1 coordinator per instance (`cid % n`) instead of
-  /// pinning host 0. Off by default: the paper's campaigns pin host 0 and
-  /// the goldens depend on it.
-  bool rotate_coordinators = false;
-  /// Maximum concurrently in-flight executions. 1 (the default) is the
-  /// paper's strictly isolated one-at-a-time driver, including the
-  /// settle-gap pushback; W > 1 keeps up to W instances open, launching on
-  /// the separation grid whenever a slot is free (no settle gap -- overlap
-  /// is the point).
-  std::size_t pipeline_window = 1;
 };
 
 /// The per-process NTP start offset: a symmetric window of half-width `w`
@@ -71,11 +47,10 @@ struct ExecutionResult {
   [[nodiscard]] double latency_ms() const { return (*t_decide - t0).to_ms(); }
 };
 
-template <typename ConsensusLayer>
-class ConsensusSequencerT {
+class ConsensusSequencer {
  public:
-  /// Every process in `cluster` must already carry a ConsensusLayer.
-  ConsensusSequencerT(runtime::Cluster& cluster, SequencerConfig cfg)
+  /// Every process in `cluster` must already carry a CtConsensus layer.
+  ConsensusSequencer(runtime::Cluster& cluster, SequencerConfig cfg)
       : cluster_{&cluster}, cfg_{cfg} {}
 
   /// Runs all executions; returns one result per execution, in order.
@@ -90,153 +65,5 @@ class ConsensusSequencerT {
   SequencerConfig cfg_;
   des::TimePoint experiment_end_;
 };
-
-/// The paper's driver: Chandra-Toueg on every process.
-using ConsensusSequencer = ConsensusSequencerT<CtConsensus>;
-
-template <typename ConsensusLayer>
-std::vector<ExecutionResult> ConsensusSequencerT<ConsensusLayer>::run() {
-  std::vector<ExecutionResult> results;
-  results.reserve(cfg_.executions);
-
-  // One shared first-decision slot per instance, filled by the per-process
-  // decide callbacks.
-  struct FirstDecision {
-    std::optional<des::TimePoint> at;
-    std::int32_t rounds = 0;
-  };
-  std::vector<FirstDecision> first(cfg_.executions);
-  // Pipelined bookkeeping: an execution is "open" from launch until its
-  // first decision or its give-up deadline, whichever comes first.
-  std::vector<bool> open(cfg_.executions, false);
-  std::size_t closed = 0;
-
-  // Register on every process, crashed or not: a host down at arm time may
-  // warm-restart mid-run (fault injection) and its decisions must count.
-  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cluster_->n()); ++pid) {
-    auto& proc = cluster_->process(pid);
-    auto& cons = proc.template layer<ConsensusLayer>();
-    if (cfg_.gc_decided) cons.set_gc_decided(true);
-    cons.set_rotate_coordinators(cfg_.rotate_coordinators);
-    cons.set_decide_callback([&first, &open, &closed](const DecisionEvent& ev) {
-      if (ev.cid < 0 || static_cast<std::size_t>(ev.cid) >= first.size()) return;
-      const auto k = static_cast<std::size_t>(ev.cid);
-      auto& slot = first[k];
-      if (!slot.at || ev.at < *slot.at) {
-        slot.at = ev.at;
-        slot.rounds = ev.round;
-      }
-      if (open[k]) {
-        open[k] = false;
-        ++closed;
-      }
-    });
-  }
-
-  auto skew_rng = cluster_->rng_stream("ntp-skew");
-  des::TimePoint next_start = cluster_->now() + cfg_.separation;
-
-  // Launches execution k at t0: every process's propose is scheduled inside
-  // the NTP window. Liveness is checked when the propose fires, not here --
-  // a host that warm-restarts between the scheduling instant and t0 must
-  // take part (it coordinates round 1 of every instance, and the others
-  // trust it again by then). Crash-free runs draw and schedule identically.
-  auto launch = [&](std::size_t k, des::TimePoint t0) {
-    const auto cid = static_cast<std::int32_t>(k);
-    for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cluster_->n()); ++pid) {
-      auto& proc = cluster_->process(pid);
-      const des::TimePoint start = t0 + draw_ntp_start_offset(skew_rng, cfg_.ntp_skew.to_ms());
-      cluster_->sim().schedule_at(start, [&proc, cid] {
-        if (!proc.crashed()) {
-          proc.template layer<ConsensusLayer>().propose(cid, 1000 + proc.id());
-        }
-      });
-    }
-  };
-
-  if (cfg_.pipeline_window <= 1) {
-    // The paper's driver: strictly one at a time, with the settle-gap
-    // pushback keeping slow executions isolated (footnote 2).
-    for (std::size_t k = 0; k < cfg_.executions; ++k) {
-      const des::TimePoint t0 = next_start;
-      launch(k, t0);
-
-      const des::TimePoint deadline = t0 + cfg_.instance_timeout;
-      cluster_->run_until([&] { return first[k].at.has_value(); }, deadline);
-
-      ExecutionResult res;
-      res.cid = static_cast<std::int32_t>(k);
-      res.t0 = t0;
-      res.t_decide = first[k].at;
-      res.rounds = first[k].rounds;
-      results.push_back(res);
-
-      // Next start: the configured separation, pushed back when a slow
-      // execution would otherwise overlap.
-      des::TimePoint earliest = t0 + cfg_.separation;
-      if (first[k].at) {
-        earliest = std::max(earliest, *first[k].at + cfg_.settle_gap);
-      } else {
-        earliest = std::max(earliest, cluster_->now() + cfg_.settle_gap);
-      }
-      next_start = earliest;
-    }
-
-    experiment_end_ = cluster_->now();
-    return results;
-  }
-
-  // Pipelined driver: up to W executions in flight. Launches stay on the
-  // separation grid while a slot is free; when the window is full the next
-  // launch waits for a close. Skews are still drawn in execution order, so
-  // W = 2 with a wide separation replays the sequential schedule exactly.
-  const double span_ms = (cfg_.separation.to_ms() + cfg_.instance_timeout.to_ms() +
-                          cfg_.settle_gap.to_ms() + 1.0) *
-                         static_cast<double>(cfg_.executions + 1);
-  const des::TimePoint far_deadline = cluster_->now() + des::Duration::from_ms(span_ms);
-  std::vector<des::TimePoint> t0s(cfg_.executions);
-  std::vector<des::EventId> timeouts;
-  timeouts.reserve(cfg_.executions);
-
-  for (std::size_t k = 0; k < cfg_.executions; ++k) {
-    cluster_->run_until([&] { return k - closed < cfg_.pipeline_window; }, far_deadline);
-    const des::TimePoint t0 = std::max(next_start, cluster_->now());
-    t0s[k] = t0;
-    open[k] = true;
-    launch(k, t0);
-    // Give-up deadline: a stuck execution frees its window slot.
-    timeouts.push_back(
-        cluster_->sim().schedule_at(t0 + cfg_.instance_timeout, [&open, &closed, k] {
-          if (open[k]) {
-            open[k] = false;
-            ++closed;
-          }
-        }));
-    next_start = t0 + cfg_.separation;
-  }
-  cluster_->run_until([&] { return closed >= cfg_.executions; }, far_deadline);
-  // Outstanding give-up timers reference this frame's bookkeeping; drop
-  // them so a caller that keeps running the cluster never fires one.
-  for (const des::EventId id : timeouts) cluster_->sim().cancel(id);
-
-  for (std::size_t k = 0; k < cfg_.executions; ++k) {
-    ExecutionResult res;
-    res.cid = static_cast<std::int32_t>(k);
-    res.t0 = t0s[k];
-    // Only decisions inside the give-up deadline count, exactly like the
-    // sequential driver's run_until cut-off.
-    if (first[k].at && *first[k].at <= t0s[k] + cfg_.instance_timeout) {
-      res.t_decide = first[k].at;
-      res.rounds = first[k].rounds;
-    }
-    results.push_back(res);
-  }
-
-  experiment_end_ = cluster_->now();
-  return results;
-}
-
-extern template class ConsensusSequencerT<CtConsensus>;
-extern template class ConsensusSequencerT<MrConsensus>;
 
 }  // namespace sanperf::consensus

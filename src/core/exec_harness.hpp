@@ -1,12 +1,11 @@
 // Internal: one isolated consensus execution on a fresh emulated cluster,
-// parameterised on the consensus layer and an optional fault plan. This is
-// the single harness behind the class-1/2 measurement campaign
-// (Chandra-Toueg), the algorithm-comparison extension (Mostefaoui-Raynal)
-// and the fault-injected campaigns, so the harness -- skew model, proposal
-// schedule, decision capture, deadline -- cannot diverge between them.
-// With `plan == nullptr` the draws are byte-identical to the historic
-// plain harness; a degenerate crash-at-0 plan is bit-identical to the
-// crash_initially path (tests/faults_test.cpp enforces both).
+// parameterised on the consensus layer and an optional fault plan -- the
+// body of core::run_one_shot. Every class-1/2 campaign calls it: the
+// paper's Chandra-Toueg measurements, the Mostefaoui-Raynal comparison and
+// the fault-injected campaigns, so the skew model, proposal schedule,
+// decision capture and deadline cannot diverge between them. An empty
+// plan draws exactly like no plan, and a crash-at-0 plan exactly like
+// crash_initially (tests/faults_test.cpp enforces both).
 #pragma once
 
 #include <cstdint>
@@ -26,16 +25,12 @@
 
 namespace sanperf::core::detail {
 
-/// The public campaign-facing outcome type; defined in measurement.hpp so
-/// the flattened drivers can fold outcomes without pulling in the harness.
-using ExecOutcome = ::sanperf::core::ExecOutcome;
-
 template <typename ConsensusLayer>
 ExecOutcome run_one_consensus_execution(std::size_t n, const net::NetworkParams& params,
                                         const net::TimerModel& timers, int initially_crashed,
                                         std::size_t k, std::uint64_t exec_seed,
-                                        const faults::FaultPlan* plan = nullptr,
-                                        std::shared_ptr<const topo::Topology> topology = nullptr) {
+                                        const faults::FaultPlan* plan,
+                                        std::shared_ptr<const topo::Topology> topology) {
   // Independent executions: a fresh cluster per run keeps them perfectly
   // isolated (the cluster equivalent of the paper's 10 ms separation).
   runtime::ClusterConfig cfg;

@@ -69,8 +69,6 @@ PaperContext make_context(const Scale& scale, std::uint64_t seed,
   return ctx;
 }
 
-Fig6Result run_fig6(const PaperContext& ctx) { return run_fig6(ctx, ctx.scale.sim_ns); }
-
 Fig6Result run_fig6(const PaperContext& ctx, const std::vector<std::size_t>& ns) {
   Fig6Result out;
   auto samples =
@@ -83,8 +81,6 @@ Fig6Result run_fig6(const PaperContext& ctx, const std::vector<std::size_t>& ns)
   }
   return out;
 }
-
-std::vector<Fig7aRow> run_fig7a(const PaperContext& ctx) { return run_fig7a(ctx, ctx.scale.ns); }
 
 std::vector<Fig7aRow> run_fig7a(const PaperContext& ctx, const std::vector<std::size_t>& ns) {
   // Flattened fan-out: every (n, execution) pair is one task, so small n
@@ -115,8 +111,6 @@ const std::vector<double>& tsend_candidates() {
   static const std::vector<double> candidates = {0.005, 0.010, 0.015, 0.020, 0.025, 0.035};
   return candidates;
 }
-
-Fig7bResult run_fig7b(const PaperContext& ctx) { return run_fig7b(ctx, tsend_candidates()); }
 
 Fig7bResult run_fig7b(const PaperContext& ctx, const std::vector<double>& candidates) {
   if (candidates.empty()) throw std::invalid_argument{"run_fig7b: no candidates"};
@@ -252,28 +246,6 @@ std::vector<Table1Cell> run_table1_cells(const PaperContext& ctx,
     }
   }
   return cells_out;
-}
-
-std::vector<Table1Row> run_table1(const PaperContext& ctx) {
-  const auto cells = run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
-  std::vector<Table1Row> rows;
-  for (std::size_t i = 0; i < cells.size(); i += 3) {
-    Table1Row row;
-    row.n = cells[i].n;
-    row.meas_no_crash = cells[i].meas;
-    row.meas_coord_crash = cells[i + 1].meas;
-    row.meas_part_crash = cells[i + 2].meas;
-    row.sim_no_crash = cells[i].sim;
-    row.sim_coord_crash = cells[i + 1].sim;
-    row.sim_part_crash = cells[i + 2].sim;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx,
-                                                 const std::vector<std::size_t>& ns) {
-  return run_class3_measurements(ctx, ns, ctx.scale.timeouts_ms);
 }
 
 std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx,

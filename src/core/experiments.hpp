@@ -1,6 +1,6 @@
 // Experiment drivers: one function per paper table/figure, returning
-// structured data that the bench binaries render (and EXPERIMENTS.md
-// records). All drivers share a PaperContext holding the emulator
+// structured data that the registered scenarios (core/scenarios.cpp)
+// render. All drivers share a PaperContext holding the emulator
 // configuration and the calibration products.
 #pragma once
 
@@ -50,10 +50,8 @@ struct Fig6Result {
   stats::BimodalUniform unicast_fit;
   std::map<std::size_t, stats::BimodalUniform> broadcast_fits;
 };
-[[nodiscard]] Fig6Result run_fig6(const PaperContext& ctx);
-/// Restricted broadcast-size axis (the scenario API's `n` axis); per-n
-/// results are independent, so a restriction reproduces the matching
-/// subset of the full run bit for bit.
+/// Per-n results are independent, so a restriction of `ns` reproduces the
+/// matching subset of the full run bit for bit.
 [[nodiscard]] Fig6Result run_fig6(const PaperContext& ctx, const std::vector<std::size_t>& ns);
 
 // --- Fig 7a: measured latency CDFs, class 1 --------------------------------
@@ -63,7 +61,6 @@ struct Fig7aRow {
   stats::MeanCI mean;
   std::size_t undecided = 0;
 };
-[[nodiscard]] std::vector<Fig7aRow> run_fig7a(const PaperContext& ctx);
 [[nodiscard]] std::vector<Fig7aRow> run_fig7a(const PaperContext& ctx,
                                               const std::vector<std::size_t>& ns);
 
@@ -75,18 +72,10 @@ struct Fig7bResult {
 };
 /// The paper's candidate set {0.005 .. 0.035} ms.
 [[nodiscard]] const std::vector<double>& tsend_candidates();
-[[nodiscard]] Fig7bResult run_fig7b(const PaperContext& ctx);
 [[nodiscard]] Fig7bResult run_fig7b(const PaperContext& ctx,
                                     const std::vector<double>& candidates);
 
 // --- Table 1: crash scenarios ----------------------------------------------
-struct Table1Row {
-  std::size_t n = 0;
-  stats::MeanCI meas_no_crash, meas_coord_crash, meas_part_crash;
-  std::optional<double> sim_no_crash, sim_coord_crash, sim_part_crash;  ///< n = 3, 5 only
-};
-[[nodiscard]] std::vector<Table1Row> run_table1(const PaperContext& ctx);
-
 /// One (n, crash scenario) cell pair of Table 1: the measurement, plus the
 /// SAN simulation where n is calibrated.
 struct Table1Cell {
@@ -108,8 +97,6 @@ struct Class3Point {
   double timeout_ms = 0;
   Class3Aggregate meas;
 };
-[[nodiscard]] std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx,
-                                                               const std::vector<std::size_t>& ns);
 [[nodiscard]] std::vector<Class3Point> run_class3_measurements(
     const PaperContext& ctx, const std::vector<std::size_t>& ns,
     const std::vector<double>& timeouts_ms);

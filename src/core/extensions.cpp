@@ -8,19 +8,6 @@
 
 namespace sanperf::core {
 
-ExecOutcome run_latency_execution_with(Algorithm algorithm, std::size_t n,
-                                       const net::NetworkParams& params,
-                                       const net::TimerModel& timers, int initially_crashed,
-                                       std::size_t k, std::uint64_t exec_seed) {
-  WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.initially_crashed = initially_crashed;
-  return run_one_shot(cfg, k, exec_seed);
-}
-
 MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
                                      const net::NetworkParams& params,
                                      const net::TimerModel& timers, int initially_crashed,
@@ -29,10 +16,15 @@ MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
   if (initially_crashed >= static_cast<int>(n)) {
     throw std::invalid_argument{"measure_latency_with: crashed id out of range"};
   }
+  WorkloadConfig cfg;
+  cfg.n = n;
+  cfg.network = params;
+  cfg.timers = timers;
+  cfg.algorithm = algorithm;
+  cfg.initially_crashed = initially_crashed;
   const des::SeedSplitter seeds{seed, "exec"};
   return fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return run_latency_execution_with(algorithm, n, params, timers, initially_crashed, k,
-                                      seeds.stream_seed(k));
+    return run_one_shot(cfg, k, seeds.stream_seed(k));
   }));
 }
 

@@ -18,15 +18,6 @@
 
 namespace sanperf::core {
 
-/// One isolated execution of the selected algorithm with an explicitly
-/// derived seed (the flat sharding unit of the comparative campaigns;
-/// seeds come from SeedSplitter{seed, "exec"}).
-[[nodiscard]] ExecOutcome run_latency_execution_with(Algorithm algorithm, std::size_t n,
-                                                     const net::NetworkParams& params,
-                                                     const net::TimerModel& timers,
-                                                     int initially_crashed, std::size_t k,
-                                                     std::uint64_t exec_seed);
-
 /// Like measure_latency, but with a selectable consensus algorithm.
 [[nodiscard]] MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
                                                    const net::NetworkParams& params,
@@ -35,10 +26,6 @@ namespace sanperf::core {
                                                    std::uint64_t seed,
                                                    const ReplicationRunner& runner =
                                                        default_runner());
-
-// (The back-to-back throughput extension is now a degenerate closed-loop
-// workload -- one client, zero think time -- of core/workload.hpp; the
-// bespoke measure_throughput harness is gone.)
 
 struct DetectionTimeResult {
   std::vector<double> samples_ms;  ///< one per (trial, monitoring process)

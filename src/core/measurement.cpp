@@ -1,18 +1,14 @@
 #include "core/measurement.hpp"
 
 #include <any>
-#include <set>
+#include <functional>
 #include <stdexcept>
 
-#include "consensus/ct_consensus.hpp"
-#include "consensus/sequencer.hpp"
-#include "core/config.hpp"
 #include "core/workload.hpp"
 #include "des/simulator.hpp"
-#include "fd/failure_detector.hpp"
-#include "fd/heartbeat_fd.hpp"
+#include "faults/experiments.hpp"
+#include "faults/plan.hpp"
 #include "net/network.hpp"
-#include "runtime/cluster.hpp"
 
 namespace sanperf::core {
 
@@ -167,47 +163,22 @@ MeasuredLatency measure_latency(std::size_t n, const net::NetworkParams& params,
 Class3Run measure_class3_run(std::size_t n, const net::NetworkParams& params,
                              const net::TimerModel& timers, double timeout_ms,
                              std::size_t executions, std::uint64_t seed) {
-  runtime::ClusterConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.seed = seed;
-  runtime::Cluster cluster{cfg};
-
-  const auto fd_params = fd::HeartbeatFdParams::from_timeout_ms(timeout_ms);
-  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(n); ++pid) {
-    auto& proc = cluster.process(pid);
-    auto& hb = proc.add_layer<fd::HeartbeatFd>(fd_params);
-    proc.add_layer<consensus::CtConsensus>(hb);
-  }
-
-  consensus::SequencerConfig seq_cfg;
-  seq_cfg.executions = executions;
-  consensus::ConsensusSequencer seq{cluster, seq_cfg};
-  const auto results = seq.run();
-
-  Class3Run run;
-  for (const auto& res : results) {
+  // The fault harness under an empty plan, which schedules nothing and
+  // never draws: one class-3 harness for plain and fault-injected runs.
+  const auto run = faults::run_fault_class3(n, params, timers, timeout_ms, executions,
+                                            faults::FaultPlan{}, seed);
+  Class3Run out;
+  for (const auto& res : run.executions) {
     if (res.decided()) {
-      run.latency.latencies_ms.push_back(res.latency_ms());
-      run.latency.rounds.push_back(res.rounds);
+      out.latency.latencies_ms.push_back(res.latency_ms());
+      out.latency.rounds.push_back(res.rounds);
     } else {
-      ++run.latency.undecided;
+      ++out.latency.undecided;
     }
   }
-
-  // QoS over the full experiment duration, all ordered pairs.
-  std::vector<const fd::PairHistory*> histories;
-  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(n); ++pid) {
-    const auto& hb = cluster.process(pid).layer<fd::HeartbeatFd>();
-    for (runtime::HostId peer = 0; peer < static_cast<runtime::HostId>(n); ++peer) {
-      if (peer == pid) continue;
-      histories.push_back(&hb.histories()[peer]);
-    }
-  }
-  run.qos = fd::average_qos(histories, seq.experiment_end());
-  run.experiment_ms = seq.experiment_end().to_ms();
-  return run;
+  out.qos = run.qos;
+  out.experiment_ms = run.experiment_ms;
+  return out;
 }
 
 Class3Aggregate fold_class3_runs(std::vector<Class3Run> runs) {

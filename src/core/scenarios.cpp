@@ -473,9 +473,13 @@ ScenarioSpec ext_algorithms_spec() {
     const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
       const auto [alg, p] = groups[t.group];
       const auto point = run.grid.point(p);
-      return run_latency_execution_with(alg, point.get_size("n"), ctx.network, timers,
-                                        crashed_id(point.get_string("scenario")), t.index,
-                                        t.seed);
+      WorkloadConfig cfg;
+      cfg.n = point.get_size("n");
+      cfg.network = ctx.network;
+      cfg.timers = timers;
+      cfg.algorithm = alg;
+      cfg.initially_crashed = crashed_id(point.get_string("scenario"));
+      return run_one_shot(cfg, t.index, t.seed);
     });
 
     ResultTable table{"ext_algorithms", columns};
@@ -791,9 +795,13 @@ ScenarioSpec lossy_consensus_spec() {
     }
     const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
       const auto point = run.grid.point(t.group);
-      return faults::run_fault_execution(algorithm_of(point.get_string("algorithm")),
-                                         point.get_size("n"), ctx.network, timers,
-                                         plans[t.group], t.index, t.seed);
+      WorkloadConfig cfg;
+      cfg.n = point.get_size("n");
+      cfg.network = ctx.network;
+      cfg.timers = timers;
+      cfg.algorithm = algorithm_of(point.get_string("algorithm"));
+      cfg.fault_plan = &plans[t.group];
+      return run_one_shot(cfg, t.index, t.seed);
     });
 
     ResultTable table{"lossy_consensus", columns};
@@ -873,9 +881,12 @@ ScenarioSpec slowdown_sweep_spec() {
                       "exec");
     }
     const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-      return faults::run_fault_execution(Algorithm::kChandraToueg,
-                                         run.grid.point(t.group).get_size("n"), network,
-                                         timers, plans[t.group], t.index, t.seed);
+      WorkloadConfig cfg;
+      cfg.n = run.grid.point(t.group).get_size("n");
+      cfg.network = network;
+      cfg.timers = timers;
+      cfg.fault_plan = &plans[t.group];
+      return run_one_shot(cfg, t.index, t.seed);
     });
 
     ResultTable table{"slowdown_sweep", columns};

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "consensus/batcher.hpp"
@@ -207,12 +208,32 @@ PhasedWorkload split_workload_by_window(const WorkloadResult& result, double sta
 
 namespace {
 
-template <typename ConsensusLayer>
-WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
+/// Rejects a spec the engine would otherwise clamp silently or fail on deep
+/// inside the simulator. Zero timings stay valid (a simultaneous burst, no
+/// think time, no linger).
+void validate(const WorkloadSpec& spec) {
   if (spec.measured == 0) throw std::invalid_argument{"run_workload: measured == 0"};
   if (spec.arrivals == ArrivalProcess::kOpenLoop && !(spec.offered_per_s > 0)) {
     throw std::invalid_argument{"run_workload: open loop needs offered_per_s > 0"};
   }
+  for (const auto& [value, field] : {std::pair{spec.start_ms, "start_ms"},
+                                     std::pair{spec.separation_ms, "separation_ms"},
+                                     std::pair{spec.think_ms, "think_ms"},
+                                     std::pair{spec.batch_linger_ms, "batch_linger_ms"},
+                                     std::pair{spec.ntp_skew_ms, "ntp_skew_ms"}}) {
+    if (!(std::isfinite(value) && value >= 0)) {
+      throw std::invalid_argument{std::string{"run_workload: "} + field +
+                                  " must be finite and >= 0"};
+    }
+  }
+  if (!(std::isfinite(spec.instance_timeout_ms) && spec.instance_timeout_ms > 0)) {
+    throw std::invalid_argument{"run_workload: instance_timeout_ms must be finite and > 0"};
+  }
+}
+
+template <typename ConsensusLayer>
+WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
+  validate(spec);
   const std::size_t total = spec.warmup + spec.measured;
 
   // The persistent cluster: built once, serving the whole stream.

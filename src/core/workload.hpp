@@ -12,10 +12,11 @@
 // Statistics use warm-up truncation and stats::BatchMeans confidence
 // intervals (consecutive instances share the cluster and correlate).
 //
-// run_one_shot is the same engine degenerated to a single instance on a
-// fresh cluster: byte-identical to the historic class-1/2 harness, so the
-// legacy signatures (core::run_latency_execution, run_latency_execution_with,
-// faults::run_fault_execution) are thin wrappers over it.
+// run_one_shot runs a single instance on a fresh cluster: the class-1/2
+// harness (core/exec_harness.hpp) behind every isolated-execution campaign,
+// plain, comparative or fault-injected. The class-3 schedule lives in
+// consensus::ConsensusSequencer. The three drivers draw their NTP offsets
+// differently, and the goldens pin every draw, so they stay three.
 #pragma once
 
 #include <cstdint>
@@ -238,13 +239,16 @@ struct WorkloadResult {
   [[nodiscard]] MeasuredLatency measured_latency() const;
 };
 
-/// Runs `spec` against one persistent cluster described by `cfg`.
+/// Runs `spec` against one persistent cluster described by `cfg`. Throws
+/// std::invalid_argument naming the field when a timing is negative or
+/// not finite, or the instance timeout is not positive.
 [[nodiscard]] WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec);
 
 /// One-shot mode: a single instance `k` on a fresh cluster seeded
-/// `exec_seed`, byte-identical to the historic class-1/2 harness (and to
-/// the fault harness when cfg.fault_plan is set). The legacy wrappers all
-/// route here.
+/// `exec_seed`, with the static detector pre-suspecting every host down
+/// at the start (cfg.initially_crashed and the hosts cfg.fault_plan
+/// crashes at t <= 0). Only n, network, timers, topology, algorithm,
+/// initially_crashed and fault_plan are read.
 [[nodiscard]] ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k,
                                        std::uint64_t exec_seed);
 

@@ -3,39 +3,27 @@
 #include <cmath>
 
 #include "consensus/ct_consensus.hpp"
-#include "consensus/mr_consensus.hpp"
 #include "core/workload.hpp"
 #include "faults/injector.hpp"
-#include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
 
 namespace sanperf::faults {
-
-core::ExecOutcome run_fault_execution(core::Algorithm algorithm, std::size_t n,
-                                      const net::NetworkParams& params,
-                                      const net::TimerModel& timers, const FaultPlan& plan,
-                                      std::size_t k, std::uint64_t exec_seed) {
-  // One shared harness for plain, comparative and fault-injected isolated
-  // executions (core/exec_harness.hpp behind core::run_one_shot): the skew
-  // model, proposal schedule, decision capture and deadline cannot diverge.
-  core::WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.fault_plan = &plan;
-  return core::run_one_shot(cfg, k, exec_seed);
-}
 
 core::MeasuredLatency measure_fault_latency(core::Algorithm algorithm, std::size_t n,
                                             const net::NetworkParams& params,
                                             const net::TimerModel& timers, const FaultPlan& plan,
                                             std::size_t executions, std::uint64_t seed,
                                             const core::ReplicationRunner& runner) {
+  core::WorkloadConfig cfg;
+  cfg.n = n;
+  cfg.network = params;
+  cfg.timers = timers;
+  cfg.algorithm = algorithm;
+  cfg.fault_plan = &plan;
   const des::SeedSplitter seeds{seed, "exec"};
   return core::fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return run_fault_execution(algorithm, n, params, timers, plan, k, seeds.stream_seed(k));
+    return core::run_one_shot(cfg, k, seeds.stream_seed(k));
   }));
 }
 
@@ -67,9 +55,9 @@ FaultClass3Run run_fault_class3(std::size_t n, const net::NetworkParams& params,
   run.executions = seq.run();
 
   // QoS over the full experiment duration, all ordered pairs (crashed
-  // monitors contribute their frozen histories, as in the plain harness).
-  // A host crashed at t <= 0 and never recovered skipped on_start, so its
-  // detector has no histories to contribute.
+  // monitors contribute their frozen histories). A host crashed at t <= 0
+  // and never recovered skipped on_start, so its detector has no histories
+  // to contribute.
   std::vector<const fd::PairHistory*> histories;
   for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(n); ++pid) {
     const auto& hb = cluster.process(pid).layer<fd::HeartbeatFd>();

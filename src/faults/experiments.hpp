@@ -1,16 +1,17 @@
-// Fault-injected measurement campaigns: the class-1/2 isolated-execution
-// harness and the class-3 long-run harness, each driving a FaultPlan
-// through a FaultInjector. Both mirror the plain harnesses exactly -- same
-// cluster seeding, same RNG streams, same folds -- so a degenerate plan
-// (one crash at t = 0) reproduces the paper's Table 1 crash runs bit for
-// bit, and every fault scenario stays thread-count-invariant.
+// Fault-injected measurement campaigns. Class 1/2 runs isolated
+// executions through core::run_one_shot with the plan in its
+// WorkloadConfig, so a degenerate plan (one crash at t = 0) reproduces the
+// paper's Table 1 crash runs bit for bit. run_fault_class3 is the one
+// class-3 harness: core::measure_class3_run is it under an empty plan,
+// which schedules nothing and never draws. Every fault scenario stays
+// thread-count-invariant.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "consensus/sequencer.hpp"
-#include "core/extensions.hpp"
+#include "core/config.hpp"  // Algorithm
 #include "core/measurement.hpp"
 #include "faults/plan.hpp"
 #include "fd/qos.hpp"
@@ -18,18 +19,10 @@
 
 namespace sanperf::faults {
 
-/// One isolated consensus execution under `plan` (the flat sharding unit
-/// of the fault campaigns; seeds come from SeedSplitter{seed, "exec"}).
-/// Hosts the plan crashes at or before t = 0 are pre-suspected by the
-/// static failure detector, exactly as in the paper's class-2 runs.
-[[nodiscard]] core::ExecOutcome run_fault_execution(core::Algorithm algorithm, std::size_t n,
-                                                    const net::NetworkParams& params,
-                                                    const net::TimerModel& timers,
-                                                    const FaultPlan& plan, std::size_t k,
-                                                    std::uint64_t exec_seed);
-
 /// Like core::measure_latency, but under a fault plan and with a
-/// selectable algorithm.
+/// selectable algorithm. Hosts the plan crashes at or before t = 0 are
+/// pre-suspected by the static failure detector, exactly as in the
+/// paper's class-2 runs.
 [[nodiscard]] core::MeasuredLatency measure_fault_latency(
     core::Algorithm algorithm, std::size_t n, const net::NetworkParams& params,
     const net::TimerModel& timers, const FaultPlan& plan, std::size_t executions,
@@ -37,9 +30,9 @@ namespace sanperf::faults {
 
 /// One fault-injected class-3 run: live heartbeat detection (timeout T,
 /// Th = 0.7 T), `executions` sequenced consensus executions, and `plan`
-/// replayed on the cluster. Unlike core::measure_class3_run it keeps the
-/// per-execution results, so folds can bucket executions against the
-/// plan's fault windows (before / during / after).
+/// replayed on the cluster. It keeps the per-execution results, so folds
+/// can bucket executions against the plan's fault windows (before /
+/// during / after); core::measure_class3_run folds them into latencies.
 struct FaultClass3Run {
   std::vector<consensus::ExecutionResult> executions;
   fd::QosEstimate qos;

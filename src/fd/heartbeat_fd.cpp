@@ -1,8 +1,18 @@
 #include "fd/heartbeat_fd.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace sanperf::fd {
+
+HeartbeatFd::HeartbeatFd(HeartbeatFdParams params) : params_{params} {
+  if (params_.timeout <= des::Duration::zero()) {
+    throw std::invalid_argument{"HeartbeatFd: timeout must be > 0"};
+  }
+  if (params_.heartbeat_period <= des::Duration::zero()) {
+    throw std::invalid_argument{"HeartbeatFd: heartbeat period must be > 0"};
+  }
+}
 
 void HeartbeatFd::set_membership(consensus::MembershipView* view) {
   view_ = view;

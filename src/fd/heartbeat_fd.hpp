@@ -39,7 +39,9 @@ struct HeartbeatFdParams {
 
 class HeartbeatFd : public runtime::Layer, public FailureDetector {
  public:
-  explicit HeartbeatFd(HeartbeatFdParams params) : params_{params} {}
+  /// Throws std::invalid_argument unless the heartbeat period and the
+  /// timeout are both > 0.
+  explicit HeartbeatFd(HeartbeatFdParams params);
 
   void on_start() override;
   void on_message(const runtime::Message& m) override;

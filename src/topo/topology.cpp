@@ -1,6 +1,7 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,15 +15,31 @@ namespace {
   throw std::invalid_argument{"Topology: " + what};
 }
 
+/// A link must delay by a finite non-negative latency and occupy by a
+/// finite positive scale: a negative latency would silently run as none,
+/// a zero scale makes occupancy free and a negative one schedules into
+/// the past.
+void check_link(const LinkParams& link, std::size_t rack, const char* edge) {
+  const std::string where = "rack " + std::to_string(rack) + " " + edge + ".";
+  if (!(std::isfinite(link.latency_ms) && link.latency_ms >= 0)) {
+    bad_topology(where + "latency_ms must be finite and >= 0");
+  }
+  if (!(std::isfinite(link.service_scale) && link.service_scale > 0)) {
+    bad_topology(where + "service_scale must be finite and > 0");
+  }
+}
+
 }  // namespace
 
 Topology::Topology(std::string name, std::vector<Rack> racks)
     : name_{std::move(name)}, racks_{std::move(racks)} {
   if (racks_.empty()) bad_topology("no racks");
   std::size_t n = 0;
-  for (const Rack& rack : racks_) {
-    if (rack.hosts.empty()) bad_topology("empty rack");
-    n += rack.hosts.size();
+  for (std::size_t r = 0; r < racks_.size(); ++r) {
+    if (racks_[r].hosts.empty()) bad_topology("empty rack");
+    check_link(racks_[r].access, r, "access");
+    check_link(racks_[r].uplink, r, "uplink");
+    n += racks_[r].hosts.size();
   }
   rack_of_.assign(n, 0);
   std::vector<char> seen(n, 0);
@@ -79,18 +96,25 @@ void write_link(std::ostringstream& os, const LinkParams& link) {
      << ",\"queue_limit\":" << link.queue_limit << '}';
 }
 
-LinkParams read_link(const core::detail::JsonParser::JsonValue& value) {
+LinkParams read_link(const core::detail::JsonParser::JsonValue& value, std::size_t rack,
+                     const char* edge) {
   using core::detail::JsonParser;
-  const auto number = [](const JsonParser::JsonValue* v, double fallback) {
+  const std::string where =
+      "Topology::from_json: rack " + std::to_string(rack) + " " + edge + ".";
+  const auto number = [&where](const JsonParser::JsonValue* v, const char* field,
+                               double fallback) {
     if (v == nullptr) return fallback;
-    if (!v->number) throw std::invalid_argument{"Topology::from_json: expected a number"};
+    if (!v->number) throw std::invalid_argument{where + field + ": expected a number"};
     return *v->number;
   };
   LinkParams link;
-  link.latency_ms = number(JsonParser::field(value, "latency_ms"), 0.0);
-  link.service_scale = number(JsonParser::field(value, "service_scale"), 1.0);
-  const double limit = number(JsonParser::field(value, "queue_limit"), 0.0);
-  if (limit < 0) throw std::invalid_argument{"Topology::from_json: negative queue_limit"};
+  link.latency_ms = number(JsonParser::field(value, "latency_ms"), "latency_ms", 0.0);
+  link.service_scale = number(JsonParser::field(value, "service_scale"), "service_scale", 1.0);
+  const double limit = number(JsonParser::field(value, "queue_limit"), "queue_limit", 0.0);
+  // 2^53: every integer below it is exact in a double and fits size_t.
+  if (!(limit >= 0 && limit <= 9007199254740992.0 && std::floor(limit) == limit)) {
+    throw std::invalid_argument{where + "queue_limit must be an integer >= 0"};
+  }
   link.queue_limit = static_cast<std::size_t>(limit);
   return link;
 }
@@ -131,19 +155,25 @@ Topology Topology::from_json(const std::string& text) {
   }
   std::vector<Rack> built;
   for (const auto& rv : racks->array.value()) {
+    const std::size_t r = built.size();
     Rack rack;
     const auto* hosts = JsonParser::field(rv, "hosts");
     if (hosts == nullptr || !hosts->array) {
       throw std::invalid_argument{"Topology::from_json: rack without a \"hosts\" array"};
     }
     for (const auto& h : *hosts->array) {
-      if (!h.number || *h.number < 0) {
+      if (!h.number || !(*h.number >= 0 && *h.number <= 4294967295.0) ||
+          std::floor(*h.number) != *h.number) {
         throw std::invalid_argument{"Topology::from_json: bad host id"};
       }
       rack.hosts.push_back(static_cast<HostId>(*h.number));
     }
-    if (const auto* access = JsonParser::field(rv, "access")) rack.access = read_link(*access);
-    if (const auto* uplink = JsonParser::field(rv, "uplink")) rack.uplink = read_link(*uplink);
+    if (const auto* access = JsonParser::field(rv, "access")) {
+      rack.access = read_link(*access, r, "access");
+    }
+    if (const auto* uplink = JsonParser::field(rv, "uplink")) {
+      rack.uplink = read_link(*uplink, r, "uplink");
+    }
     built.push_back(std::move(rack));
   }
   return Topology{*name->string, std::move(built)};

@@ -33,12 +33,12 @@ namespace sanperf::topo {
 /// this header stays dependency-free below core/net.
 using HostId = std::uint32_t;
 
-/// Per-edge service model. `service_scale` multiplies the calibrated
-/// bimodal wire occupancy (a 0.5x uplink carries frames twice as fast as
-/// the paper's medium); `latency_ms` is a non-exclusive propagation delay
-/// paid after the occupancy; `queue_limit` bounds the frames waiting on
-/// the link (0 = unbounded, >0 drops overflow like a shallow switch
-/// buffer).
+/// Per-edge service model. `service_scale` (finite, > 0) multiplies the
+/// calibrated bimodal wire occupancy (a 0.5x uplink carries frames twice
+/// as fast as the paper's medium); `latency_ms` (finite, >= 0) is a
+/// non-exclusive propagation delay paid after the occupancy; `queue_limit`
+/// bounds the frames waiting on the link (0 = unbounded, >0 drops overflow
+/// like a shallow switch buffer).
 struct LinkParams {
   double latency_ms = 0.0;
   double service_scale = 1.0;
@@ -61,7 +61,8 @@ class Topology {
  public:
   Topology() = default;
   /// Validates on construction: hosts 0..n-1 must appear exactly once
-  /// across racks, every rack non-empty. Throws std::invalid_argument.
+  /// across racks, every rack non-empty, every link profile in range (see
+  /// LinkParams). Throws std::invalid_argument naming the rack and field.
   Topology(std::string name, std::vector<Rack> racks);
 
   /// The degenerate topology: one rack holding every host -- semantically

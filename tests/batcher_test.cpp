@@ -1,7 +1,7 @@
-// Tests for the batching/pipelining layer (consensus/batcher.hpp, the
-// sequencer's pipeline window) and the two streamed-consensus bugfixes:
-// the symmetric NTP start-offset draw and per-instance coordinator
-// rotation surviving a host-0 crash without per-instance stalls.
+// Tests for the batching layer (consensus/batcher.hpp) and the two
+// streamed-consensus bugfixes: the symmetric NTP start-offset draw and
+// per-instance coordinator rotation surviving a host-0 crash without
+// per-instance stalls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,7 +171,7 @@ TEST(NtpSkewTest, OffsetsFillASymmetricWindowWithNoAtomAtZero) {
 }
 
 // --------------------------------------------------------------------------
-// Sequencer pipeline window
+// Bugfix: per-instance coordinator rotation
 // --------------------------------------------------------------------------
 
 runtime::ClusterConfig ct_cluster_config(std::size_t n, std::uint64_t seed) {
@@ -189,72 +189,6 @@ void add_ct_layers(runtime::Cluster& cluster) {
     proc.add_layer<consensus::CtConsensus>(fd_layer);
   }
 }
-
-std::vector<consensus::ExecutionResult> run_sequenced(std::size_t window, double separation_ms,
-                                                      std::size_t executions) {
-  runtime::Cluster cluster{ct_cluster_config(3, 4242)};
-  add_ct_layers(cluster);
-  consensus::SequencerConfig cfg;
-  cfg.executions = executions;
-  cfg.separation = des::Duration::from_ms(separation_ms);
-  cfg.pipeline_window = window;
-  consensus::ConsensusSequencerT<consensus::CtConsensus> seq{cluster, cfg};
-  return seq.run();
-}
-
-TEST(PipelinedSequencerTest, WideSeparationReplaysTheSequentialScheduleBitForBit) {
-  // With every execution deciding well inside the separation gap, a window
-  // of 2 never actually overlaps anything: starts, skew draws and message
-  // timings must replay the one-at-a-time driver exactly.
-  const auto sequential = run_sequenced(1, 10.0, 25);
-  const auto windowed = run_sequenced(2, 10.0, 25);
-  ASSERT_EQ(sequential.size(), windowed.size());
-  for (std::size_t k = 0; k < sequential.size(); ++k) {
-    EXPECT_EQ(sequential[k].t0, windowed[k].t0);
-    ASSERT_EQ(sequential[k].decided(), windowed[k].decided());
-    if (sequential[k].decided()) {
-      EXPECT_EQ(sequential[k].latency_ms(), windowed[k].latency_ms());  // bit-identical
-      EXPECT_EQ(sequential[k].rounds, windowed[k].rounds);
-    }
-  }
-}
-
-TEST(PipelinedSequencerTest, TightSeparationOverlapsAndFinishesSooner) {
-  // Separation far below the per-execution latency: the sequential driver
-  // serialises on decisions while a window of 8 keeps the pipe full.
-  const std::size_t kExecs = 40;
-  runtime::Cluster seq_cluster{ct_cluster_config(3, 777)};
-  add_ct_layers(seq_cluster);
-  consensus::SequencerConfig cfg;
-  cfg.executions = kExecs;
-  cfg.separation = des::Duration::from_ms(0.05);
-  cfg.settle_gap = des::Duration::from_ms(2.0);
-  consensus::ConsensusSequencerT<consensus::CtConsensus> sequential{seq_cluster, cfg};
-  const auto seq_results = sequential.run();
-  const auto seq_end = sequential.experiment_end();
-
-  runtime::Cluster pipe_cluster{ct_cluster_config(3, 777)};
-  add_ct_layers(pipe_cluster);
-  cfg.pipeline_window = 8;
-  consensus::ConsensusSequencerT<consensus::CtConsensus> pipelined{pipe_cluster, cfg};
-  const auto pipe_results = pipelined.run();
-  const auto pipe_end = pipelined.experiment_end();
-
-  const auto decided = [](const std::vector<consensus::ExecutionResult>& rs) {
-    return static_cast<std::size_t>(
-        std::count_if(rs.begin(), rs.end(), [](const auto& r) { return r.decided(); }));
-  };
-  EXPECT_EQ(decided(seq_results), kExecs);
-  EXPECT_EQ(decided(pipe_results), kExecs);
-  // Overlap buys wall-clock: the pipelined run ends well before the
-  // serialised one (which pays latency + settle gap per execution).
-  EXPECT_LT((pipe_end - des::TimePoint::origin()).to_ms(),
-            0.5 * (seq_end - des::TimePoint::origin()).to_ms());
-}
-
-// --------------------------------------------------------------------------
-// Bugfix: per-instance coordinator rotation
-// --------------------------------------------------------------------------
 
 TEST(CoordinatorRotationTest, RoundOneCoordinatorFollowsCidModN) {
   // Instance cid = 1 on n = 3: the round-1 coordinator decides first (it

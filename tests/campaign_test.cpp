@@ -1,12 +1,17 @@
 // Tests for the declarative campaign API: axis/grid enumeration, override
-// parsing, registry contents, ResultTable CSV/JSON round-trips, and the
-// spec-vs-typed-wrapper equivalence that keeps `sanperf run` bit-identical
-// to the pre-redesign drivers.
+// parsing, registry contents, ResultTable CSV/JSON round-trips, the
+// spec-vs-typed-driver equivalence that keeps `sanperf run` bit-identical
+// to the pre-redesign drivers, and the paper's agreement and shape gates
+// on the quick-scale tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/result_table.hpp"
@@ -245,7 +250,7 @@ TEST(ScenarioRunTest, Fig7aSpecMatchesTypedWrapperBitForBit) {
   core::PaperContext ctx;
   ctx.scale = options.scale;
   ctx.seed = options.seed;
-  const auto rows = core::run_fig7a(ctx);
+  const auto rows = core::run_fig7a(ctx, ctx.scale.ns);
   ASSERT_EQ(table.row_count(), rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(std::get<std::int64_t>(table.at(r, "n")),
@@ -280,19 +285,14 @@ TEST(ScenarioRunTest, Table1SpecMatchesTypedWrapperBitForBit) {
   const auto table = registry.run("table1", options);
 
   const auto ctx = core::make_context(options.scale, options.seed);
-  const auto rows = core::run_table1(ctx);
-  ASSERT_EQ(table.row_count(), rows.size() * 3);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(std::get<stats::MeanCI>(table.at(3 * i, "meas_ms")).mean,
-              rows[i].meas_no_crash.mean);
-    EXPECT_EQ(std::get<stats::MeanCI>(table.at(3 * i + 1, "meas_ms")).mean,
-              rows[i].meas_coord_crash.mean);
-    EXPECT_EQ(std::get<stats::MeanCI>(table.at(3 * i + 2, "meas_ms")).mean,
-              rows[i].meas_part_crash.mean);
-    if (rows[i].sim_no_crash) {
-      EXPECT_EQ(std::get<double>(table.at(3 * i, "sim_ms")), *rows[i].sim_no_crash);
+  const auto cells = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
+  ASSERT_EQ(table.row_count(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(std::get<stats::MeanCI>(table.at(i, "meas_ms")).mean, cells[i].meas.mean);
+    if (cells[i].sim) {
+      EXPECT_EQ(std::get<double>(table.at(i, "sim_ms")), *cells[i].sim);
     } else {
-      EXPECT_TRUE(std::holds_alternative<std::monostate>(table.at(3 * i, "sim_ms")));
+      EXPECT_TRUE(std::holds_alternative<std::monostate>(table.at(i, "sim_ms")));
     }
   }
 }
@@ -312,6 +312,78 @@ TEST(ScenarioRunTest, UnknownScenarioAndThreadCountIndependence) {
   options.runner = &four;
   const auto b = registry.run("fig7a", options);
   expect_tables_equal(a, b);
+}
+
+// --- Paper agreement and shape gates ------------------------------------------
+
+double mean_at(const ResultTable& table, std::size_t row, const std::string& column) {
+  return std::get<stats::MeanCI>(table.at(row, column)).mean;
+}
+
+TEST(PaperGatesTest, QuickScaleAgreementAndShape) {
+  // The registry's quick-scale tables, exactly what `sanperf run` writes
+  // (table1_quick.csv pins their bits). These gate the paper's headline
+  // findings, so a regression that skews the reproduction fails even where
+  // a golden would simply be regenerated.
+  const auto& registry = core::CampaignRegistry::builtin();
+  core::RunOptions options;
+  options.scale = core::Scale::quick();
+
+  // Table 1 (Sections 5.2 and 5.3): simulation tracks measurement within
+  // 25% without crashes at the calibrated n, and a coordinator crash is
+  // slower than no crash at every n.
+  const auto table1 = registry.run("table1", options);
+  std::map<std::pair<std::int64_t, std::string>, std::size_t> row_of;
+  for (std::size_t r = 0; r < table1.row_count(); ++r) {
+    row_of[{std::get<std::int64_t>(table1.at(r, "n")),
+            std::get<std::string>(table1.at(r, "scenario"))}] = r;
+  }
+  for (const std::int64_t n : {3, 5}) {
+    const std::size_t r = row_of.at({n, "no-crash"});
+    const double ratio = std::get<double>(table1.at(r, "sim_ms")) / mean_at(table1, r, "meas_ms");
+    EXPECT_GT(ratio, 0.75) << "n=" << n;
+    EXPECT_LT(ratio, 1.25) << "n=" << n;
+  }
+  std::size_t crash_rows = 0;
+  for (const auto& [key, r] : row_of) {
+    if (key.second != "coordinator-crash") continue;
+    ++crash_rows;
+    EXPECT_GT(mean_at(table1, r, "meas_ms"),
+              mean_at(table1, row_of.at({key.first, "no-crash"}), "meas_ms"))
+        << "n=" << key.first;
+  }
+  EXPECT_EQ(crash_rows, options.scale.ns.size());
+
+  // Fig 7a: latency grows with n.
+  const auto fig7a = registry.run("fig7a", options);
+  ASSERT_GE(fig7a.row_count(), 2u);
+  for (std::size_t r = 1; r < fig7a.row_count(); ++r) {
+    EXPECT_GT(mean_at(fig7a, r, "latency_ms"), mean_at(fig7a, r - 1, "latency_ms")) << r;
+  }
+
+  // Fig 9a (n = 3): latency decreases in T, very high where wrong
+  // suspicions are frequent.
+  options.axis_overrides = {{"n", "3"}};
+  const auto fig9a = registry.run("fig9a", options);
+  ASSERT_GE(fig9a.row_count(), 2u);
+  EXPECT_GT(mean_at(fig9a, 0, "latency_ms"),
+            2 * mean_at(fig9a, fig9a.row_count() - 1, "latency_ms"));
+
+  // Fig 8 (n = 3): T_MR increases in T and blows up past T ~ 30 ms -- at
+  // T >= 40 ms the detector makes no mistakes or they recur rarely (paper:
+  // T_MR > 190 ms at T = 40).
+  const auto fig8 = registry.run("fig8", options);
+  std::vector<double> t_mr;  // rows with mistakes, in T order
+  for (std::size_t r = 0; r < fig8.row_count(); ++r) {
+    const auto& cell = fig8.at(r, "t_mr_ms");
+    if (std::holds_alternative<std::monostate>(cell)) continue;
+    const double mean = std::get<stats::MeanCI>(cell).mean;
+    t_mr.push_back(mean);
+    if (std::get<double>(fig8.at(r, "timeout_ms")) >= 40) EXPECT_GT(mean, 190.0) << r;
+  }
+  ASSERT_GE(t_mr.size(), 2u);
+  EXPECT_GT(t_mr.front(), 0.0);
+  EXPECT_GT(t_mr.back(), t_mr.front());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // Includes parameterized safety sweeps across n, crash patterns and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -280,6 +281,34 @@ TEST(SequencerTest, ExecutionsSeparatedByConfiguredGap) {
     EXPECT_LT(gap, 13.0);  // failure-free latencies are ~1 ms
   }
   EXPECT_GT(seq.experiment_end().to_ms(), 40.0);
+}
+
+TEST(SequencerTest, SlowExecutionPushesBackTheNextStart) {
+  // The paper's footnote-2 schedule: starts are 10 ms apart, but a start
+  // waits until 2 ms after the previous execution's first decision. With
+  // the round-1 coordinator down and T = 40 ms, execution 0 decides only
+  // after the suspicion, so its successor is pushed back.
+  Cluster cluster{base_config(3, 11)};
+  for (HostId i = 0; i < 3; ++i) {
+    auto& proc = cluster.process(i);
+    auto& hb = proc.add_layer<HeartbeatFd>(HeartbeatFdParams::from_timeout_ms(40.0));
+    proc.add_layer<CtConsensus>(hb);
+  }
+  cluster.crash_initially(0);
+  SequencerConfig cfg;
+  cfg.executions = 6;
+  ConsensusSequencer seq{cluster, cfg};
+  const auto results = seq.run();
+  ASSERT_EQ(results.size(), 6u);
+  const auto separation = des::Duration::from_ms(10.0);
+  const auto quiet = des::Duration::from_ms(2.0);
+  for (std::size_t k = 0; k + 1 < results.size(); ++k) {
+    ASSERT_TRUE(results[k].decided()) << k;
+    EXPECT_EQ(results[k + 1].t0,
+              std::max(results[k].t0 + separation, *results[k].t_decide + quiet))
+        << k;
+  }
+  EXPECT_GT(results[1].t0 - results[0].t0, separation);
 }
 
 TEST(CtConsensusTest, StatsCountersFailureFreeRun) {

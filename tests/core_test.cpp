@@ -209,7 +209,7 @@ TEST(ExperimentsTest, Fig7aLatencyIncreasesWithN) {
   scale.class1_executions = 120;
   PaperContext ctx = make_context(scale, 16);
   ctx.timers = net::TimerModel::ideal();
-  const auto rows = run_fig7a(ctx);
+  const auto rows = run_fig7a(ctx, scale.ns);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_LT(rows[0].mean.mean, rows[1].mean.mean);
   EXPECT_LT(rows[1].mean.mean, rows[2].mean.mean);
@@ -221,7 +221,7 @@ TEST(ExperimentsTest, Fig7bSweepSelectsInteriorTsend) {
   scale.sim_replications = 200;
   PaperContext ctx = make_context(scale, 17);
   ctx.timers = net::TimerModel::ideal();
-  const auto result = run_fig7b(ctx);
+  const auto result = run_fig7b(ctx, tsend_candidates());
   ASSERT_EQ(result.sweep.candidates.size(), 6u);
   // The emulator's ground truth is 0.025 ms; the sweep must not pick the
   // extremes.

@@ -12,6 +12,7 @@
 
 #include "core/campaign.hpp"
 #include "core/measurement.hpp"
+#include "core/workload.hpp"
 #include "faults/experiments.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
@@ -351,19 +352,23 @@ TEST(FaultHarnessTest, SingleCrashPlanReproducesTable1ExecutionsBitForBit) {
   const auto params = net::NetworkParams::defaults();
   const auto timers = net::TimerModel::ideal();
   const FaultPlan crash0{{FaultPlan::crash(0, 0)}};
+  const FaultPlan empty;
+  core::WorkloadConfig cfg;
+  cfg.n = 5;
+  cfg.network = params;
+  cfg.timers = timers;
   for (std::size_t k = 0; k < 25; ++k) {
     const std::uint64_t seed = des::SeedSplitter{424242, "exec"}.stream_seed(k);
     const auto plain = core::run_latency_execution(5, params, timers, 0, k, seed);
-    const auto faulty =
-        run_fault_execution(core::Algorithm::kChandraToueg, 5, params, timers, crash0, k, seed);
+    cfg.fault_plan = &crash0;
+    const auto faulty = core::run_one_shot(cfg, k, seed);
     ASSERT_EQ(plain.latency_ms.has_value(), faulty.latency_ms.has_value()) << k;
     if (plain.latency_ms) EXPECT_EQ(*plain.latency_ms, *faulty.latency_ms) << k;
     EXPECT_EQ(plain.rounds, faulty.rounds) << k;
 
     const auto no_fault = core::run_latency_execution(5, params, timers, -1, k, seed);
-    const auto empty_plan =
-        run_fault_execution(core::Algorithm::kChandraToueg, 5, params, timers, FaultPlan{}, k,
-                            seed);
+    cfg.fault_plan = &empty;
+    const auto empty_plan = core::run_one_shot(cfg, k, seed);
     ASSERT_EQ(no_fault.latency_ms.has_value(), empty_plan.latency_ms.has_value()) << k;
     if (no_fault.latency_ms) EXPECT_EQ(*no_fault.latency_ms, *empty_plan.latency_ms) << k;
   }
@@ -399,9 +404,11 @@ TEST(FaultHarnessTest, MrLosesVolatileStateAcrossRecoveryLikeCt) {
   // re-enters state-free (MrConsensus::on_restart) and the majority still
   // decides.
   const FaultPlan plan{{FaultPlan::crash_recover(1, 1.2, 2.0)}};
-  const auto out = run_fault_execution(core::Algorithm::kMostefaouiRaynal, 3,
-                                       net::NetworkParams::defaults(),
-                                       net::TimerModel::ideal(), plan, 0, 123);
+  core::WorkloadConfig cfg;
+  cfg.timers = net::TimerModel::ideal();
+  cfg.algorithm = core::Algorithm::kMostefaouiRaynal;
+  cfg.fault_plan = &plan;
+  const auto out = core::run_one_shot(cfg, 0, 123);
   EXPECT_TRUE(out.latency_ms.has_value());
 }
 

@@ -2,6 +2,9 @@
 // estimation equations and the abstract-FD parameter derivation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "fd/history.hpp"
@@ -145,6 +148,24 @@ Cluster make_fd_cluster(std::size_t n, double timeout_ms, std::uint64_t seed = 3
     cluster.process(i).add_layer<HeartbeatFd>(params);
   }
   return cluster;
+}
+
+TEST(HeartbeatFdTest, RejectsNonPositivePeriodOrTimeout) {
+  const auto message = [](HeartbeatFdParams params) {
+    try {
+      HeartbeatFd fd{params};
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  EXPECT_EQ(message(HeartbeatFdParams::from_timeout_ms(0)), "HeartbeatFd: timeout must be > 0");
+  EXPECT_EQ(message(HeartbeatFdParams::from_timeout_ms(-1)), "HeartbeatFd: timeout must be > 0");
+  EXPECT_EQ(message({des::Duration::zero(), des::Duration::from_ms(10)}),
+            "HeartbeatFd: heartbeat period must be > 0");
+  EXPECT_EQ(message({des::Duration::from_ms(-7), des::Duration::from_ms(10)}),
+            "HeartbeatFd: heartbeat period must be > 0");
+  EXPECT_EQ(message(HeartbeatFdParams::from_timeout_ms(0.01)), "accepted");
 }
 
 TEST(HeartbeatFdTest, NoSuspicionsWithIdealTimersAndGenerousTimeout) {

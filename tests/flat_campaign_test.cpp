@@ -188,9 +188,9 @@ TEST(FlatDeterminism, Fig7aIdenticalAt1And4Threads) {
   ctx.timers = net::TimerModel::ideal();
 
   ctx.runner = &one;
-  const auto rows1 = core::run_fig7a(ctx);
+  const auto rows1 = core::run_fig7a(ctx, ctx.scale.ns);
   ctx.runner = &four;
-  const auto rows4 = core::run_fig7a(ctx);
+  const auto rows4 = core::run_fig7a(ctx, ctx.scale.ns);
 
   ASSERT_EQ(rows1.size(), rows4.size());
   for (std::size_t i = 0; i < rows1.size(); ++i) {
@@ -209,23 +209,21 @@ TEST(FlatDeterminism, Table1IdenticalAt1And4Threads) {
   ctx.timers = net::TimerModel::ideal();
 
   ctx.runner = &one;
-  const auto rows1 = core::run_table1(ctx);
+  const auto cells1 = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
   ctx.runner = &four;
-  const auto rows4 = core::run_table1(ctx);
+  const auto cells4 = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
 
-  ASSERT_EQ(rows1.size(), rows4.size());
-  for (std::size_t i = 0; i < rows1.size(); ++i) {
-    EXPECT_EQ(rows1[i].n, rows4[i].n);
-    EXPECT_EQ(rows1[i].meas_no_crash.mean, rows4[i].meas_no_crash.mean);
-    EXPECT_EQ(rows1[i].meas_coord_crash.mean, rows4[i].meas_coord_crash.mean);
-    EXPECT_EQ(rows1[i].meas_part_crash.mean, rows4[i].meas_part_crash.mean);
-    EXPECT_EQ(rows1[i].sim_no_crash, rows4[i].sim_no_crash);
-    EXPECT_EQ(rows1[i].sim_coord_crash, rows4[i].sim_coord_crash);
-    EXPECT_EQ(rows1[i].sim_part_crash, rows4[i].sim_part_crash);
+  ASSERT_EQ(cells1.size(), cells4.size());
+  for (std::size_t i = 0; i < cells1.size(); ++i) {
+    EXPECT_EQ(cells1[i].n, cells4[i].n);
+    EXPECT_EQ(cells1[i].crashed, cells4[i].crashed);
+    EXPECT_EQ(cells1[i].meas.mean, cells4[i].meas.mean);
+    EXPECT_EQ(cells1[i].sim, cells4[i].sim);
   }
-  // The calibrated n carry simulation cells; the rest do not.
-  EXPECT_TRUE(rows1[0].sim_no_crash.has_value());
-  EXPECT_TRUE(rows1[1].sim_coord_crash.has_value());
+  // The calibrated n carry simulation cells: n = 3 no crash, n = 5
+  // coordinator crash.
+  EXPECT_TRUE(cells1[0].sim.has_value());
+  EXPECT_TRUE(cells1[4].sim.has_value());
 }
 
 TEST(FlatDeterminism, Class3MeasurementsIdenticalAt1And4Threads) {
@@ -234,9 +232,9 @@ TEST(FlatDeterminism, Class3MeasurementsIdenticalAt1And4Threads) {
   auto ctx = core::make_context(tiny_scale(), 79);
 
   ctx.runner = &one;
-  const auto pts1 = core::run_class3_measurements(ctx, {3});
+  const auto pts1 = core::run_class3_measurements(ctx, {3}, ctx.scale.timeouts_ms);
   ctx.runner = &four;
-  const auto pts4 = core::run_class3_measurements(ctx, {3});
+  const auto pts4 = core::run_class3_measurements(ctx, {3}, ctx.scale.timeouts_ms);
 
   ASSERT_EQ(pts1.size(), pts4.size());
   for (std::size_t i = 0; i < pts1.size(); ++i) {
@@ -256,9 +254,9 @@ TEST(FlatDeterminism, Fig7bIdenticalAt1And4Threads) {
   ctx.timers = net::TimerModel::ideal();
 
   ctx.runner = &one;
-  const auto r1 = core::run_fig7b(ctx);
+  const auto r1 = core::run_fig7b(ctx, core::tsend_candidates());
   ctx.runner = &four;
-  const auto r4 = core::run_fig7b(ctx);
+  const auto r4 = core::run_fig7b(ctx, core::tsend_candidates());
 
   EXPECT_EQ(r1.measured_ms, r4.measured_ms);  // bit-identical
   EXPECT_EQ(r1.sim_ms, r4.sim_ms);
@@ -277,7 +275,7 @@ TEST(FlatDeterminism, FlattenedFig7bMatchesNestedCampaigns) {
   // the flattening: same seeds, same folds, same bits.
   auto ctx = core::make_context(tiny_scale(), 82);
   ctx.timers = net::TimerModel::ideal();
-  const auto result = core::run_fig7b(ctx);
+  const auto result = core::run_fig7b(ctx, core::tsend_candidates());
 
   const auto meas = core::measure_latency(5, ctx.network, ctx.timers, -1,
                                           ctx.scale.class1_executions, ctx.seed + 105);
@@ -325,10 +323,10 @@ TEST(FlatDeterminism, Fig9bIdenticalAt1And4Threads) {
   auto ctx = core::make_context(tiny_scale(), 84);
 
   ctx.runner = &one;
-  const auto pts1 = core::run_class3_measurements(ctx, ctx.scale.sim_ns);
+  const auto pts1 = core::run_class3_measurements(ctx, ctx.scale.sim_ns, ctx.scale.timeouts_ms);
   const auto rows1 = core::run_fig9b(ctx, pts1);
   ctx.runner = &four;
-  const auto pts4 = core::run_class3_measurements(ctx, ctx.scale.sim_ns);
+  const auto pts4 = core::run_class3_measurements(ctx, ctx.scale.sim_ns, ctx.scale.timeouts_ms);
   const auto rows4 = core::run_fig9b(ctx, pts4);
 
   ASSERT_EQ(rows1.size(), rows4.size());
@@ -348,7 +346,7 @@ TEST(FlatDeterminism, FlattenedFig7aMatchesNestedMeasureLatency) {
   // same seeds, same fold, same bits.
   auto ctx = core::make_context(tiny_scale(), 80);
   ctx.timers = net::TimerModel::ideal();
-  const auto rows = core::run_fig7a(ctx);
+  const auto rows = core::run_fig7a(ctx, ctx.scale.ns);
   ASSERT_EQ(rows.size(), 2u);
   for (std::size_t g = 0; g < rows.size(); ++g) {
     const std::size_t n = ctx.scale.ns[g];

@@ -6,9 +6,12 @@
 // of the two topology scenarios.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/campaign.hpp"
 #include "core/workload.hpp"
@@ -60,6 +63,72 @@ TEST(TopologyTest, ValidationRejectsBadHostSets) {
   EXPECT_THROW((Topology{"gap", {Rack{{0, 2}, {}, {}}}}), std::invalid_argument);
   EXPECT_THROW((Topology{"empty-rack", {Rack{{0, 1}, {}, {}}, Rack{{}, {}, {}}}}),
                std::invalid_argument);
+}
+
+TEST(TopologyTest, ValidationRejectsBadLinkParams) {
+  // Each rejection names the rack and the field.
+  const auto message = [](const auto& build) {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  LinkParams negative_latency;
+  negative_latency.latency_ms = -1;
+  LinkParams free_service;
+  free_service.service_scale = 0;
+  LinkParams negative_service;
+  negative_service.service_scale = -0.5;
+  LinkParams nan_latency;
+  nan_latency.latency_ms = std::nan("");
+  LinkParams infinite_service;
+  infinite_service.service_scale = std::numeric_limits<double>::infinity();
+
+  EXPECT_EQ(message([&] { Topology{"t", {Rack{{0}, {}, {}}, Rack{{1}, {}, negative_latency}}}; }),
+            "Topology: rack 1 uplink.latency_ms must be finite and >= 0");
+  EXPECT_EQ(message([&] { Topology{"t", {Rack{{0, 1}, free_service, {}}}}; }),
+            "Topology: rack 0 access.service_scale must be finite and > 0");
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 2, {}, negative_service); }),
+            "Topology: rack 0 uplink.service_scale must be finite and > 0");
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 2, nan_latency, {}); }),
+            "Topology: rack 0 access.latency_ms must be finite and >= 0");
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 2, {}, infinite_service); }),
+            "Topology: rack 0 uplink.service_scale must be finite and > 0");
+  // Zero latency and any positive scale stay valid.
+  LinkParams fast;
+  fast.service_scale = 1e-3;
+  EXPECT_NO_THROW((void)Topology::uniform(4, 2, LinkParams{}, fast));
+}
+
+TEST(TopologyJsonTest, RejectsBadLinkParams) {
+  const auto parse = [](const std::string& uplink) {
+    return std::string{R"({"name":"t","racks":[{"hosts":[0]},{"hosts":[1],"uplink":)"} +
+           uplink + "}]}";
+  };
+  const auto message = [](const std::string& json) {
+    try {
+      (void)Topology::from_json(json);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  EXPECT_EQ(message(parse(R"({"latency_ms":-1})")),
+            "Topology: rack 1 uplink.latency_ms must be finite and >= 0");
+  EXPECT_EQ(message(parse(R"({"service_scale":0})")),
+            "Topology: rack 1 uplink.service_scale must be finite and > 0");
+  EXPECT_EQ(message(parse(R"({"queue_limit":2.5})")),
+            "Topology::from_json: rack 1 uplink.queue_limit must be an integer >= 0");
+  EXPECT_EQ(message(parse(R"({"queue_limit":-3})")),
+            "Topology::from_json: rack 1 uplink.queue_limit must be an integer >= 0");
+  EXPECT_EQ(message(parse(R"({"latency_ms":"slow"})")),
+            "Topology::from_json: rack 1 uplink.latency_ms: expected a number");
+  EXPECT_EQ(message(R"({"name":"t","racks":[{"hosts":[0,0.5]}]})"),
+            "Topology::from_json: bad host id");
+  EXPECT_EQ(Topology::from_json(parse(R"({"queue_limit":2})")).racks()[1].uplink.queue_limit,
+            2u);
 }
 
 // --------------------------------------------------------------------------

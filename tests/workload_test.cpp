@@ -4,13 +4,16 @@
 // 1-vs-4-thread determinism of the three registered load scenarios.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "consensus/ct_consensus.hpp"
 #include "consensus/sequencer.hpp"
 #include "core/campaign.hpp"
-#include "core/extensions.hpp"
 #include "core/measurement.hpp"
 #include "core/workload.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -43,21 +46,6 @@ TEST(OneShotTest, MatchesLegacyHarnessBitForBit) {
       }
     }
   }
-}
-
-TEST(OneShotTest, AlgorithmDispatchMatchesComparativeWrapper) {
-  const auto params = net::NetworkParams::defaults();
-  const auto timers = net::TimerModel::ideal();
-  core::WorkloadConfig cfg;
-  cfg.n = 3;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = core::Algorithm::kMostefaouiRaynal;
-  const auto engine = core::run_one_shot(cfg, 0, 55);
-  const auto wrapper = core::run_latency_execution_with(core::Algorithm::kMostefaouiRaynal, 3,
-                                                        params, timers, -1, 0, 55);
-  ASSERT_TRUE(engine.latency_ms && wrapper.latency_ms);
-  EXPECT_EQ(*engine.latency_ms, *wrapper.latency_ms);
 }
 
 // --------------------------------------------------------------------------
@@ -153,6 +141,48 @@ core::WorkloadConfig base_config(std::size_t n, std::uint64_t seed) {
   cfg.timers = net::TimerModel::ideal();
   cfg.seed = seed;
   return cfg;
+}
+
+TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteTimings) {
+  const auto message = [](const core::WorkloadSpec& spec) {
+    try {
+      (void)core::run_workload(base_config(3, 1), spec);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  for (double core::WorkloadSpec::*field :
+       {&core::WorkloadSpec::start_ms, &core::WorkloadSpec::separation_ms,
+        &core::WorkloadSpec::think_ms, &core::WorkloadSpec::batch_linger_ms,
+        &core::WorkloadSpec::ntp_skew_ms}) {
+    for (const double bad : {-1.0, std::numeric_limits<double>::infinity(), std::nan("")}) {
+      core::WorkloadSpec spec;
+      spec.measured = 5;
+      spec.*field = bad;
+      EXPECT_NE(message(spec).find("must be finite and >= 0"), std::string::npos) << bad;
+    }
+  }
+  core::WorkloadSpec spec;
+  spec.measured = 5;
+  spec.think_ms = -5;
+  EXPECT_EQ(message(spec), "run_workload: think_ms must be finite and >= 0");
+  spec.think_ms = 0;
+  spec.batch_linger_ms = -1;
+  EXPECT_EQ(message(spec), "run_workload: batch_linger_ms must be finite and >= 0");
+  spec.batch_linger_ms = 0;
+  for (const double bad : {0.0, -3.0}) {
+    spec.instance_timeout_ms = bad;
+    EXPECT_EQ(message(spec), "run_workload: instance_timeout_ms must be finite and > 0");
+  }
+  // Zero timings stay valid: a simultaneous burst, no think, no linger.
+  spec.instance_timeout_ms = 5000;
+  spec.arrivals = core::ArrivalProcess::kClosedLoop;
+  EXPECT_EQ(message(spec), "accepted");
+  // A heartbeat timeout of zero is the detector's to reject.
+  auto hb = base_config(3, 1);
+  hb.heartbeat_timeout_ms = 0.0;
+  EXPECT_THROW((void)core::run_workload(hb, spec), std::invalid_argument);
 }
 
 TEST(WorkloadEngineTest, StreamsAreDeterministic) {
@@ -502,11 +532,10 @@ TEST(SequencerGcTest, GcDoesNotChangeSequencedResults) {
     for (runtime::HostId i = 0; i < 3; ++i) {
       auto& proc = cluster.process(i);
       auto& hb = proc.add_layer<fd::HeartbeatFd>(fd_params);
-      proc.add_layer<consensus::CtConsensus>(hb);
+      proc.add_layer<consensus::CtConsensus>(hb).set_gc_decided(gc);
     }
     consensus::SequencerConfig seq_cfg;
     seq_cfg.executions = 40;
-    seq_cfg.gc_decided = gc;
     consensus::ConsensusSequencer seq{cluster, seq_cfg};
     return seq.run();
   };
