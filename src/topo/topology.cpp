@@ -20,12 +20,14 @@ namespace {
 /// a zero scale makes occupancy free and a negative one schedules into
 /// the past.
 void check_link(const LinkParams& link, std::size_t rack, const char* edge) {
-  const std::string where = "rack " + std::to_string(rack) + " " + edge + ".";
+  const char* problem = nullptr;
   if (!(std::isfinite(link.latency_ms) && link.latency_ms >= 0)) {
-    bad_topology(where + "latency_ms must be finite and >= 0");
+    problem = "latency_ms must be finite and >= 0";
+  } else if (!(std::isfinite(link.service_scale) && link.service_scale > 0)) {
+    problem = "service_scale must be finite and > 0";
   }
-  if (!(std::isfinite(link.service_scale) && link.service_scale > 0)) {
-    bad_topology(where + "service_scale must be finite and > 0");
+  if (problem != nullptr) {
+    bad_topology("rack " + std::to_string(rack) + " " + edge + "." + problem);
   }
 }
 
