@@ -1,6 +1,6 @@
 // Tests for the declarative campaign API: axis/grid enumeration, override
 // parsing, registry contents, ResultTable CSV/JSON round-trips, the
-// spec-vs-typed-driver equivalence that keeps `sanperf run` bit-identical
+// spec-vs-typed-wrapper equivalence that keeps `sanperf run` bit-identical
 // to the pre-redesign drivers, and the paper's agreement and shape gates
 // on the quick-scale tables.
 #include <gtest/gtest.h>
