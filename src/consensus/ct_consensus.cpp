@@ -1,129 +1,12 @@
 #include "consensus/ct_consensus.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "consensus/payload.hpp"
 
 namespace sanperf::consensus {
 
-CtConsensus::CtConsensus(FailureDetector& fd) : fd_{&fd} {}
-
-void CtConsensus::on_start() {
-  fd_->add_listener([this](HostId peer, bool suspected) { on_suspicion(peer, suspected); });
-}
-
-HostId CtConsensus::coordinator_of(std::int32_t cid, const Instance& inst,
-                                   std::int32_t round) const {
-  // Rounds are 1-based; p_i coordinates rounds kn + i (Section 2.1). With
-  // rotation on, the cycle is offset per instance so round 1 of instance
-  // cid starts at p_{cid mod n} rather than always p_0. Under dynamic
-  // membership the rotation runs over the instance's epoch member set.
-  if (view_ == nullptr) {
-    const auto n = static_cast<std::int32_t>(process().n());
-    const std::int32_t offset = rotate_coordinators_ ? cid % n : 0;
-    return static_cast<HostId>((offset + round - 1) % n);
-  }
-  const std::vector<MemberId>& members = view_->members_at(inst.epoch);
-  const auto m = static_cast<std::int32_t>(members.size());
-  const std::int32_t offset = rotate_coordinators_ ? cid % m : 0;
-  return static_cast<HostId>(members[static_cast<std::size_t>((offset + round - 1) % m)]);
-}
-
-std::int32_t CtConsensus::majority(const Instance& inst) const {
-  const std::size_t group =
-      view_ == nullptr ? process().n() : view_->members_at(inst.epoch).size();
-  return static_cast<std::int32_t>(group / 2 + 1);
-}
-
-void CtConsensus::ucast(const Instance& inst, Message m, HostId dst) {
-  m.view_epoch = inst.epoch;
-  process().send(std::move(m), dst);
-}
-
-void CtConsensus::bcast(const Instance& inst, Message m) {
-  m.view_epoch = inst.epoch;
-  if (view_ == nullptr) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  // Member-wise n-1 unicasts in ascending id order -- the same fan-out
-  // Process::broadcast produces when the epoch covers every host, so that
-  // case takes the pooled single-frame broadcast instead.
-  const std::vector<MemberId>& members = view_->members_at(inst.epoch);
-  if (covers_all_hosts(members, process().n())) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  for (const MemberId peer : members) {
-    if (static_cast<HostId>(peer) == process().id()) continue;
-    process().send(m, static_cast<HostId>(peer));
-  }
-}
-
-void CtConsensus::durable_apply(std::function<void()> fn) {
-  if (!log_.enabled()) {
-    fn();
-    return;
-  }
-  const double delay = log_.charge_ms(process().now().to_ms());
-  if (!(delay > 0)) {
-    fn();
-    return;
-  }
-  process().set_timer(des::Duration::from_ms(delay), std::move(fn));
-}
-
-void CtConsensus::record_state(std::int32_t cid, const Instance& inst) {
-  if (!log_.enabled()) return;
-  DurableLog::InstanceState& rec = log_.state(cid);
-  rec.started = inst.started;
-  rec.estimate = inst.estimate;
-  rec.ts = inst.ts;
-  rec.round = inst.round;
-  rec.epoch = inst.epoch;
-}
-
-void CtConsensus::propose(std::int32_t cid, std::int64_t value) {
-  propose(cid, std::vector<std::int64_t>{value});
-}
-
-void CtConsensus::propose(std::int32_t cid, std::vector<std::int64_t> values) {
-  gc_.sweep(instances_);
-  if (log_.enabled()) log_.compact(gc_.floor());  // log tracks the GC watermark
-  if (gc_.collected(cid)) return;  // decided before we proposed, state gone
-  Instance& inst = instance(cid);
-  if (inst.started) throw std::logic_error{"CtConsensus: instance already proposed"};
-  inst.started = true;
-  touch_epoch(inst, view_ != nullptr ? view_->epoch() : 0);
-  if (inst.decided) {
-    // A decision arrived before we proposed (possible with very skewed
-    // starts): report it now.
-    if (on_decide_) {
-      const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
-      on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
-                  inst.decision});
-    }
-    return;
-  }
-  if (inst.decide_pending) return;  // finish_decide reports once the record lands
-  inst.estimate = std::move(values);
-  inst.ts = 0;
-  if (!log_.enabled()) {
-    advance_round(cid, inst);
-    return;
-  }
-  // Write-ahead: the proposal record must be durable before any message for
-  // the instance leaves this host, so round entry waits for the append.
-  record_state(cid, inst);
-  durable_apply([this, cid] {
-    const auto it = instances_.find(cid);
-    if (it == instances_.end() || gc_.collected(cid)) return;
-    Instance& i = it->second;
-    if (i.round == 0 && !i.decided && !i.decide_pending) advance_round(cid, i);
-  });
-}
+template class ConsensusLayer<CtConsensus, detail::CtInstance>;
 
 void CtConsensus::advance_round(std::int32_t cid, Instance& inst) {
   ++inst.round;
@@ -194,27 +77,8 @@ void CtConsensus::maybe_propose(std::int32_t cid, Instance& inst) {
   prop.kind = MsgKind::kPropose;
   prop.cid = cid;
   prop.round = r;
-  prop.view_epoch = inst.epoch;
   detail::set_payload(prop, inst.estimate);
-  // Write-ahead: the adoption record persists before the proposal leaves.
-  // Deferred sends serialize on the log device tail, so later appends (a
-  // decision, say) cannot overtake this broadcast.
-  const std::uint32_t epoch = inst.epoch;
-  durable_apply([this, epoch, prop = std::move(prop)] {
-    if (view_ == nullptr) {
-      process().broadcast(prop);
-      return;
-    }
-    const std::vector<MemberId>& members = view_->members_at(epoch);
-    if (covers_all_hosts(members, process().n())) {
-      process().broadcast(prop);
-      return;
-    }
-    for (const MemberId peer : members) {
-      if (static_cast<HostId>(peer) == process().id()) continue;
-      process().send(prop, static_cast<HostId>(peer));
-    }
-  });
+  bcast_logged(inst, std::move(prop));  // the adoption record persists first
 
   maybe_conclude_round(cid, inst);  // n = 1-majority corner and stray nacks
 }
@@ -272,100 +136,10 @@ void CtConsensus::maybe_conclude_round(std::int32_t cid, Instance& inst) {
   }
 }
 
-void CtConsensus::decide(std::int32_t cid, Instance& inst, const std::vector<std::int64_t>& value,
-                         std::int32_t round) {
-  if (inst.decided || inst.decide_pending) return;
-  inst.decision = value;
-  inst.decision_round = round;
-  inst.phase = Phase::kDone;
-  if (!log_.enabled()) {
-    finish_decide(cid, inst);
-    return;
-  }
-  // Write-ahead: the decision record persists before it is delivered to the
-  // application or disseminated. decide_pending parks the instance while
-  // the append is in flight; a crash in the window kills the deferred step
-  // (epoch-guarded timer) and replay restores the decision silently.
-  inst.decide_pending = true;
-  record_state(cid, inst);
-  DurableLog::InstanceState& rec = log_.state(cid);
-  rec.decided = true;
-  rec.decision = value;
-  rec.decision_round = round;
-  durable_apply([this, cid] {
-    const auto it = instances_.find(cid);
-    if (it == instances_.end() || !it->second.decide_pending) return;
-    finish_decide(cid, it->second);
-  });
-}
-
-void CtConsensus::finish_decide(std::int32_t cid, Instance& inst) {
-#if SANPERF_AUDIT_ENABLED
-  // One decision per instance per incarnation: a second pass through here
-  // means a decided guard was lost somewhere upstream.
-  SANPERF_AUDIT_CHECK(
-      "consensus.no_double_decide",
-      audit_.decided.emplace(cid, detail::LayerAudit::hash_values(inst.decision)).second,
-      "instance " + std::to_string(cid) + " decided twice on host " +
-          std::to_string(process().id()));
-#endif
-  inst.decided = true;
-  inst.decide_pending = false;
-  if (on_decide_ && inst.started) {
-    const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
-    on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
-                inst.decision});
-  }
-  if (!inst.decide_broadcast) {
-    inst.decide_broadcast = true;
-    Message dec;
-    dec.kind = MsgKind::kDecide;
-    dec.cid = cid;
-    dec.round = inst.decision_round;
-    detail::set_payload(dec, inst.decision);
-    bcast(inst, dec);
-  }
-  gc_.mark(cid);  // terminal: collected at the next entry-point sweep
-}
-
-void CtConsensus::on_message(const Message& m) {
+void CtConsensus::on_round_message(Instance& inst, const Message& m) {
   switch (m.kind) {
     case MsgKind::kEstimate:
-    case MsgKind::kPropose:
-    case MsgKind::kAck:
-    case MsgKind::kNack:
-    case MsgKind::kDecide:
-    case MsgKind::kReplayQuery:
-      break;
-    default:
-      return;  // not a consensus message
-  }
-
-  gc_.sweep(instances_);
-  if (gc_.collected(m.cid)) return;  // stale traffic for a collected instance
-  if (m.kind == MsgKind::kReplayQuery) {
-    handle_replay_query(m);  // find, never create
-    return;
-  }
-  Instance& inst = instance(m.cid);
-  touch_epoch(inst, m.view_epoch);
-#if SANPERF_AUDIT_ENABLED
-  audit_check_sender(inst, m);
-  if (m.kind == MsgKind::kDecide && inst.decided) {
-    // Agreement: every DECIDE for an instance must carry the value this
-    // host already decided.
-    SANPERF_AUDIT_CHECK("consensus.decision_agreement",
-                        inst.decision.empty() || detail::payload_of(m) == inst.decision,
-                        "conflicting DECIDE for instance " + std::to_string(m.cid) +
-                            " from host " + std::to_string(m.from));
-  }
-#endif
-  if (inst.decided || inst.decide_pending) return;
-
-  switch (m.kind) {
-    case MsgKind::kEstimate:
-      // Restored-round dedup: drop a REPLAYQ re-send racing the original.
-      if (m.round == inst.replay_round && !inst.replay_seen.insert(m.from).second) break;
+      if (inst.replay_duplicate(m)) break;
       record_estimate(m.cid, inst, m.round, detail::payload_of(m), m.ts);
       break;
 
@@ -388,181 +162,31 @@ void CtConsensus::on_message(const Message& m) {
       if (m.round == inst.round) maybe_conclude_round(m.cid, inst);
       break;
 
-    case MsgKind::kDecide:
-      inst.decide_broadcast = !relay_decide_;  // suppress re-broadcast unless relaying
-      decide(m.cid, inst, detail::payload_of(m), m.round);
-      break;
-
     default:
       break;
   }
 }
 
-void CtConsensus::on_suspicion(HostId peer, bool suspected) {
-  if (!suspected) return;
-  // A fresh suspicion matters to every instance currently waiting for a
-  // proposal from `peer`.
-  for (auto& [cid, inst] : instances_) {
-    if (inst.started && !inst.decided && inst.phase == Phase::kWaitProp &&
-        coordinator_of(cid, inst, inst.round) == peer) {
-      send_nack(cid, inst);
-    }
+void CtConsensus::on_suspected(std::int32_t cid, Instance& inst, HostId peer) {
+  // Only a process waiting for the suspect's proposal reacts.
+  if (inst.phase == Phase::kWaitProp && coordinator_of(cid, inst, inst.round) == peer) {
+    send_nack(cid, inst);
   }
 }
 
-void CtConsensus::on_crash() {
-#if SANPERF_AUDIT_ENABLED
-  // Snapshot what a durable replay must reproduce. Only instances the log
-  // can know about qualify: started ones (propose records before anything
-  // leaves) and decided/pending ones (the decision record is durable before
-  // the decide path defers). Passive tally-only instances have no record
-  // and legitimately vanish.
-  audit_.precrash.clear();
-  for (const auto& [cid, inst] : instances_) {
-    if (!inst.started && !inst.decided && !inst.decide_pending) continue;
-    detail::LayerAudit::Snapshot snap;
-    snap.round = inst.round;
-    snap.decided = inst.decided || inst.decide_pending;
-    snap.decision_hash = detail::LayerAudit::hash_values(inst.decision);
-    audit_.precrash.emplace(cid, snap);
+void CtConsensus::reenter_round(std::int32_t cid, Instance& inst,
+                                const DurableLog::InstanceState& rec) {
+  inst.ts = rec.ts;
+  if (coordinator_of(cid, inst, inst.round) == process().id()) {
+    inst.phase = Phase::kCoordWaitEst;
+    // Our own contribution was volatile; peers re-send theirs on REPLAYQ.
+    record_estimate(cid, inst, inst.round, inst.estimate, inst.ts);
+  } else {
+    inst.phase = Phase::kWaitProp;
   }
-#endif
 }
 
-void CtConsensus::on_restart() {
-  instances_.clear();
-  if (!log_.enabled()) {
-    // Volatile restart: a fresh incarnation may legitimately re-learn and
-    // re-report old decisions, so the audit ledgers reset with the state.
-    SANPERF_AUDIT_ONLY(audit_.decided.clear(); audit_.precrash.clear();)
-    return;
-  }
-  log_.compact(gc_.floor());
-  std::uint64_t replayed = 0;
-  // Iterate a snapshot: replay re-records state (in-place log writes) and a
-  // decision callback could reach back into propose(), which sweeps the
-  // instance map mid-walk.
-  const auto entries = log_.entries();
-  for (const auto& [cid, rec] : entries) {
-    if (gc_.collected(cid)) continue;
-    Instance& inst = instance(cid);
-    inst.started = rec.started;
-    inst.epoch = rec.epoch;
-    inst.epoch_set = true;
-    inst.estimate = rec.estimate;
-    inst.ts = rec.ts;
-    if (rec.decided) {
-      // Restore silently: never re-report (the pre-crash delivery may have
-      // happened) and never re-broadcast.
-      inst.decided = true;
-      inst.decision = rec.decision;
-      inst.decision_round = rec.decision_round;
-      inst.phase = Phase::kDone;
-      inst.decide_broadcast = true;
-      gc_.mark(cid);
-      continue;
-    }
-    if (!rec.started) continue;
-    ++replayed;
-    if (rec.round < 1) {
-      // Crashed inside the propose append: round 1 was never entered, so
-      // enter it now (first estimate send included).
-      advance_round(cid, inst);
-    } else {
-      // Re-enter the logged round *without* re-running round entry: the
-      // round-r estimate left this host before the round was logged, so a
-      // re-send would double-count in the coordinator's estimate tally.
-      inst.round = rec.round;
-      inst.replay_round = rec.round;
-      if (coordinator_of(cid, inst, inst.round) == process().id()) {
-        inst.phase = Phase::kCoordWaitEst;
-        // Our own contribution was volatile; peers re-send theirs on REPLAYQ.
-        record_estimate(cid, inst, inst.round, inst.estimate, inst.ts);
-      } else {
-        inst.phase = Phase::kWaitProp;
-      }
-    }
-    if (inst.decided || inst.decide_pending) continue;  // n = 1 corner
-    Message q;
-    q.kind = MsgKind::kReplayQuery;
-    q.cid = cid;
-    q.round = inst.round;
-    bcast(inst, q);
-  }
-  log_.note_replayed(replayed);
-  SANPERF_AUDIT_ONLY(audit_check_replay();)
-}
-
-#if SANPERF_AUDIT_ENABLED
-void CtConsensus::audit_check_sender(const Instance& inst, const Message& m) const {
-  // Quorum membership: traffic for an instance must come from the member
-  // set of the epoch it runs under (Message::view_epoch pins the epoch at
-  // first touch), so no quorum can be assembled across epoch boundaries.
-  if (view_ == nullptr) {
-    SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                        m.from < static_cast<HostId>(process().n()),
-                        "sender " + std::to_string(m.from) + " outside the fixed group");
-    return;
-  }
-  SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                      inst.epoch <= view_->epoch() &&
-                          view_->is_member_at(inst.epoch, static_cast<MemberId>(m.from)),
-                      "sender " + std::to_string(m.from) + " not a member of epoch " +
-                          std::to_string(inst.epoch) + " (instance " + std::to_string(m.cid) +
-                          ")");
-}
-
-void CtConsensus::audit_check_replay() {
-  // Durable replay must reproduce the pre-crash trajectory: every decided
-  // instance comes back with the same value, every started in-flight one
-  // re-enters a round no earlier than the one it crashed in.
-  for (const auto& [cid, snap] : audit_.precrash) {
-    if (gc_.collected(cid)) continue;
-    const auto it = instances_.find(cid);
-    if (it == instances_.end()) {
-      SANPERF_AUDIT_CHECK("consensus.replay_matches_precrash", false,
-                          "instance " + std::to_string(cid) + " lost across replay");
-      continue;
-    }
-    const Instance& inst = it->second;
-    if (snap.decided) {
-      SANPERF_AUDIT_CHECK(
-          "consensus.replay_matches_precrash",
-          inst.decided && detail::LayerAudit::hash_values(inst.decision) == snap.decision_hash,
-          "instance " + std::to_string(cid) + " decision changed across replay");
-    } else {
-      SANPERF_AUDIT_CHECK("consensus.replay_matches_precrash", inst.round >= snap.round,
-                          "instance " + std::to_string(cid) + " replayed into round " +
-                              std::to_string(inst.round) + " behind pre-crash round " +
-                              std::to_string(snap.round));
-    }
-  }
-  audit_.precrash.clear();
-}
-
-void CtConsensus::audit_corrupt_clear_decided(std::int32_t cid) {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end()) return;
-  it->second.decided = false;
-  it->second.decide_pending = false;
-  it->second.decide_broadcast = true;  // the corrupted re-decide must not re-flood
-}
-#endif
-
-void CtConsensus::handle_replay_query(const Message& m) {
-  const auto it = instances_.find(m.cid);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decide_pending) return;  // our own record is still landing
-  if (inst.decided) {
-    Message dec;
-    dec.kind = MsgKind::kDecide;
-    dec.cid = m.cid;
-    dec.round = inst.decision_round;
-    detail::set_payload(dec, inst.decision);
-    ucast(inst, dec, m.from);
-    return;
-  }
+void CtConsensus::answer_replay_query(Instance& inst, const Message& m) {
   if (!inst.started || inst.round < 1) return;
   const std::int32_t r = inst.round;
   if (inst.phase == Phase::kWaitProp && coordinator_of(m.cid, inst, r) == m.from) {
@@ -590,31 +214,6 @@ void CtConsensus::handle_replay_query(const Message& m) {
     ucast(inst, prop, m.from);
     ++stats_.proposals_sent;
   }
-}
-
-bool CtConsensus::has_decided(std::int32_t cid) const {
-  if (gc_.collected(cid)) return true;
-  const auto it = instances_.find(cid);
-  return it != instances_.end() && it->second.decided;
-}
-
-std::int64_t CtConsensus::decision(std::int32_t cid) const {
-  const std::vector<std::int64_t>& values = decision_values(cid);
-  return values.empty() ? 0 : values.front();
-}
-
-const std::vector<std::int64_t>& CtConsensus::decision_values(std::int32_t cid) const {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end() || !it->second.decided) {
-    throw std::logic_error{"CtConsensus: no decision yet"};
-  }
-  return it->second.decision;
-}
-
-std::int32_t CtConsensus::rounds_used(std::int32_t cid) const {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end()) return 0;
-  return it->second.decided ? it->second.decision_round : it->second.round;
 }
 
 }  // namespace sanperf::consensus

@@ -1,120 +1,12 @@
 #include "consensus/mr_consensus.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "consensus/payload.hpp"
 
 namespace sanperf::consensus {
 
-MrConsensus::MrConsensus(FailureDetector& fd) : fd_{&fd} {}
-
-void MrConsensus::on_start() {
-  fd_->add_listener([this](HostId peer, bool suspected) { on_suspicion(peer, suspected); });
-}
-
-HostId MrConsensus::coordinator_of(std::int32_t cid, const Instance& inst,
-                                   std::int32_t round) const {
-  if (view_ == nullptr) {
-    const auto n = static_cast<std::int32_t>(process().n());
-    const std::int32_t offset = rotate_coordinators_ ? cid % n : 0;
-    return static_cast<HostId>((offset + round - 1) % n);
-  }
-  const std::vector<MemberId>& members = view_->members_at(inst.epoch);
-  const auto m = static_cast<std::int32_t>(members.size());
-  const std::int32_t offset = rotate_coordinators_ ? cid % m : 0;
-  return static_cast<HostId>(members[static_cast<std::size_t>((offset + round - 1) % m)]);
-}
-
-std::int32_t MrConsensus::majority(const Instance& inst) const {
-  const std::size_t group =
-      view_ == nullptr ? process().n() : view_->members_at(inst.epoch).size();
-  return static_cast<std::int32_t>(group / 2 + 1);
-}
-
-void MrConsensus::ucast(const Instance& inst, Message m, HostId dst) {
-  m.view_epoch = inst.epoch;
-  process().send(std::move(m), dst);
-}
-
-void MrConsensus::bcast(const Instance& inst, Message m) {
-  m.view_epoch = inst.epoch;
-  if (view_ == nullptr) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  // Full-coverage epochs take the pooled single-frame broadcast (identical
-  // fan-out; see CtConsensus::bcast).
-  const std::vector<MemberId>& members = view_->members_at(inst.epoch);
-  if (covers_all_hosts(members, process().n())) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  for (const MemberId peer : members) {
-    if (static_cast<HostId>(peer) == process().id()) continue;
-    process().send(m, static_cast<HostId>(peer));
-  }
-}
-
-void MrConsensus::durable_apply(std::function<void()> fn) {
-  if (!log_.enabled()) {
-    fn();
-    return;
-  }
-  const double delay = log_.charge_ms(process().now().to_ms());
-  if (!(delay > 0)) {
-    fn();
-    return;
-  }
-  process().set_timer(des::Duration::from_ms(delay), std::move(fn));
-}
-
-void MrConsensus::record_state(std::int32_t cid, const Instance& inst) {
-  if (!log_.enabled()) return;
-  DurableLog::InstanceState& rec = log_.state(cid);
-  rec.started = inst.started;
-  rec.estimate = inst.estimate;
-  rec.round = inst.round;
-  rec.epoch = inst.epoch;
-  rec.aux_sent = false;  // send_aux re-records once the round's vote is cast
-}
-
-void MrConsensus::propose(std::int32_t cid, std::int64_t value) {
-  propose(cid, std::vector<std::int64_t>{value});
-}
-
-void MrConsensus::propose(std::int32_t cid, std::vector<std::int64_t> values) {
-  gc_.sweep(instances_);
-  if (log_.enabled()) log_.compact(gc_.floor());  // log tracks the GC watermark
-  if (gc_.collected(cid)) return;  // decided before we proposed, state gone
-  Instance& inst = instance(cid);
-  if (inst.started) throw std::logic_error{"MrConsensus: instance already proposed"};
-  inst.started = true;
-  touch_epoch(inst, view_ != nullptr ? view_->epoch() : 0);
-  if (inst.decided) {
-    if (on_decide_) {
-      const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
-      on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
-                  inst.decision});
-    }
-    return;
-  }
-  if (inst.decide_pending) return;  // finish_decide reports once the record lands
-  inst.estimate = std::move(values);
-  if (!log_.enabled()) {
-    advance_round(cid, inst);
-    return;
-  }
-  // Write-ahead: the proposal record persists before round 1 is entered.
-  record_state(cid, inst);
-  durable_apply([this, cid] {
-    const auto it = instances_.find(cid);
-    if (it == instances_.end() || gc_.collected(cid)) return;
-    Instance& i = it->second;
-    if (i.round == 0 && !i.decided && !i.decide_pending) advance_round(cid, i);
-  });
-}
+template class ConsensusLayer<MrConsensus, detail::MrInstance>;
 
 void MrConsensus::advance_round(std::int32_t cid, Instance& inst) {
   ++inst.round;
@@ -158,7 +50,6 @@ void MrConsensus::send_aux(std::int32_t cid, Instance& inst, bool bottom,
   aux.kind = MsgKind::kAux;
   aux.cid = cid;
   aux.round = r;
-  aux.view_epoch = inst.epoch;
   detail::set_payload(aux, value);
   aux.ts = bottom ? 1 : 0;  // ts doubles as the bottom flag
   if (log_.enabled()) {
@@ -171,33 +62,11 @@ void MrConsensus::send_aux(std::int32_t cid, Instance& inst, bool bottom,
     rec.aux_value = value;
     inst.sent_aux.emplace(r, aux);
   }
-  const std::uint32_t epoch = inst.epoch;
-  durable_apply([this, epoch, aux = std::move(aux)] {
-    if (view_ == nullptr) {
-      process().broadcast(aux);
-      return;
-    }
-    const std::vector<MemberId>& members = view_->members_at(epoch);
-    if (covers_all_hosts(members, process().n())) {
-      process().broadcast(aux);
-      return;
-    }
-    for (const MemberId peer : members) {
-      if (static_cast<HostId>(peer) == process().id()) continue;
-      process().send(aux, static_cast<HostId>(peer));
-    }
-  });
+  bcast_logged(inst, std::move(aux));
   ++stats_.aux_broadcasts;
   if (bottom) ++stats_.bottom_aux;
 
-  // Record our own AUX locally (a process counts itself).
-  AuxSet& set = inst.aux[r];
-  if (bottom) {
-    ++set.bottom_count;
-  } else {
-    ++set.value_count;
-    set.value = value;
-  }
+  inst.aux[r].add(bottom, value);  // a process counts its own AUX
   inst.phase = Phase::kWaitAux;
   maybe_conclude(cid, inst);
 }
@@ -205,7 +74,7 @@ void MrConsensus::send_aux(std::int32_t cid, Instance& inst, bool bottom,
 void MrConsensus::maybe_conclude(std::int32_t cid, Instance& inst) {
   if (inst.phase != Phase::kWaitAux) return;
   const std::int32_t r = inst.round;
-  AuxSet& set = inst.aux[r];
+  detail::AuxSet& set = inst.aux[r];
   if (set.value_count + set.bottom_count < majority(inst)) return;
 
   // Phase 3 on the first majority of AUX values.
@@ -217,85 +86,7 @@ void MrConsensus::maybe_conclude(std::int32_t cid, Instance& inst) {
   advance_round(cid, inst);
 }
 
-void MrConsensus::decide(std::int32_t cid, Instance& inst, const std::vector<std::int64_t>& value,
-                         std::int32_t round) {
-  if (inst.decided || inst.decide_pending) return;
-  inst.decision = value;
-  inst.decision_round = round;
-  inst.phase = Phase::kDone;
-  if (!log_.enabled()) {
-    finish_decide(cid, inst);
-    return;
-  }
-  // Write-ahead: the decision record persists before delivery and
-  // dissemination (see CtConsensus::decide for the crash-window contract).
-  inst.decide_pending = true;
-  record_state(cid, inst);
-  DurableLog::InstanceState& rec = log_.state(cid);
-  rec.decided = true;
-  rec.decision = value;
-  rec.decision_round = round;
-  durable_apply([this, cid] {
-    const auto it = instances_.find(cid);
-    if (it == instances_.end() || !it->second.decide_pending) return;
-    finish_decide(cid, it->second);
-  });
-}
-
-void MrConsensus::finish_decide(std::int32_t cid, Instance& inst) {
-#if SANPERF_AUDIT_ENABLED
-  // One decision per instance per incarnation (see CtConsensus).
-  SANPERF_AUDIT_CHECK(
-      "consensus.no_double_decide",
-      audit_.decided.emplace(cid, detail::LayerAudit::hash_values(inst.decision)).second,
-      "instance " + std::to_string(cid) + " decided twice on host " +
-          std::to_string(process().id()));
-#endif
-  inst.decided = true;
-  inst.decide_pending = false;
-  if (on_decide_ && inst.started) {
-    const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
-    on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
-                inst.decision});
-  }
-  if (!inst.decide_broadcast) {
-    inst.decide_broadcast = true;
-    Message dec;
-    dec.kind = MsgKind::kDecide;
-    dec.cid = cid;
-    dec.round = inst.decision_round;
-    detail::set_payload(dec, inst.decision);
-    bcast(inst, dec);
-  }
-  gc_.mark(cid);  // terminal: collected at the next entry-point sweep
-}
-
-void MrConsensus::on_message(const Message& m) {
-  if (m.kind != MsgKind::kCoordEst && m.kind != MsgKind::kAux && m.kind != MsgKind::kDecide &&
-      m.kind != MsgKind::kReplayQuery) {
-    return;
-  }
-  gc_.sweep(instances_);
-  if (gc_.collected(m.cid)) return;  // stale traffic for a collected instance
-  if (m.kind == MsgKind::kReplayQuery) {
-    handle_replay_query(m);  // find, never create
-    return;
-  }
-  Instance& inst = instance(m.cid);
-  touch_epoch(inst, m.view_epoch);
-#if SANPERF_AUDIT_ENABLED
-  audit_check_sender(inst, m);
-  if (m.kind == MsgKind::kDecide && inst.decided) {
-    // Agreement: every DECIDE for an instance must carry the value this
-    // host already decided.
-    SANPERF_AUDIT_CHECK("consensus.decision_agreement",
-                        inst.decision.empty() || detail::payload_of(m) == inst.decision,
-                        "conflicting DECIDE for instance " + std::to_string(m.cid) +
-                            " from host " + std::to_string(m.from));
-  }
-#endif
-  if (inst.decided || inst.decide_pending) return;
-
+void MrConsensus::on_round_message(Instance& inst, const Message& m) {
   switch (m.kind) {
     case MsgKind::kCoordEst:
       inst.coord_ests.emplace(m.round, detail::payload_of(m));
@@ -305,9 +96,8 @@ void MrConsensus::on_message(const Message& m) {
       break;
 
     case MsgKind::kAux: {
-      // Restored-round dedup: drop a REPLAYQ re-send racing the original.
-      if (m.round == inst.replay_round && !inst.replay_seen.insert(m.from).second) break;
-      AuxSet& set = inst.aux[m.round];
+      if (inst.replay_duplicate(m)) break;
+      detail::AuxSet& set = inst.aux[m.round];
       if (m.ts != 0) {
         ++set.bottom_count;
       } else {
@@ -318,169 +108,33 @@ void MrConsensus::on_message(const Message& m) {
       break;
     }
 
-    case MsgKind::kDecide:
-      inst.decide_broadcast = !relay_decide_;
-      decide(m.cid, inst, detail::payload_of(m), m.round);
-      break;
-
     default:
       break;
   }
 }
 
-void MrConsensus::on_suspicion(HostId peer, bool suspected) {
-  if (!suspected) return;
-  for (auto& [cid, inst] : instances_) {
-    if (inst.started && !inst.decided && inst.phase == Phase::kWaitCoord &&
-        coordinator_of(cid, inst, inst.round) == peer) {
-      send_aux(cid, inst, /*bottom=*/true, {});
-    }
+void MrConsensus::on_suspected(std::int32_t cid, Instance& inst, HostId peer) {
+  // Only a process still waiting for the suspect's estimate reacts.
+  if (inst.phase == Phase::kWaitCoord && coordinator_of(cid, inst, inst.round) == peer) {
+    send_aux(cid, inst, /*bottom=*/true, {});
   }
 }
 
-void MrConsensus::on_crash() {
-#if SANPERF_AUDIT_ENABLED
-  // Snapshot what a durable replay must reproduce (see CtConsensus).
-  audit_.precrash.clear();
-  for (const auto& [cid, inst] : instances_) {
-    if (!inst.started && !inst.decided && !inst.decide_pending) continue;
-    detail::LayerAudit::Snapshot snap;
-    snap.round = inst.round;
-    snap.decided = inst.decided || inst.decide_pending;
-    snap.decision_hash = detail::LayerAudit::hash_values(inst.decision);
-    audit_.precrash.emplace(cid, snap);
-  }
-#endif
-}
-
-void MrConsensus::on_restart() {
-  instances_.clear();
-  if (!log_.enabled()) {
-    // Volatile restart: the audit ledgers reset with the state (a fresh
-    // incarnation may legitimately re-learn old decisions).
-    SANPERF_AUDIT_ONLY(audit_.decided.clear(); audit_.precrash.clear();)
+void MrConsensus::reenter_round(std::int32_t cid, Instance& inst,
+                                const DurableLog::InstanceState& rec) {
+  if (!rec.aux_sent) {
+    inst.phase = Phase::kWaitCoord;
     return;
   }
-  log_.compact(gc_.floor());
-  std::uint64_t replayed = 0;
-  const auto entries = log_.entries();  // snapshot; see CtConsensus::on_restart
-  for (const auto& [cid, rec] : entries) {
-    if (gc_.collected(cid)) continue;
-    Instance& inst = instance(cid);
-    inst.started = rec.started;
-    inst.epoch = rec.epoch;
-    inst.epoch_set = true;
-    inst.estimate = rec.estimate;
-    if (rec.decided) {
-      inst.decided = true;
-      inst.decision = rec.decision;
-      inst.decision_round = rec.decision_round;
-      inst.phase = Phase::kDone;
-      inst.decide_broadcast = true;  // never re-report or re-broadcast
-      gc_.mark(cid);
-      continue;
-    }
-    if (!rec.started) continue;
-    ++replayed;
-    if (rec.round < 1) {
-      advance_round(cid, inst);  // crashed inside the propose append
-    } else {
-      inst.round = rec.round;
-      inst.replay_round = rec.round;
-      if (rec.aux_sent) {
-        // Rebuild exactly our logged vote for the round: peers already
-        // counted the broadcast, so only the local tally is restored; their
-        // votes come back via REPLAYQ.
-        AuxSet& set = inst.aux[inst.round];
-        if (rec.aux_bottom) {
-          ++set.bottom_count;
-        } else {
-          ++set.value_count;
-          set.value = rec.aux_value;
-        }
-        inst.phase = Phase::kWaitAux;
-        maybe_conclude(cid, inst);  // n = 1 corner
-      } else {
-        inst.phase = Phase::kWaitCoord;
-      }
-    }
-    if (inst.decided || inst.decide_pending) continue;
-    Message q;
-    q.kind = MsgKind::kReplayQuery;
-    q.cid = cid;
-    q.round = inst.round;
-    bcast(inst, q);
-  }
-  log_.note_replayed(replayed);
-  SANPERF_AUDIT_ONLY(audit_check_replay();)
+  // Rebuild exactly our logged vote for the round: peers already counted
+  // the broadcast, so only the local tally is restored; their votes come
+  // back via REPLAYQ.
+  inst.aux[inst.round].add(rec.aux_bottom, rec.aux_value);
+  inst.phase = Phase::kWaitAux;
+  maybe_conclude(cid, inst);  // n = 1 corner
 }
 
-#if SANPERF_AUDIT_ENABLED
-void MrConsensus::audit_check_sender(const Instance& inst, const Message& m) const {
-  // Quorum membership (see CtConsensus::audit_check_sender).
-  if (view_ == nullptr) {
-    SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                        m.from < static_cast<HostId>(process().n()),
-                        "sender " + std::to_string(m.from) + " outside the fixed group");
-    return;
-  }
-  SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                      inst.epoch <= view_->epoch() &&
-                          view_->is_member_at(inst.epoch, static_cast<MemberId>(m.from)),
-                      "sender " + std::to_string(m.from) + " not a member of epoch " +
-                          std::to_string(inst.epoch) + " (instance " + std::to_string(m.cid) +
-                          ")");
-}
-
-void MrConsensus::audit_check_replay() {
-  // Durable replay must reproduce the pre-crash trajectory (see CtConsensus).
-  for (const auto& [cid, snap] : audit_.precrash) {
-    if (gc_.collected(cid)) continue;
-    const auto it = instances_.find(cid);
-    if (it == instances_.end()) {
-      SANPERF_AUDIT_CHECK("consensus.replay_matches_precrash", false,
-                          "instance " + std::to_string(cid) + " lost across replay");
-      continue;
-    }
-    const Instance& inst = it->second;
-    if (snap.decided) {
-      SANPERF_AUDIT_CHECK(
-          "consensus.replay_matches_precrash",
-          inst.decided && detail::LayerAudit::hash_values(inst.decision) == snap.decision_hash,
-          "instance " + std::to_string(cid) + " decision changed across replay");
-    } else {
-      SANPERF_AUDIT_CHECK("consensus.replay_matches_precrash", inst.round >= snap.round,
-                          "instance " + std::to_string(cid) + " replayed into round " +
-                              std::to_string(inst.round) + " behind pre-crash round " +
-                              std::to_string(snap.round));
-    }
-  }
-  audit_.precrash.clear();
-}
-
-void MrConsensus::audit_corrupt_clear_decided(std::int32_t cid) {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end()) return;
-  it->second.decided = false;
-  it->second.decide_pending = false;
-  it->second.decide_broadcast = true;  // the corrupted re-decide must not re-flood
-}
-#endif
-
-void MrConsensus::handle_replay_query(const Message& m) {
-  const auto it = instances_.find(m.cid);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decide_pending) return;  // our own record is still landing
-  if (inst.decided) {
-    Message dec;
-    dec.kind = MsgKind::kDecide;
-    dec.cid = m.cid;
-    dec.round = inst.decision_round;
-    detail::set_payload(dec, inst.decision);
-    ucast(inst, dec, m.from);
-    return;
-  }
+void MrConsensus::answer_replay_query(Instance& inst, const Message& m) {
   // If we coordinated the querier's round, re-send the estimate broadcast it
   // missed while down (a querier parked in kWaitCoord can only resume on a
   // COORDEST or a suspicion). coord_ests buffering dedups on its side.
@@ -502,31 +156,6 @@ void MrConsensus::handle_replay_query(const Message& m) {
     ucast(inst, sent->second, m.from);
     ++stats_.aux_broadcasts;
   }
-}
-
-bool MrConsensus::has_decided(std::int32_t cid) const {
-  if (gc_.collected(cid)) return true;
-  const auto it = instances_.find(cid);
-  return it != instances_.end() && it->second.decided;
-}
-
-std::int64_t MrConsensus::decision(std::int32_t cid) const {
-  const std::vector<std::int64_t>& values = decision_values(cid);
-  return values.empty() ? 0 : values.front();
-}
-
-const std::vector<std::int64_t>& MrConsensus::decision_values(std::int32_t cid) const {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end() || !it->second.decided) {
-    throw std::logic_error{"MrConsensus: no decision yet"};
-  }
-  return it->second.decision;
-}
-
-std::int32_t MrConsensus::rounds_used(std::int32_t cid) const {
-  const auto it = instances_.find(cid);
-  if (it == instances_.end()) return 0;
-  return it->second.decided ? it->second.decision_round : it->second.round;
 }
 
 }  // namespace sanperf::consensus

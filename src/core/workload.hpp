@@ -56,7 +56,7 @@ struct WorkloadConfig {
   /// outlive the run.
   const faults::FaultPlan* fault_plan = nullptr;
   /// Rotate the round-1 coordinator per instance (`cid % n`) instead of
-  /// pinning host 0 (see CtConsensus::set_rotate_coordinators). Off by
+  /// pinning host 0 (see ConsensusLayer::set_rotate_coordinators). Off by
   /// default: paper-pinned scenarios and their goldens keep host 0.
   bool rotate_coordinators = false;
   /// Stable-storage write-ahead log (consensus/durable_log.hpp): estimate,

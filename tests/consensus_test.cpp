@@ -1,13 +1,17 @@
 // Tests of the Chandra-Toueg consensus layer: safety (agreement, validity),
 // liveness in all three run classes, crash handling and the sequencer.
-// Includes parameterized safety sweeps across n, crash patterns and seeds.
+// Includes parameterized safety sweeps across n, crash patterns and seeds,
+// and a typed suite over the instance lifecycle both protocols share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "consensus/ct_consensus.hpp"
+#include "consensus/mr_consensus.hpp"
 #include "consensus/sequencer.hpp"
 #include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -145,31 +149,35 @@ TEST(CtConsensusTest, RelayDecideAlsoAgrees) {
   EXPECT_EQ(values.size(), 1u);
 }
 
-TEST(CtConsensusTest, ProposeTwiceRejected) {
+// The instance lifecycle (propose, accessors) is shared by both protocols.
+template <typename Layer>
+class ConsensusLayerTest : public ::testing::Test {};
+
+struct LayerName {
+  template <typename Layer>
+  static std::string GetName(int /*index*/) {
+    return std::is_same_v<Layer, CtConsensus> ? "Ct" : "Mr";
+  }
+};
+
+using ConsensusLayers = ::testing::Types<CtConsensus, MrConsensus>;
+TYPED_TEST_SUITE(ConsensusLayerTest, ConsensusLayers, LayerName);
+
+TYPED_TEST(ConsensusLayerTest, ProposeTwiceRejectedAndAccessorsBeforeDecision) {
   Cluster cluster{base_config(3, 8)};
   for (HostId i = 0; i < 3; ++i) {
     auto& proc = cluster.process(i);
     auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<CtConsensus>(fd_layer);
+    proc.add_layer<TypeParam>(fd_layer);
   }
   cluster.run_until(des::TimePoint::origin());
-  auto& cons = cluster.process(0).layer<CtConsensus>();
-  cons.propose(0, 1);
-  EXPECT_THROW(cons.propose(0, 2), std::logic_error);
-}
-
-TEST(CtConsensusTest, AccessorsBeforeDecision) {
-  Cluster cluster{base_config(3, 9)};
-  for (HostId i = 0; i < 3; ++i) {
-    auto& proc = cluster.process(i);
-    auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<CtConsensus>(fd_layer);
-  }
-  cluster.run_until(des::TimePoint::origin());
-  const auto& cons = cluster.process(0).layer<CtConsensus>();
+  auto& cons = cluster.process(0).layer<TypeParam>();
   EXPECT_FALSE(cons.has_decided(0));
   EXPECT_THROW((void)cons.decision(0), std::logic_error);
+  EXPECT_THROW((void)cons.decision_values(0), std::logic_error);
   EXPECT_EQ(cons.rounds_used(0), 0);
+  cons.propose(0, 1);
+  EXPECT_THROW(cons.propose(0, 2), std::logic_error);
 }
 
 // Safety sweep: agreement + validity over (n, crash, seed) combinations.

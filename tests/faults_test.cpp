@@ -401,7 +401,7 @@ TEST(FaultHarnessTest, Class3RunSurvivesPermanentInitialCrash) {
 
 TEST(FaultHarnessTest, MrLosesVolatileStateAcrossRecoveryLikeCt) {
   // Crash + warm restart mid-execution under MR: the rebooted participant
-  // re-enters state-free (MrConsensus::on_restart) and the majority still
+  // re-enters state-free (ConsensusLayer::on_restart) and the majority still
   // decides.
   const FaultPlan plan{{FaultPlan::crash_recover(1, 1.2, 2.0)}};
   core::WorkloadConfig cfg;

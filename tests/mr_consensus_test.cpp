@@ -108,21 +108,6 @@ TEST(MrConsensusTest, ParticipantCrashStillOneRound) {
   EXPECT_EQ(out.first_rounds, 1);
 }
 
-TEST(MrConsensusTest, ProposeTwiceRejectedAndAccessors) {
-  Cluster cluster{base_config(3, 4)};
-  for (HostId i = 0; i < 3; ++i) {
-    auto& proc = cluster.process(i);
-    auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<MrConsensus>(fd_layer);
-  }
-  cluster.run_until(des::TimePoint::origin());
-  auto& cons = cluster.process(0).layer<MrConsensus>();
-  EXPECT_FALSE(cons.has_decided(0));
-  EXPECT_THROW((void)cons.decision(0), std::logic_error);
-  cons.propose(0, 7);
-  EXPECT_THROW(cons.propose(0, 8), std::logic_error);
-}
-
 // Safety sweep mirroring the CT one.
 struct SafetyParam {
   std::size_t n;
