@@ -131,6 +131,19 @@ void MrConsensus::reenter_round(std::int32_t cid, Instance& inst,
   // back via REPLAYQ.
   inst.aux[inst.round].add(rec.aux_bottom, rec.aux_value);
   inst.phase = Phase::kWaitAux;
+  if (!rec.aux_bottom && coordinator_of(cid, inst, inst.round) == process().id()) {
+    // We coordinate this round, and our estimate broadcast may have died in
+    // the crash (still queued on our CPU). Peers waiting for it hold no
+    // suspicion and nothing to answer a REPLAYQ with, so re-send it: the
+    // logged vote is that estimate, and a receiver ignores a duplicate.
+    Message est;
+    est.kind = MsgKind::kCoordEst;
+    est.cid = cid;
+    est.round = inst.round;
+    detail::set_payload(est, rec.aux_value);
+    bcast(inst, est);
+    ++stats_.coord_broadcasts;
+  }
   maybe_conclude(cid, inst);  // n = 1 corner
 }
 

@@ -554,7 +554,27 @@ TEST(SequencerGcTest, GcDoesNotChangeSequencedResults) {
 // Durable recovery & dynamic membership
 // --------------------------------------------------------------------------
 
-TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
+// Durable recovery is the shared consensus lifecycle's; every case runs on
+// both protocols.
+class DurableWorkloadTest : public ::testing::TestWithParam<core::Algorithm> {
+ protected:
+  static core::WorkloadConfig config(std::size_t n, std::uint64_t seed) {
+    auto cfg = base_config(n, seed);
+    cfg.algorithm = GetParam();
+    return cfg;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, DurableWorkloadTest,
+                         ::testing::Values(core::Algorithm::kChandraToueg,
+                                           core::Algorithm::kMostefaouiRaynal),
+                         [](const ::testing::TestParamInfo<core::Algorithm>& info) {
+                           return std::string{info.param == core::Algorithm::kChandraToueg
+                                                  ? "Ct"
+                                                  : "Mr"};
+                         });
+
+TEST_P(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   // Durable on with zero append latency and no faults: the log records
   // everything but never touches the event queue or an RNG, so the stream
   // is bit-identical to the volatile engine.
@@ -563,9 +583,9 @@ TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   spec.offered_per_s = 400;
   spec.warmup = 5;
   spec.measured = 60;
-  auto durable_cfg = base_config(3, 42);
+  auto durable_cfg = config(3, 42);
   durable_cfg.durable_log = true;
-  const auto volatile_run = core::run_workload(base_config(3, 42), spec);
+  const auto volatile_run = core::run_workload(config(3, 42), spec);
   const auto durable_run = core::run_workload(durable_cfg, spec);
   expect_same_stream(volatile_run, durable_run);
   EXPECT_GT(durable_run.durable_appends, 0u);
@@ -573,7 +593,7 @@ TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   EXPECT_EQ(volatile_run.durable_appends, 0u);
 }
 
-TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
+TEST_P(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   // A burst is in flight when host 0 (the pinned round-1 coordinator under
   // a static detector) crashes. Volatile recovery forgets the in-flight
   // instances, so they stall to the give-up deadline; durable replay
@@ -586,7 +606,7 @@ TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   spec.instance_timeout_ms = 500.0;
   faults::FaultPlan plan;
   plan.add(faults::FaultPlan::crash_recover(0, 12, 30));
-  auto cfg = base_config(3, 42);
+  auto cfg = config(3, 42);
   cfg.fault_plan = &plan;
   auto durable_cfg = cfg;
   durable_cfg.durable_log = true;  // append latency 0: same timing, plus replay
@@ -596,9 +616,12 @@ TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   EXPECT_GT(durable_run.instances_replayed, 0u);
   EXPECT_LT(durable_run.stats.undecided, volatile_run.stats.undecided);
   EXPECT_GT(durable_run.stats.decided, volatile_run.stats.decided);
+  // Every in-flight instance rejoins, including those whose round-1
+  // coordinator traffic died in the crash (MR re-sends the estimate).
+  EXPECT_EQ(durable_run.stats.undecided, 0u);
 }
 
-TEST(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
+TEST_P(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
   // Four consecutive crash/recover cycles on one host under saturating
   // load with a bounded pipeline window (kept full, so every crash catches
   // in-flight instances): with the durable log, coordinator rotation, a
@@ -614,7 +637,7 @@ TEST(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
   spec.pipeline_window = 8;
   spec.instance_timeout_ms = 200.0;
   spec.resubmit_undecided = true;
-  auto cfg = base_config(3, 43);
+  auto cfg = config(3, 43);
   cfg.fault_plan = &plan;
   cfg.heartbeat_timeout_ms = 10.0;
   cfg.rotate_coordinators = true;
