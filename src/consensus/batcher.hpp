@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -61,10 +62,11 @@ class Batcher {
   };
 
   /// `sim` must outlive the batcher; `on_close` receives every closed batch
-  /// (in submission order) with the reason that closed it.
+  /// (in submission order) with the reason that closed it. A max_batch of
+  /// 0 is rejected (std::invalid_argument).
   Batcher(des::Simulator& sim, BatcherConfig cfg, CloseFn on_close)
       : sim_{&sim}, cfg_{cfg}, on_close_{std::move(on_close)} {
-    if (cfg_.max_batch == 0) cfg_.max_batch = 1;
+    if (cfg_.max_batch == 0) throw std::invalid_argument{"Batcher: max_batch must be >= 1"};
   }
 
   Batcher(const Batcher&) = delete;

@@ -216,6 +216,10 @@ void validate(const WorkloadSpec& spec) {
   if (spec.arrivals == ArrivalProcess::kOpenLoop && !(spec.offered_per_s > 0)) {
     throw std::invalid_argument{"run_workload: open loop needs offered_per_s > 0"};
   }
+  if (spec.arrivals == ArrivalProcess::kClosedLoop && spec.clients == 0) {
+    throw std::invalid_argument{"run_workload: closed loop needs clients >= 1"};
+  }
+  if (spec.batch_size == 0) throw std::invalid_argument{"run_workload: batch_size must be >= 1"};
   for (const auto& [value, field] : {std::pair{spec.start_ms, "start_ms"},
                                      std::pair{spec.separation_ms, "separation_ms"},
                                      std::pair{spec.think_ms, "think_ms"},
@@ -424,7 +428,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   };
 
   consensus::BatcherConfig bcfg;
-  bcfg.max_batch = std::max<std::size_t>(1, spec.batch_size);
+  bcfg.max_batch = spec.batch_size;
   bcfg.linger_ms = spec.batch_linger_ms;
   consensus::Batcher batcher{
       sim, bcfg,
@@ -571,7 +575,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     }
 
     case ArrivalProcess::kClosedLoop: {
-      const std::size_t clients = std::max<std::size_t>(1, spec.clients);
+      const std::size_t clients = spec.clients;
       std::size_t admitted = 0;  // values issued or promised to clients
       on_value_closed = [&, clients, admitted](std::size_t) mutable {
         // The client whose value just closed thinks, then submits the next

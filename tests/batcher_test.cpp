@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "consensus/batcher.hpp"
@@ -58,6 +59,12 @@ TEST(BatcherTest, ClosesOnSizeSynchronously) {
   EXPECT_EQ(h.closed[0].batch[0].value, 10);
   EXPECT_EQ(h.closed[0].batch[2].value, 12);
   EXPECT_EQ(h.batcher.pending(), 0u);
+}
+
+TEST(BatcherTest, RejectsAZeroBatchSize) {
+  // A zero threshold used to be clamped to 1 silently.
+  EXPECT_THROW(Harness({.max_batch = 0, .linger_ms = 0.0}), std::invalid_argument);
+  EXPECT_NO_THROW(Harness({.max_batch = 1, .linger_ms = 0.0}));
 }
 
 TEST(BatcherTest, UnbatchedNeverTouchesTheEventQueue) {

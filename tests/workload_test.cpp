@@ -143,15 +143,17 @@ core::WorkloadConfig base_config(std::size_t n, std::uint64_t seed) {
   return cfg;
 }
 
+/// run_workload's rejection message for `spec`, or "accepted".
+std::string rejection(const core::WorkloadSpec& spec) {
+  try {
+    (void)core::run_workload(base_config(3, 1), spec);
+  } catch (const std::invalid_argument& e) {
+    return std::string{e.what()};
+  }
+  return "accepted";
+}
+
 TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteTimings) {
-  const auto message = [](const core::WorkloadSpec& spec) {
-    try {
-      (void)core::run_workload(base_config(3, 1), spec);
-    } catch (const std::invalid_argument& e) {
-      return std::string{e.what()};
-    }
-    return std::string{"accepted"};
-  };
   for (double core::WorkloadSpec::*field :
        {&core::WorkloadSpec::start_ms, &core::WorkloadSpec::separation_ms,
         &core::WorkloadSpec::think_ms, &core::WorkloadSpec::batch_linger_ms,
@@ -160,29 +162,46 @@ TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteTimings) {
       core::WorkloadSpec spec;
       spec.measured = 5;
       spec.*field = bad;
-      EXPECT_NE(message(spec).find("must be finite and >= 0"), std::string::npos) << bad;
+      EXPECT_NE(rejection(spec).find("must be finite and >= 0"), std::string::npos) << bad;
     }
   }
   core::WorkloadSpec spec;
   spec.measured = 5;
   spec.think_ms = -5;
-  EXPECT_EQ(message(spec), "run_workload: think_ms must be finite and >= 0");
+  EXPECT_EQ(rejection(spec), "run_workload: think_ms must be finite and >= 0");
   spec.think_ms = 0;
   spec.batch_linger_ms = -1;
-  EXPECT_EQ(message(spec), "run_workload: batch_linger_ms must be finite and >= 0");
+  EXPECT_EQ(rejection(spec), "run_workload: batch_linger_ms must be finite and >= 0");
   spec.batch_linger_ms = 0;
   for (const double bad : {0.0, -3.0}) {
     spec.instance_timeout_ms = bad;
-    EXPECT_EQ(message(spec), "run_workload: instance_timeout_ms must be finite and > 0");
+    EXPECT_EQ(rejection(spec), "run_workload: instance_timeout_ms must be finite and > 0");
   }
   // Zero timings stay valid: a simultaneous burst, no think, no linger.
   spec.instance_timeout_ms = 5000;
   spec.arrivals = core::ArrivalProcess::kClosedLoop;
-  EXPECT_EQ(message(spec), "accepted");
+  EXPECT_EQ(rejection(spec), "accepted");
   // A heartbeat timeout of zero is the detector's to reject.
   auto hb = base_config(3, 1);
   hb.heartbeat_timeout_ms = 0.0;
   EXPECT_THROW((void)core::run_workload(hb, spec), std::invalid_argument);
+}
+
+TEST(WorkloadEngineTest, RejectsZeroBatchSizeOrClients) {
+  // Both used to run as 1 under a row labelled 0.
+  core::WorkloadSpec spec;
+  spec.measured = 5;
+  spec.batch_size = 0;
+  EXPECT_EQ(rejection(spec), "run_workload: batch_size must be >= 1");
+  spec.batch_size = 1;
+  spec.arrivals = core::ArrivalProcess::kClosedLoop;
+  spec.clients = 0;
+  EXPECT_EQ(rejection(spec), "run_workload: closed loop needs clients >= 1");
+  // Zero clients only matter in a closed loop; an unlimited (0) pipeline
+  // window stays valid.
+  spec.arrivals = core::ArrivalProcess::kBurst;
+  spec.pipeline_window = 0;
+  EXPECT_EQ(rejection(spec), "accepted");
 }
 
 TEST(WorkloadEngineTest, StreamsAreDeterministic) {
