@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/parse_util.hpp"
 #include "core/report.hpp"
 #include "faults/plan.hpp"
 #include "faults/synth.hpp"
@@ -128,6 +129,48 @@ std::string axis_domain(const core::ParamAxis& axis) {
   return out;
 }
 
+/// The value after the flag at args[i]; advances i onto it.
+const std::string& flag_value(const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) throw std::invalid_argument{"missing value after " + args[i]};
+  return args[++i];
+}
+
+/// A non-negative integer flag value; the whole token must parse.
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  const std::int64_t v = core::detail::parse_int(text, flag);
+  if (v < 0) throw std::invalid_argument{flag + " must be >= 0, got '" + text + "'"};
+  return static_cast<std::uint64_t>(v);
+}
+
+/// Consumes the option at args[i] if it is one `run` and `knee` share
+/// (--set, --scale, --seed, --threads); false if it is none of them.
+bool parse_run_option(const std::vector<std::string>& args, std::size_t& i,
+                      core::RunOptions& options,
+                      std::unique_ptr<core::ReplicationRunner>& runner) {
+  const std::string& arg = args[i];
+  if (arg == "--set") {
+    const std::string& kv = flag_value(args, i);
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw std::invalid_argument{"--set expects axis=value[,value...], got '" + kv + "'"};
+    }
+    options.axis_overrides[kv.substr(0, eq)] = kv.substr(eq + 1);
+  } else if (arg == "--scale") {
+    options.scale = core::Scale::from_name(flag_value(args, i));
+  } else if (arg == "--seed") {
+    options.seed = parse_count(arg, flag_value(args, i));
+  } else if (arg == "--threads") {
+    const std::string& text = flag_value(args, i);
+    const std::int64_t n = core::detail::parse_int(text, arg);
+    if (n < 1) throw std::invalid_argument{"--threads must be >= 1, got '" + text + "'"};
+    runner = std::make_unique<core::ReplicationRunner>(static_cast<std::size_t>(n));
+    options.runner = runner.get();
+  } else {
+    return false;
+  }
+  return true;
+}
+
 int cmd_list(const core::Scale& scale) {
   const auto& registry = core::CampaignRegistry::global();
   core::print_banner(std::cout, "Registered scenarios (scale: " + scale.name() + ")");
@@ -223,29 +266,9 @@ int cmd_run(const std::vector<std::string>& args) {
 
   for (std::size_t i = first_flag; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument{"missing value after " + arg};
-      }
-      return args[++i];
-    };
-    if (arg == "--set") {
-      const std::string& kv = next();
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw std::invalid_argument{"--set expects axis=value[,value...], got '" + kv + "'"};
-      }
-      options.axis_overrides[kv.substr(0, eq)] = kv.substr(eq + 1);
-    } else if (arg == "--threads") {
-      const long n = std::stol(next());
-      if (n < 1) throw std::invalid_argument{"--threads must be >= 1"};
-      runner = std::make_unique<core::ReplicationRunner>(static_cast<std::size_t>(n));
-      options.runner = runner.get();
-    } else if (arg == "--scale") {
-      options.scale = core::Scale::from_name(next());
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
-    } else if (arg == "--format") {
+    const auto next = [&]() -> const std::string& { return flag_value(args, i); };
+    if (parse_run_option(args, i, options, runner)) continue;
+    if (arg == "--format") {
       format = next();
       if (format != "text" && format != "csv" && format != "json") {
         throw std::invalid_argument{"--format must be text, csv or json"};
@@ -392,37 +415,18 @@ int cmd_knee(const std::vector<std::string>& args) {
   std::unique_ptr<core::ReplicationRunner> runner;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument{"missing value after " + arg};
-      }
-      return args[++i];
-    };
+    const auto next = [&]() -> const std::string& { return flag_value(args, i); };
+    if (parse_run_option(args, i, options, runner)) continue;
     if (arg == "--axis") {
       axis_name = next();
     } else if (arg == "--target") {
-      target = std::stod(next());
+      const std::string& text = next();
+      target = core::detail::parse_real(text, arg);
       if (!(target > 0) || target > 1) {
-        throw std::invalid_argument{"--target must be in (0, 1]"};
+        throw std::invalid_argument{"--target must be in (0, 1], got '" + text + "'"};
       }
     } else if (arg == "--iters") {
-      iters = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--set") {
-      const std::string& kv = next();
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw std::invalid_argument{"--set expects axis=value[,value...], got '" + kv + "'"};
-      }
-      options.axis_overrides[kv.substr(0, eq)] = kv.substr(eq + 1);
-    } else if (arg == "--scale") {
-      options.scale = core::Scale::from_name(next());
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
-    } else if (arg == "--threads") {
-      const long n = std::stol(next());
-      if (n < 1) throw std::invalid_argument{"--threads must be >= 1"};
-      runner = std::make_unique<core::ReplicationRunner>(static_cast<std::size_t>(n));
-      options.runner = runner.get();
+      iters = static_cast<std::size_t>(parse_count(arg, next()));
     } else {
       std::cerr << "sanperf knee: unknown option '" << arg << "'\n";
       return usage(std::cerr, 2);
@@ -525,27 +529,23 @@ int cmd_plan(const std::vector<std::string>& args) {
   std::optional<std::string> spec_out_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument{"missing value after " + arg};
-      }
-      return args[++i];
-    };
+    const auto next = [&]() -> const std::string& { return flag_value(args, i); };
     if (arg == "--scope") {
       spec.scope = next();
     } else if (arg == "--domains") {
-      spec.domains = static_cast<std::size_t>(std::stoul(next()));
+      spec.domains = static_cast<std::size_t>(parse_count(arg, next()));
     } else if (arg == "--shape") {
-      spec.shape = std::stod(next());
+      spec.shape = core::detail::parse_real(next(), arg);
     } else if (arg == "--scale-ms") {
-      spec.scale_ms = std::stod(next());
+      spec.scale_ms = core::detail::parse_real(next(), arg);
     } else if (arg == "--horizon-ms") {
-      spec.horizon_ms = std::stod(next());
+      spec.horizon_ms = core::detail::parse_real(next(), arg);
     } else if (arg == "--downtime-ms") {
       const std::string& v = next();
-      spec.downtime_ms = (v == "inf" || v == "forever") ? faults::kForeverMs : std::stod(v);
+      spec.downtime_ms = (v == "inf" || v == "forever") ? faults::kForeverMs
+                                                        : core::detail::parse_real(v, arg);
     } else if (arg == "--seed") {
-      spec.seed = std::stoull(next());
+      spec.seed = parse_count(arg, next());
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--spec-out") {
@@ -684,7 +684,11 @@ int cmd_diff(const std::vector<std::string>& args) {
   std::set<std::string> ignore_cols;
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i] == "--tol" && i + 1 < args.size()) {
-      tol = std::stod(args[++i]);
+      const std::string& text = args[++i];
+      tol = core::detail::parse_real(text, "--tol");
+      if (!(std::isfinite(tol) && tol >= 0)) {
+        throw std::invalid_argument{"--tol must be finite and >= 0, got '" + text + "'"};
+      }
     } else if (args[i] == "--ignore-cols" && i + 1 < args.size()) {
       // Comma-separated column names excluded from the comparison (schema
       // still checked): wall-clock / machine-fact columns in goldens.
