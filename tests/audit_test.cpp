@@ -274,7 +274,7 @@ TEST_F(AuditTest, UnguardedPrecrashTimerTrips) {
 template <typename Layer>
 class ConsensusAuditTest : public AuditTest {
  protected:
-  /// The first message kind of the protocol's rounds.
+  /// A message kind only the protocol's own rounds use.
   static constexpr MsgKind kRoundKind =
       std::is_same_v<Layer, CtConsensus> ? MsgKind::kEstimate : MsgKind::kAux;
 };
