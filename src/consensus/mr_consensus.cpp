@@ -8,6 +8,20 @@ namespace sanperf::consensus {
 
 template class ConsensusLayer<MrConsensus, detail::MrInstance>;
 
+namespace {
+
+/// The coordinator's estimate for round `round` of instance `cid`.
+Message coord_est(std::int32_t cid, std::int32_t round, const std::vector<std::int64_t>& value) {
+  Message est;
+  est.kind = MsgKind::kCoordEst;
+  est.cid = cid;
+  est.round = round;
+  detail::set_payload(est, value);
+  return est;
+}
+
+}  // namespace
+
 void MrConsensus::advance_round(std::int32_t cid, Instance& inst) {
   ++inst.round;
   ++stats_.rounds_entered;
@@ -18,12 +32,7 @@ void MrConsensus::advance_round(std::int32_t cid, Instance& inst) {
   if (coord == process().id()) {
     // Phase 1: broadcast the coordinator's estimate; it reaches ourselves
     // instantly (we ARE the coordinator).
-    Message est;
-    est.kind = MsgKind::kCoordEst;
-    est.cid = cid;
-    est.round = r;
-    detail::set_payload(est, inst.estimate);
-    bcast(inst, est);
+    bcast(inst, coord_est(cid, r, inst.estimate));
     ++stats_.coord_broadcasts;
     send_aux(cid, inst, /*bottom=*/false, inst.estimate);
     return;
@@ -136,12 +145,7 @@ void MrConsensus::reenter_round(std::int32_t cid, Instance& inst,
     // the crash (still queued on our CPU). Peers waiting for it hold no
     // suspicion and nothing to answer a REPLAYQ with, so re-send it: the
     // logged vote is that estimate, and a receiver ignores a duplicate.
-    Message est;
-    est.kind = MsgKind::kCoordEst;
-    est.cid = cid;
-    est.round = inst.round;
-    detail::set_payload(est, rec.aux_value);
-    bcast(inst, est);
+    bcast(inst, coord_est(cid, inst.round, rec.aux_value));
     ++stats_.coord_broadcasts;
   }
   maybe_conclude(cid, inst);  // n = 1 corner
@@ -154,12 +158,7 @@ void MrConsensus::answer_replay_query(Instance& inst, const Message& m) {
   const auto sent = inst.sent_aux.find(m.round);
   if (coordinator_of(m.cid, inst, m.round) == process().id() &&
       sent != inst.sent_aux.end() && sent->second.ts == 0) {
-    Message est;
-    est.kind = MsgKind::kCoordEst;
-    est.cid = m.cid;
-    est.round = m.round;
-    detail::set_payload(est, detail::payload_of(sent->second));
-    ucast(inst, est, m.from);
+    ucast(inst, coord_est(m.cid, m.round, detail::payload_of(sent->second)), m.from);
     ++stats_.coord_broadcasts;
   }
   // Re-send our recorded AUX for the querier's round -- valid even after we
