@@ -21,7 +21,7 @@
 //                                           instance this host holds
 //
 // `InstanceT` derives from InstanceCore and nests the protocol's Phase enum,
-// which must name kIdle and kDone.
+// whose kDone marks a decided instance.
 #pragma once
 
 #include <cstdint>
