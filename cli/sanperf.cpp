@@ -9,6 +9,7 @@
 // repository used to carry. Grid enumeration goes through ShardSpace, so
 // every scenario is parallel (--threads / SANPERF_THREADS) with
 // bit-identical results at any thread count.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -54,11 +55,13 @@ int usage(std::ostream& os, int code) {
         "timeout_ms=10); restricted runs reproduce the matching subset of the\n"
         "full grid bit for bit. --set names an axis the scenario does not\n"
         "define -> error (--list-axes prints the scenario's axes and their\n"
-        "domains). --fault-plan injects the JSON fault plan into fault-aware\n"
-        "scenarios in place of their axis-derived plans. --all / --match\n"
-        "batch every (matching) registered scenario, writing one file per\n"
-        "scenario into --out-dir (--set applies where the axis exists; an\n"
-        "axis unknown to every matched scenario is an error). knee\n"
+        "domains). --fault-plan injects the JSON fault plan into a scenario\n"
+        "that takes one, in place of its axis-derived plans; any other\n"
+        "scenario rejects it. --all / --match batch every (matching)\n"
+        "registered scenario, writing one file per scenario into --out-dir\n"
+        "(--set applies where the axis exists, --fault-plan where the\n"
+        "scenario takes one; an axis or plan no matched scenario takes is\n"
+        "an error). knee\n"
         "binary-searches the scenario's load axis for the saturation knee:\n"
         "the highest load whose delivered_per_s still covers --target\n"
         "(default 0.9) of the offered load on every grid row. plan\n"
@@ -108,9 +111,11 @@ void require_known_axes(const core::ScenarioSpec& spec, const core::RunOptions& 
 }
 
 core::RunOptions with_known_axes(const core::ScenarioSpec& spec, const core::RunOptions& base) {
-  // Batch runs share one --set list across scenarios with different axes:
-  // apply each override only where the axis exists.
+  // Batch runs share one --set list and --fault-plan across scenarios with
+  // different axes: apply each override only where the axis exists, and
+  // the plan only where the scenario takes one.
   core::RunOptions options = base;
+  if (!spec.takes_fault_plan) options.fault_plan.reset();
   options.axis_overrides.clear();
   const auto axes = spec.axes(base.scale);
   for (const auto& [name, csv] : base.axis_overrides) {
@@ -329,6 +334,15 @@ int cmd_run(const std::vector<std::string>& args) {
                   << axis_name << "'\n";
         return 2;
       }
+    }
+    // Likewise a plan no matched scenario takes.
+    const auto& specs = registry.specs();
+    if (options.fault_plan && std::none_of(specs.begin(), specs.end(), [&](const auto& spec) {
+          return spec.takes_fault_plan && glob_match(*match, spec.name);
+        })) {
+      std::cerr << "sanperf run: no scenario matching '" << *match
+                << "' takes a fault plan (--fault-plan)\n";
+      return 2;
     }
     std::filesystem::create_directories(*out_dir);
     const char* ext = format == "json" ? ".json" : format == "csv" ? ".csv" : ".txt";

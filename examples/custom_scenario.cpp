@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/campaign.hpp"
+#include "core/measurement.hpp"
 #include "core/report.hpp"
 
 using namespace sanperf;
@@ -70,15 +71,17 @@ core::ScenarioSpec crash_sweep_spec() {
 // 4. Self-registration: the static registrar appends the spec to
 // CampaignRegistry::global() during this translation unit's initialisation
 // -- an out-of-tree scenario linked into any binary (this example, a
-// plugin, a rebuilt CLI) shows up next to the built-in specs without
-// editing scenarios.cpp. The in-tree fault scenarios register the same way.
+// plugin, a rebuilt CLI) shows up after the in-tree specs without editing
+// the library. In-tree specs join a family list in core/experiments.cpp or
+// core/scenarios.cpp instead. A spec whose run reads ScenarioRun::fault_plan
+// must also set takes_fault_plan, or --fault-plan is rejected for it.
 SANPERF_REGISTER_SCENARIO(crash_sweep_spec);
 
 }  // namespace
 
 int main() {
   const auto& registry = core::CampaignRegistry::global();
-  std::cout << "registered scenarios (builtin + self-registered):\n";
+  std::cout << "registered scenarios (in-tree + self-registered):\n";
   for (const auto& spec : registry.specs()) std::cout << "  " << spec.name << "\n";
 
   core::RunOptions options;

@@ -43,7 +43,7 @@ struct TsendSweep {
 
 /// Folds per-candidate replication rewards (in replication order) into the
 /// ranked sweep: KS distance against the measured CDF, first-wins best
-/// selection. The shared fold of sweep_tsend and run_fig7b.
+/// selection. The shared fold of sweep_tsend and the fig7b scenario.
 [[nodiscard]] TsendSweep fold_tsend_sweep(
     const std::vector<double>& candidates_ms,
     const std::vector<std::vector<std::optional<double>>>& rewards,

@@ -241,6 +241,10 @@ ParamGrid CampaignRegistry::grid(const ScenarioSpec& spec, const Scale& scale,
 }
 
 ResultTable CampaignRegistry::run(const ScenarioSpec& spec, const RunOptions& options) const {
+  if (options.fault_plan && !spec.takes_fault_plan) {
+    throw std::invalid_argument{"scenario '" + spec.name +
+                                "' takes no fault plan; --fault-plan would be ignored"};
+  }
   const ReplicationRunner& runner = options.runner != nullptr ? *options.runner
                                                               : default_runner();
   PaperContext ctx;
@@ -261,6 +265,19 @@ ResultTable CampaignRegistry::run(std::string_view name, const RunOptions& optio
     throw std::out_of_range{"CampaignRegistry: unknown scenario '" + std::string{name} + "'"};
   }
   return run(*spec, options);
+}
+
+CampaignRegistry& CampaignRegistry::global() {
+  // Function-local, so it is complete before the first out-of-tree
+  // registrar appends to it, whatever the static-initialisation order.
+  static CampaignRegistry registry = [] {
+    CampaignRegistry r;
+    for (const auto family : {paper_scenarios, workload_scenarios, fault_scenarios}) {
+      for (ScenarioSpec& spec : family()) r.add(std::move(spec));
+    }
+    return r;
+  }();
+  return registry;
 }
 
 }  // namespace sanperf::core

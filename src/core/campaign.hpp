@@ -117,9 +117,9 @@ class ParamGrid {
 /// Everything a scenario's run function receives: the (calibrated)
 /// context -- whose runner fans the flattened task lists out -- and the
 /// effective grid (default axes, restricted by any --set overrides).
-/// `fault_plan` carries an explicit --fault-plan override; fault-aware
-/// scenarios use it in place of their axis-derived plan, everything else
-/// ignores it.
+/// `fault_plan` carries an explicit --fault-plan override, which a spec
+/// that takes one (ScenarioSpec::takes_fault_plan) runs in place of its
+/// axis-derived plans.
 struct ScenarioRun {
   const PaperContext& ctx;
   ParamGrid grid;
@@ -135,6 +135,10 @@ struct ScenarioSpec {
   /// Whether the run needs the Fig 6 calibration pass (make_context) or a
   /// bare context (network defaults) suffices.
   bool needs_calibration = true;
+  /// Whether the run reads ScenarioRun::fault_plan. CampaignRegistry::run
+  /// rejects a --fault-plan for a spec that does not, instead of running
+  /// it plan-free.
+  bool takes_fault_plan = false;
   /// Default axis domains at the given scale.
   std::function<std::vector<ParamAxis>(const Scale&)> axes;
   /// Output schema (the columns of the produced ResultTable).
@@ -150,8 +154,8 @@ struct RunOptions {
   const ReplicationRunner* runner = nullptr;
   /// Axis overrides: name -> comma-separated value list (--set n=3,5).
   std::map<std::string, std::string> axis_overrides;
-  /// Explicit fault plan (--fault-plan plan.json); fault-aware scenarios
-  /// run it in place of their axis-derived plans.
+  /// Explicit fault plan (--fault-plan plan.json); a spec that takes one
+  /// runs it in place of its axis-derived plans, any other spec rejects it.
   std::optional<faults::FaultPlan> fault_plan;
 };
 
@@ -170,33 +174,36 @@ class CampaignRegistry {
                                       const std::map<std::string, std::string>& overrides);
 
   /// Builds the context (calibrating if the spec asks for it), enumerates
-  /// the effective grid and runs the spec.
+  /// the effective grid and runs the spec. Throws std::invalid_argument
+  /// naming the spec when options carry a fault plan it does not take.
   [[nodiscard]] ResultTable run(const ScenarioSpec& spec, const RunOptions& options) const;
   /// Throws std::out_of_range on an unknown scenario name.
   [[nodiscard]] ResultTable run(std::string_view name, const RunOptions& options) const;
 
-  /// The built-in registry: every paper artifact (fig6, fig7a, fig7b,
-  /// table1, fig8, fig9a, fig9b), the ablations, and the future-work
-  /// extensions.
-  [[nodiscard]] static const CampaignRegistry& builtin();
-
-  /// The process-wide registry the CLI serves: the builtin specs plus
-  /// everything self-registered through register_scenario (the fault
-  /// scenarios, out-of-tree specs). Defined in scenarios.cpp so linking
-  /// any registry user pulls in the builtin registrations.
+  /// The process-wide registry the CLI serves: the in-tree families in
+  /// `sanperf list` order (paper_scenarios, workload_scenarios,
+  /// fault_scenarios), then every out-of-tree spec added through
+  /// register_scenario.
   [[nodiscard]] static CampaignRegistry& global();
 
   /// Appends a spec to global(). Callable from static initialisers -- the
-  /// SANPERF_REGISTER_SCENARIO macro wraps it -- so a scenario in any
-  /// linked translation unit appears in `sanperf list` without editing
-  /// scenarios.cpp.
+  /// SANPERF_REGISTER_SCENARIO macro wraps it -- so an out-of-tree scenario
+  /// in any linked translation unit appears in `sanperf list` after the
+  /// in-tree families. An in-tree spec joins its family's list instead.
   static void register_scenario(ScenarioSpec spec) { global().add(std::move(spec)); }
 
  private:
   std::vector<ScenarioSpec> specs_;
 };
 
-/// Static-initialisation hook for self-registering scenarios:
+/// The in-tree scenario families global() lists, each in `sanperf list`
+/// order: the paper artifacts, ablations and extensions (experiments.cpp),
+/// then the workload-engine and fault-injection scenarios (scenarios.cpp).
+[[nodiscard]] std::vector<ScenarioSpec> paper_scenarios();
+[[nodiscard]] std::vector<ScenarioSpec> workload_scenarios();
+[[nodiscard]] std::vector<ScenarioSpec> fault_scenarios();
+
+/// Static-initialisation hook for self-registering out-of-tree scenarios:
 ///
 ///   core::ScenarioSpec my_spec();                 // factory
 ///   SANPERF_REGISTER_SCENARIO(my_spec);           // file scope

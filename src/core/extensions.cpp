@@ -1,32 +1,9 @@
 #include "core/extensions.hpp"
 
-#include <stdexcept>
-
-#include "core/workload.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
 
 namespace sanperf::core {
-
-MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
-                                     const net::NetworkParams& params,
-                                     const net::TimerModel& timers, int initially_crashed,
-                                     std::size_t executions, std::uint64_t seed,
-                                     const ReplicationRunner& runner) {
-  if (initially_crashed >= static_cast<int>(n)) {
-    throw std::invalid_argument{"measure_latency_with: crashed id out of range"};
-  }
-  WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.initially_crashed = initially_crashed;
-  const des::SeedSplitter seeds{seed, "exec"};
-  return fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return run_one_shot(cfg, k, seeds.stream_seed(k));
-  }));
-}
 
 std::vector<double> detection_time_trial(std::size_t n, const net::NetworkParams& params,
                                          const net::TimerModel& timers, double timeout_ms,

@@ -1,31 +1,19 @@
-// Extensions beyond the paper's evaluation, implementing its declared
-// future work (Section 6 / Section 2.3):
-//   * comparative latency of alternative consensus protocols;
-//   * the failure-detector detection time T_D (the third Chen et al. QoS
-//     metric, defined in Section 3.4 but not measured by the paper).
-// The throughput extension (execution k+1 starts as soon as execution k
-// has decided) lives in core/workload.hpp now, as the degenerate
-// closed-loop workload with one client and zero think time.
+// The failure-detector detection time T_D: the third Chen et al. QoS
+// metric, which the paper defines (Section 3.4) but does not measure --
+// an extension implementing its declared future work. The comparative
+// protocol latency runs through core::run_one_shot with a selectable
+// algorithm, and the throughput extension is the degenerate closed-loop
+// workload in core/workload.hpp (one client, zero think time).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/config.hpp"  // Algorithm
 #include "core/measurement.hpp"
 #include "net/params.hpp"
 #include "stats/summary.hpp"
 
 namespace sanperf::core {
-
-/// Like measure_latency, but with a selectable consensus algorithm.
-[[nodiscard]] MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
-                                                   const net::NetworkParams& params,
-                                                   const net::TimerModel& timers,
-                                                   int initially_crashed, std::size_t executions,
-                                                   std::uint64_t seed,
-                                                   const ReplicationRunner& runner =
-                                                       default_runner());
 
 struct DetectionTimeResult {
   std::vector<double> samples_ms;  ///< one per (trial, monitoring process)

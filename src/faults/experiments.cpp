@@ -3,29 +3,11 @@
 #include <cmath>
 
 #include "consensus/ct_consensus.hpp"
-#include "core/workload.hpp"
 #include "faults/injector.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
 
 namespace sanperf::faults {
-
-core::MeasuredLatency measure_fault_latency(core::Algorithm algorithm, std::size_t n,
-                                            const net::NetworkParams& params,
-                                            const net::TimerModel& timers, const FaultPlan& plan,
-                                            std::size_t executions, std::uint64_t seed,
-                                            const core::ReplicationRunner& runner) {
-  core::WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.fault_plan = &plan;
-  const des::SeedSplitter seeds{seed, "exec"};
-  return core::fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return core::run_one_shot(cfg, k, seeds.stream_seed(k));
-  }));
-}
 
 FaultClass3Run run_fault_class3(std::size_t n, const net::NetworkParams& params,
                                 const net::TimerModel& timers, double timeout_ms,

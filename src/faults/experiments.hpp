@@ -1,9 +1,10 @@
-// Fault-injected measurement campaigns. Class 1/2 runs isolated
-// executions through core::run_one_shot with the plan in its
-// WorkloadConfig, so a degenerate plan (one crash at t = 0) reproduces the
-// paper's Table 1 crash runs bit for bit. run_fault_class3 is the one
-// class-3 harness: core::measure_class3_run is it under an empty plan,
-// which schedules nothing and never draws. Every fault scenario stays
+// Fault-injected class-3 campaigns and their before / during / after
+// fold. run_fault_class3 is the one class-3 harness:
+// core::measure_class3_run is it under an empty plan, which schedules
+// nothing and never draws. Class 1/2 fault runs need no harness of their
+// own: core::run_one_shot takes the plan in its WorkloadConfig, so a
+// degenerate plan (one crash at t = 0) reproduces the paper's Table 1
+// crash runs bit for bit. Every fault scenario stays
 // thread-count-invariant.
 #pragma once
 
@@ -11,22 +12,12 @@
 #include <vector>
 
 #include "consensus/sequencer.hpp"
-#include "core/config.hpp"  // Algorithm
 #include "core/measurement.hpp"
 #include "faults/plan.hpp"
 #include "fd/qos.hpp"
 #include "net/params.hpp"
 
 namespace sanperf::faults {
-
-/// Like core::measure_latency, but under a fault plan and with a
-/// selectable algorithm. Hosts the plan crashes at or before t = 0 are
-/// pre-suspected by the static failure detector, exactly as in the
-/// paper's class-2 runs.
-[[nodiscard]] core::MeasuredLatency measure_fault_latency(
-    core::Algorithm algorithm, std::size_t n, const net::NetworkParams& params,
-    const net::TimerModel& timers, const FaultPlan& plan, std::size_t executions,
-    std::uint64_t seed, const core::ReplicationRunner& runner = core::default_runner());
 
 /// One fault-injected class-3 run: live heartbeat detection (timeout T,
 /// Th = 0.7 T), `executions` sequenced consensus executions, and `plan`

@@ -1,8 +1,8 @@
 // Tests for the declarative campaign API: axis/grid enumeration, override
-// parsing, registry contents, ResultTable CSV/JSON round-trips, the
-// spec-vs-typed-wrapper equivalence that keeps `sanperf run` bit-identical
-// to the pre-redesign drivers, and the paper's agreement and shape gates
-// on the quick-scale tables.
+// parsing, registry contents and order, ResultTable CSV/JSON round-trips,
+// restriction and thread-count invariance of registered runs, the
+// fault-plan contract, and the paper's agreement and shape gates on the
+// quick-scale tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -80,21 +80,29 @@ TEST(ParamGridTest, RowMajorEnumeration) {
 
 // --- Registry ----------------------------------------------------------------
 
-TEST(RegistryTest, BuiltinCoversEveryPaperArtifact) {
-  const auto& registry = core::CampaignRegistry::builtin();
-  for (const char* name : {"fig6", "fig7a", "fig7b", "table1", "fig8", "fig9a", "fig9b",
-                           "ablation_broadcast", "ablation_fd_correlation", "ext_algorithms",
-                           "ext_throughput", "ext_detection_time"}) {
-    const auto* spec = registry.find(name);
-    ASSERT_NE(spec, nullptr) << name;
-    EXPECT_FALSE(spec->description.empty()) << name;
-    EXPECT_FALSE(spec->columns.empty()) << name;
+TEST(RegistryTest, GlobalListsTheInTreeScenariosInOrder) {
+  // The paper family, then the workload family, then the fault family:
+  // the `sanperf list` order, independent of static-initialisation order.
+  const std::vector<std::string> expected = {
+      "fig6", "fig7a", "fig7b", "table1", "fig8", "fig9a", "fig9b", "ablation_broadcast",
+      "ablation_fd_correlation", "ext_algorithms", "ext_throughput", "ext_detection_time",
+      "scale_n_sweep", "load_latency_sweep", "batch_throughput_sweep", "closed_loop_clients",
+      "crash_under_load", "recovery_under_load", "rolling_restart", "membership_growth",
+      "rack_loss_consensus", "cross_rack_latency_sweep", "crash_recovery_latency",
+      "partition_heal", "lossy_consensus", "slowdown_sweep"};
+  const auto& registry = core::CampaignRegistry::global();
+  std::vector<std::string> names;
+  for (const auto& spec : registry.specs()) {
+    names.push_back(spec.name);
+    EXPECT_FALSE(spec.description.empty()) << spec.name;
+    EXPECT_FALSE(spec.columns.empty()) << spec.name;
   }
+  EXPECT_EQ(names, expected);
   EXPECT_EQ(registry.find("no_such_scenario"), nullptr);
 }
 
 TEST(RegistryTest, GridsEnumerateTheDeclaredDomains) {
-  const auto& registry = core::CampaignRegistry::builtin();
+  const auto& registry = core::CampaignRegistry::global();
   const auto scale = core::Scale::quick();
   for (const auto& spec : registry.specs()) {
     const auto grid = core::CampaignRegistry::grid(spec, scale, {});
@@ -116,7 +124,7 @@ TEST(RegistryTest, GridsEnumerateTheDeclaredDomains) {
 }
 
 TEST(RegistryTest, OverridesRestrictAndValidate) {
-  const auto& registry = core::CampaignRegistry::builtin();
+  const auto& registry = core::CampaignRegistry::global();
   const auto scale = core::Scale::quick();
   const auto* spec = registry.find("table1");
   ASSERT_NE(spec, nullptr);
@@ -225,7 +233,7 @@ TEST(ResultTableTest, PrintRendersAlignedText) {
   EXPECT_NE(out.find("-"), std::string::npos);  // null cells
 }
 
-// --- Spec vs typed wrapper equivalence ---------------------------------------
+// --- Registered runs ---------------------------------------------------------
 
 core::Scale tiny_scale() {
   auto scale = core::Scale::quick();
@@ -240,29 +248,8 @@ core::Scale tiny_scale() {
   return scale;
 }
 
-TEST(ScenarioRunTest, Fig7aSpecMatchesTypedWrapperBitForBit) {
-  const auto& registry = core::CampaignRegistry::builtin();
-  core::RunOptions options;
-  options.scale = tiny_scale();
-  options.seed = 77;
-  const auto table = registry.run("fig7a", options);
-
-  core::PaperContext ctx;
-  ctx.scale = options.scale;
-  ctx.seed = options.seed;
-  const auto rows = core::run_fig7a(ctx, ctx.scale.ns);
-  ASSERT_EQ(table.row_count(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(std::get<std::int64_t>(table.at(r, "n")),
-              static_cast<std::int64_t>(rows[r].n));
-    EXPECT_EQ(std::get<stats::MeanCI>(table.at(r, "latency_ms")).mean, rows[r].mean.mean);
-    EXPECT_EQ(std::get<core::SampleRef>(table.at(r, "latencies_ms")).values(),
-              rows[r].latencies_ms);
-  }
-}
-
 TEST(ScenarioRunTest, RestrictedAxisReproducesTheMatchingSubset) {
-  const auto& registry = core::CampaignRegistry::builtin();
+  const auto& registry = core::CampaignRegistry::global();
   core::RunOptions options;
   options.scale = tiny_scale();
   options.seed = 78;
@@ -277,28 +264,8 @@ TEST(ScenarioRunTest, RestrictedAxisReproducesTheMatchingSubset) {
             std::get<stats::MeanCI>(full.at(1, "latency_ms")).mean);
 }
 
-TEST(ScenarioRunTest, Table1SpecMatchesTypedWrapperBitForBit) {
-  const auto& registry = core::CampaignRegistry::builtin();
-  core::RunOptions options;
-  options.scale = tiny_scale();
-  options.seed = 79;
-  const auto table = registry.run("table1", options);
-
-  const auto ctx = core::make_context(options.scale, options.seed);
-  const auto cells = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
-  ASSERT_EQ(table.row_count(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(std::get<stats::MeanCI>(table.at(i, "meas_ms")).mean, cells[i].meas.mean);
-    if (cells[i].sim) {
-      EXPECT_EQ(std::get<double>(table.at(i, "sim_ms")), *cells[i].sim);
-    } else {
-      EXPECT_TRUE(std::holds_alternative<std::monostate>(table.at(i, "sim_ms")));
-    }
-  }
-}
-
 TEST(ScenarioRunTest, UnknownScenarioAndThreadCountIndependence) {
-  const auto& registry = core::CampaignRegistry::builtin();
+  const auto& registry = core::CampaignRegistry::global();
   core::RunOptions options;
   options.scale = tiny_scale();
   EXPECT_THROW((void)registry.run("nope", options), std::out_of_range);
@@ -314,6 +281,29 @@ TEST(ScenarioRunTest, UnknownScenarioAndThreadCountIndependence) {
   expect_tables_equal(a, b);
 }
 
+TEST(ScenarioRunTest, FaultPlanOnlyWhereTheSpecTakesOne) {
+  // A --fault-plan the spec would ignore is an error naming the spec, not
+  // a plan-free run under a plan-shaped command line.
+  const auto& registry = core::CampaignRegistry::global();
+  core::RunOptions options;
+  options.scale = tiny_scale();
+  options.axis_overrides = {{"n", "3"}};
+  options.fault_plan = faults::FaultPlan{};
+  try {
+    (void)registry.run("ext_throughput", options);
+    FAIL() << "ext_throughput ran with a fault plan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("'ext_throughput' takes no fault plan"),
+              std::string::npos)
+        << e.what();
+  }
+  std::size_t takers = 0;
+  for (const auto& spec : registry.specs()) takers += spec.takes_fault_plan ? 1 : 0;
+  EXPECT_EQ(takers, 9u);
+  options.axis_overrides = {{"n", "3"}, {"factor", "1"}, {"resource", "cpu"}};
+  EXPECT_EQ(registry.run("slowdown_sweep", options).row_count(), 1u);
+}
+
 // --- Paper agreement and shape gates ------------------------------------------
 
 double mean_at(const ResultTable& table, std::size_t row, const std::string& column) {
@@ -325,7 +315,7 @@ TEST(PaperGatesTest, QuickScaleAgreementAndShape) {
   // (table1_quick.csv pins their bits). These gate the paper's headline
   // findings, so a regression that skews the reproduction fails even where
   // a golden would simply be regenerated.
-  const auto& registry = core::CampaignRegistry::builtin();
+  const auto& registry = core::CampaignRegistry::global();
   core::RunOptions options;
   options.scale = core::Scale::quick();
 

@@ -1,5 +1,5 @@
 // Tests of the combined-methodology core: measurement campaigns,
-// calibration, simulation wrappers and the experiment drivers.
+// calibration, simulation wrappers and the paper context.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/calibration.hpp"
+#include "core/campaign.hpp"
 #include "core/config.hpp"
 #include "core/experiments.hpp"
 #include "core/measurement.hpp"
@@ -203,34 +204,28 @@ TEST(ExperimentsTest, ContextProvidesCalibratedTransports) {
   EXPECT_THROW(ctx.transport(9), std::out_of_range);
 }
 
-TEST(ExperimentsTest, Fig7aLatencyIncreasesWithN) {
-  auto scale = Scale::quick();
-  scale.ns = {3, 5, 7};
-  scale.class1_executions = 120;
-  PaperContext ctx = make_context(scale, 16);
-  ctx.timers = net::TimerModel::ideal();
-  const auto rows = run_fig7a(ctx, scale.ns);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_LT(rows[0].mean.mean, rows[1].mean.mean);
-  EXPECT_LT(rows[1].mean.mean, rows[2].mean.mean);
-}
-
 TEST(ExperimentsTest, Fig7bSweepSelectsInteriorTsend) {
-  auto scale = Scale::quick();
-  scale.class1_executions = 200;
-  scale.sim_replications = 200;
-  PaperContext ctx = make_context(scale, 17);
-  ctx.timers = net::TimerModel::ideal();
-  const auto result = run_fig7b(ctx, tsend_candidates());
-  ASSERT_EQ(result.sweep.candidates.size(), 6u);
-  // The emulator's ground truth is 0.025 ms; the sweep must not pick the
-  // extremes.
-  EXPECT_GE(result.sweep.best_t_send_ms, 0.010);
-  EXPECT_LE(result.sweep.best_t_send_ms, 0.035);
-  for (const auto& cand : result.sweep.candidates) {
-    EXPECT_GE(cand.ks_distance, 0.0);
-    EXPECT_LE(cand.ks_distance, 1.0);
+  RunOptions options;
+  options.scale = Scale::quick();
+  options.scale.class1_executions = 200;
+  options.scale.sim_replications = 200;
+  options.seed = 17;
+  const auto table = CampaignRegistry::global().run("fig7b", options);
+  ASSERT_EQ(table.row_count(), 1 + tsend_candidates().size());  // measured + 6 candidates
+  std::size_t selected = 0;
+  for (std::size_t r = 1; r < table.row_count(); ++r) {
+    const double ks = std::get<double>(table.at(r, "ks_distance"));
+    EXPECT_GE(ks, 0.0);
+    EXPECT_LE(ks, 1.0);
+    if (std::get<std::int64_t>(table.at(r, "selected")) == 0) continue;
+    ++selected;
+    // The emulator's ground truth is 0.025 ms; the sweep must not pick the
+    // extremes.
+    const double best = std::get<double>(table.at(r, "t_send_ms"));
+    EXPECT_GE(best, 0.010);
+    EXPECT_LE(best, 0.035);
   }
+  EXPECT_EQ(selected, 1u);
 }
 
 TEST(ExperimentsTest, PaperTable1ReferenceShape) {

@@ -374,21 +374,6 @@ TEST(FaultHarnessTest, SingleCrashPlanReproducesTable1ExecutionsBitForBit) {
   }
 }
 
-TEST(FaultHarnessTest, MeasureFaultLatencyThreadCountInvariant) {
-  const core::ReplicationRunner one{1};
-  const core::ReplicationRunner four{4};
-  const auto params = net::NetworkParams::defaults();
-  const auto timers = net::TimerModel::ideal();
-  const FaultPlan plan{{FaultPlan::loss(0, kForeverMs, 0.05)}};
-  const auto a =
-      measure_fault_latency(core::Algorithm::kChandraToueg, 3, params, timers, plan, 40, 99, one);
-  const auto b =
-      measure_fault_latency(core::Algorithm::kChandraToueg, 3, params, timers, plan, 40, 99,
-                            four);
-  EXPECT_EQ(a.latencies_ms, b.latencies_ms);  // bit-identical
-  EXPECT_EQ(a.undecided, b.undecided);
-}
-
 TEST(FaultHarnessTest, Class3RunSurvivesPermanentInitialCrash) {
   // The initially-crashed host never ran on_start, so its detector has no
   // histories; the QoS fold must skip it instead of indexing past the end.
@@ -451,9 +436,8 @@ TEST(FaultScenarioTest, GlobalRegistryListsFaultScenarios) {
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_FALSE(spec->needs_calibration) << name;
   }
-  // The builtin paper artifacts are all present too.
+  // The paper artifacts are listed too.
   EXPECT_NE(registry.find("table1"), nullptr);
-  EXPECT_GE(registry.specs().size(), core::CampaignRegistry::builtin().specs().size() + 7);
 }
 
 TEST(FaultScenarioTest, EveryFaultScenarioThreadCountInvariant) {

@@ -1,13 +1,19 @@
 // Tests for the flattened campaign fan-out: ShardSpace enumeration,
 // ReplicationRunner::run_flat, pairwise tree merging of shards, and the
-// determinism contract of the flattened paper drivers (bit-identical
-// outputs at any thread count).
+// determinism contract of the flattened paper campaigns (bit-identical
+// registered tables at any thread count, equal to the nested campaigns
+// they replaced).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <string>
+#include <variant>
 #include <vector>
 
+#include "core/calibration.hpp"
+#include "core/campaign.hpp"
 #include "core/experiments.hpp"
 #include "core/measurement.hpp"
 #include "core/replication.hpp"
@@ -156,7 +162,7 @@ TEST(TreeMerge, HandlesEmptyAndSingleShardInputs) {
             (std::vector<int>{1, 2}));
 }
 
-// --- Flattened drivers: determinism across thread counts --------------------
+// --- Flattened paper campaigns: determinism across thread counts ------------
 
 core::Scale tiny_scale() {
   auto scale = core::Scale::quick();
@@ -171,6 +177,20 @@ core::Scale tiny_scale() {
   return scale;
 }
 
+core::ResultTable run_paper(const std::string& name, std::uint64_t seed,
+                            const core::ReplicationRunner& runner = core::default_runner()) {
+  core::RunOptions options;
+  options.scale = tiny_scale();
+  options.seed = seed;
+  options.runner = &runner;
+  return core::CampaignRegistry::global().run(name, options);
+}
+
+const std::vector<double>& sample_at(const core::ResultTable& table, std::size_t row,
+                                     const std::string& column) {
+  return std::get<core::SampleRef>(table.at(row, column)).values();
+}
+
 TEST(FlatDeterminism, CalibrationProbesIdenticalAt1And4Threads) {
   const core::ReplicationRunner one{1};
   const core::ReplicationRunner four{4};
@@ -179,115 +199,6 @@ TEST(FlatDeterminism, CalibrationProbesIdenticalAt1And4Threads) {
             core::measure_unicast_delays(params, 150, 42, four));
   EXPECT_EQ(core::measure_broadcast_delays(params, 5, 150, 43, one),
             core::measure_broadcast_delays(params, 5, 150, 43, four));
-}
-
-TEST(FlatDeterminism, Fig7aIdenticalAt1And4Threads) {
-  const core::ReplicationRunner one{1};
-  const core::ReplicationRunner four{4};
-  auto ctx = core::make_context(tiny_scale(), 77);
-  ctx.timers = net::TimerModel::ideal();
-
-  ctx.runner = &one;
-  const auto rows1 = core::run_fig7a(ctx, ctx.scale.ns);
-  ctx.runner = &four;
-  const auto rows4 = core::run_fig7a(ctx, ctx.scale.ns);
-
-  ASSERT_EQ(rows1.size(), rows4.size());
-  for (std::size_t i = 0; i < rows1.size(); ++i) {
-    EXPECT_EQ(rows1[i].n, rows4[i].n);
-    EXPECT_EQ(rows1[i].latencies_ms, rows4[i].latencies_ms);  // bit-identical
-    EXPECT_EQ(rows1[i].mean.mean, rows4[i].mean.mean);
-    EXPECT_EQ(rows1[i].mean.half_width, rows4[i].mean.half_width);
-    EXPECT_EQ(rows1[i].undecided, rows4[i].undecided);
-  }
-}
-
-TEST(FlatDeterminism, Table1IdenticalAt1And4Threads) {
-  const core::ReplicationRunner one{1};
-  const core::ReplicationRunner four{4};
-  auto ctx = core::make_context(tiny_scale(), 78);
-  ctx.timers = net::TimerModel::ideal();
-
-  ctx.runner = &one;
-  const auto cells1 = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
-  ctx.runner = &four;
-  const auto cells4 = core::run_table1_cells(ctx, ctx.scale.ns, {-1, 0, 1});
-
-  ASSERT_EQ(cells1.size(), cells4.size());
-  for (std::size_t i = 0; i < cells1.size(); ++i) {
-    EXPECT_EQ(cells1[i].n, cells4[i].n);
-    EXPECT_EQ(cells1[i].crashed, cells4[i].crashed);
-    EXPECT_EQ(cells1[i].meas.mean, cells4[i].meas.mean);
-    EXPECT_EQ(cells1[i].sim, cells4[i].sim);
-  }
-  // The calibrated n carry simulation cells: n = 3 no crash, n = 5
-  // coordinator crash.
-  EXPECT_TRUE(cells1[0].sim.has_value());
-  EXPECT_TRUE(cells1[4].sim.has_value());
-}
-
-TEST(FlatDeterminism, Class3MeasurementsIdenticalAt1And4Threads) {
-  const core::ReplicationRunner one{1};
-  const core::ReplicationRunner four{4};
-  auto ctx = core::make_context(tiny_scale(), 79);
-
-  ctx.runner = &one;
-  const auto pts1 = core::run_class3_measurements(ctx, {3}, ctx.scale.timeouts_ms);
-  ctx.runner = &four;
-  const auto pts4 = core::run_class3_measurements(ctx, {3}, ctx.scale.timeouts_ms);
-
-  ASSERT_EQ(pts1.size(), pts4.size());
-  for (std::size_t i = 0; i < pts1.size(); ++i) {
-    EXPECT_EQ(pts1[i].n, pts4[i].n);
-    EXPECT_EQ(pts1[i].timeout_ms, pts4[i].timeout_ms);
-    EXPECT_EQ(pts1[i].meas.latency_ms.mean, pts4[i].meas.latency_ms.mean);
-    EXPECT_EQ(pts1[i].meas.all_latencies_ms, pts4[i].meas.all_latencies_ms);
-    EXPECT_EQ(pts1[i].meas.undecided, pts4[i].meas.undecided);
-    EXPECT_EQ(pts1[i].meas.pooled_qos.t_mr_ms, pts4[i].meas.pooled_qos.t_mr_ms);
-  }
-}
-
-TEST(FlatDeterminism, Fig7bIdenticalAt1And4Threads) {
-  const core::ReplicationRunner one{1};
-  const core::ReplicationRunner four{4};
-  auto ctx = core::make_context(tiny_scale(), 81);
-  ctx.timers = net::TimerModel::ideal();
-
-  ctx.runner = &one;
-  const auto r1 = core::run_fig7b(ctx, core::tsend_candidates());
-  ctx.runner = &four;
-  const auto r4 = core::run_fig7b(ctx, core::tsend_candidates());
-
-  EXPECT_EQ(r1.measured_ms, r4.measured_ms);  // bit-identical
-  EXPECT_EQ(r1.sim_ms, r4.sim_ms);
-  EXPECT_EQ(r1.sweep.best_t_send_ms, r4.sweep.best_t_send_ms);
-  ASSERT_EQ(r1.sweep.candidates.size(), r4.sweep.candidates.size());
-  for (std::size_t i = 0; i < r1.sweep.candidates.size(); ++i) {
-    EXPECT_EQ(r1.sweep.candidates[i].ks_distance, r4.sweep.candidates[i].ks_distance);
-    EXPECT_EQ(r1.sweep.candidates[i].sim_mean_ms, r4.sweep.candidates[i].sim_mean_ms);
-    EXPECT_EQ(r1.sweep.candidates[i].sim_latencies_ms, r4.sweep.candidates[i].sim_latencies_ms);
-  }
-}
-
-TEST(FlatDeterminism, FlattenedFig7bMatchesNestedCampaigns) {
-  // The single-space fig7b driver must reproduce what the nested
-  // measure_latency + per-candidate simulate_class1 calls produced before
-  // the flattening: same seeds, same folds, same bits.
-  auto ctx = core::make_context(tiny_scale(), 82);
-  ctx.timers = net::TimerModel::ideal();
-  const auto result = core::run_fig7b(ctx, core::tsend_candidates());
-
-  const auto meas = core::measure_latency(5, ctx.network, ctx.timers, -1,
-                                          ctx.scale.class1_executions, ctx.seed + 105);
-  EXPECT_EQ(result.measured_ms, meas.latencies_ms);
-
-  for (const auto& [t_send, sims] : result.sim_ms) {
-    const auto transport = core::make_transport(ctx.unicast_fit, ctx.broadcast_fits.at(5),
-                                                t_send);
-    const auto study = core::simulate_class1(5, transport, ctx.scale.sim_replications,
-                                             ctx.seed + 7);
-    EXPECT_EQ(sims, study.rewards) << "t_send=" << t_send;
-  }
 }
 
 TEST(FlatDeterminism, SweepTsendIdenticalAt1And4ThreadsAndMatchesNested) {
@@ -317,43 +228,66 @@ TEST(FlatDeterminism, SweepTsendIdenticalAt1And4ThreadsAndMatchesNested) {
   }
 }
 
-TEST(FlatDeterminism, Fig9bIdenticalAt1And4Threads) {
+TEST(FlatDeterminism, PaperArtifactsIdenticalAt1And4Threads) {
+  // Every paper artifact's registered table -- calibration pass, mixed
+  // measurement + SAN spaces, class-3 sweeps -- folds in index order, so
+  // its CSV is bit-identical at any thread count.
   const core::ReplicationRunner one{1};
   const core::ReplicationRunner four{4};
-  auto ctx = core::make_context(tiny_scale(), 84);
+  std::map<std::string, core::ResultTable> tables;
+  for (const char* name : {"fig6", "fig7a", "fig7b", "table1", "fig8", "fig9a", "fig9b"}) {
+    const auto t1 = run_paper(name, 78, one);
+    EXPECT_EQ(t1.to_csv(), run_paper(name, 78, four).to_csv()) << name;
+    EXPECT_GT(t1.row_count(), 0u) << name;
+    tables.emplace(name, t1);
+  }
+  // The calibrated n carry simulation cells: n = 3 no crash, n = 5
+  // coordinator crash.
+  const auto& table1 = tables.at("table1");
+  EXPECT_TRUE(std::holds_alternative<double>(table1.at(0, "sim_ms")));
+  EXPECT_TRUE(std::holds_alternative<double>(table1.at(4, "sim_ms")));
+  const auto& fig9b = tables.at("fig9b");
+  for (std::size_t r = 0; r < fig9b.row_count(); ++r) {
+    EXPECT_GT(std::get<double>(fig9b.at(r, "sim_det_ms")), 0.0) << r;
+  }
+}
 
-  ctx.runner = &one;
-  const auto pts1 = core::run_class3_measurements(ctx, ctx.scale.sim_ns, ctx.scale.timeouts_ms);
-  const auto rows1 = core::run_fig9b(ctx, pts1);
-  ctx.runner = &four;
-  const auto pts4 = core::run_class3_measurements(ctx, ctx.scale.sim_ns, ctx.scale.timeouts_ms);
-  const auto rows4 = core::run_fig9b(ctx, pts4);
+TEST(FlatDeterminism, FlattenedFig7bMatchesNestedCampaigns) {
+  // The single-space fig7b campaign must reproduce what the nested
+  // measure_latency + per-candidate simulate_class1 calls produced before
+  // the flattening: same seeds, same folds, same bits.
+  const auto table = run_paper("fig7b", 82);
+  const auto ctx = core::make_context(tiny_scale(), 82);  // the run's calibration
+  const auto meas = core::measure_latency(5, ctx.network, ctx.timers, -1,
+                                          ctx.scale.class1_executions, ctx.seed + 105);
+  ASSERT_EQ(std::get<std::string>(table.at(0, "kind")), "measured");
+  EXPECT_EQ(sample_at(table, 0, "latencies_ms"), meas.latencies_ms);
 
-  ASSERT_EQ(rows1.size(), rows4.size());
-  ASSERT_GT(rows1.size(), 0u);
-  for (std::size_t i = 0; i < rows1.size(); ++i) {
-    EXPECT_EQ(rows1[i].n, rows4[i].n);
-    EXPECT_EQ(rows1[i].timeout_ms, rows4[i].timeout_ms);
-    EXPECT_EQ(rows1[i].meas_ms, rows4[i].meas_ms);  // bit-identical
-    EXPECT_EQ(rows1[i].sim_det_ms, rows4[i].sim_det_ms);
-    EXPECT_EQ(rows1[i].sim_exp_ms, rows4[i].sim_exp_ms);
-    EXPECT_GT(rows1[i].sim_det_ms, 0.0);
+  ASSERT_EQ(table.row_count(), 1 + core::tsend_candidates().size());
+  for (std::size_t r = 1; r < table.row_count(); ++r) {
+    const double t_send = std::get<double>(table.at(r, "t_send_ms"));
+    const auto transport = core::make_transport(ctx.unicast_fit, ctx.broadcast_fits.at(5),
+                                                t_send);
+    const auto study = core::simulate_class1(5, transport, ctx.scale.sim_replications,
+                                             ctx.seed + 7);
+    EXPECT_EQ(sample_at(table, r, "latencies_ms"), study.rewards) << "t_send=" << t_send;
   }
 }
 
 TEST(FlatDeterminism, FlattenedFig7aMatchesNestedMeasureLatency) {
-  // The flattened driver must reproduce the per-n nested campaign exactly:
-  // same seeds, same fold, same bits.
-  auto ctx = core::make_context(tiny_scale(), 80);
-  ctx.timers = net::TimerModel::ideal();
-  const auto rows = core::run_fig7a(ctx, ctx.scale.ns);
-  ASSERT_EQ(rows.size(), 2u);
-  for (std::size_t g = 0; g < rows.size(); ++g) {
-    const std::size_t n = ctx.scale.ns[g];
-    const auto nested = core::measure_latency(n, ctx.network, ctx.timers, -1,
-                                              ctx.scale.class1_executions, ctx.seed + 100 + n);
-    EXPECT_EQ(rows[g].latencies_ms, nested.latencies_ms);
-    EXPECT_EQ(rows[g].undecided, nested.undecided);
+  // The flattened fig7a campaign must reproduce the per-n nested campaign
+  // exactly: same seeds, same fold, same bits.
+  const auto table = run_paper("fig7a", 80);
+  const auto scale = tiny_scale();
+  ASSERT_EQ(table.row_count(), 2u);
+  for (std::size_t g = 0; g < table.row_count(); ++g) {
+    const std::size_t n = scale.ns[g];
+    const auto nested = core::measure_latency(n, net::NetworkParams::defaults(),
+                                              net::TimerModel::defaults(), -1,
+                                              scale.class1_executions, 80 + 100 + n);
+    EXPECT_EQ(sample_at(table, g, "latencies_ms"), nested.latencies_ms);
+    EXPECT_EQ(std::get<std::int64_t>(table.at(g, "undecided")),
+              static_cast<std::int64_t>(nested.undecided));
   }
 }
 

@@ -3,8 +3,9 @@
 // model-vs-measurement methodology the paper applies to Chandra-Toueg).
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
 #include "core/replication.hpp"
+#include "core/workload.hpp"
+#include "des/random.hpp"
 #include "san/study.hpp"
 #include "sanmodels/consensus_model.hpp"
 #include "sanmodels/mr_model.hpp"
@@ -123,9 +124,13 @@ TEST(MrSanTest, ModelTracksEmulatorClass1) {
     san::TransientStudy study{built.model, built.stop_predicate()};
     const auto sim = run_study(study, 400, 19);
 
-    const auto meas = core::measure_latency_with(core::Algorithm::kMostefaouiRaynal, n,
-                                                 net::NetworkParams::defaults(),
-                                                 net::TimerModel::ideal(), -1, 400, 21);
+    core::WorkloadConfig emu;
+    emu.n = n;
+    emu.timers = net::TimerModel::ideal();
+    emu.algorithm = core::Algorithm::kMostefaouiRaynal;
+    const des::SeedSplitter seeds{21, "exec"};
+    const auto meas = core::fold_latency_outcomes(core::default_runner().map(
+        400, [&](std::size_t k) { return core::run_one_shot(emu, k, seeds.stream_seed(k)); }));
     const double ratio = sim.summary.mean() / meas.summary().mean();
     EXPECT_GT(ratio, 0.6) << "n=" << n;
     EXPECT_LT(ratio, 1.6) << "n=" << n;

@@ -813,6 +813,25 @@ TEST(WorkloadScenarioTest, RollingRestartDeliversEverythingInBothModes) {
   }
 }
 
+TEST(WorkloadScenarioTest, RollingRestartPlanFileFoldsLikeTheBuiltPlan) {
+  // bench/plans/rolling_restart_quick.json holds the plan the scenario
+  // builds itself at these settings (one rolling_restart at 150 ms, 60 ms
+  // down, 150 ms stagger). Replayed through --fault-plan it must fold the
+  // same before / during / after windows, not count every instance as
+  // "before".
+  const auto& registry = core::CampaignRegistry::global();
+  core::RunOptions options;
+  options.scale = core::Scale::quick();
+  options.axis_overrides = {{"n", "3"}, {"instances", "60"}, {"warmup", "10"}};
+  const auto built = registry.run("rolling_restart", options);
+  options.fault_plan = faults::FaultPlan::from_json(
+      R"({"events": [{"kind": "rolling_restart", "at_ms": 150, "duration_ms": 60,)"
+      R"( "stagger_ms": 150}]})");
+  const auto replayed = registry.run("rolling_restart", options);
+  EXPECT_EQ(replayed.to_csv(), built.to_csv());
+  EXPECT_TRUE(std::holds_alternative<stats::MeanCI>(replayed.at(0, "during_ms")));
+}
+
 TEST(WorkloadScenarioTest, RestrictedGridReproducesFullGridSubset) {
   // --set restrictions must reproduce the matching rows of the full grid
   // bit for bit (restriction-stable per-point seeds).
