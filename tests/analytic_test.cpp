@@ -2,6 +2,8 @@
 // against the simulative solver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "san/analytic.hpp"
 #include "san/model.hpp"
 #include "san/study.hpp"

@@ -2,6 +2,7 @@
 // calibration, simulation wrappers and the paper context.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <sstream>

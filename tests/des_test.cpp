@@ -3,10 +3,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "des/event_queue.hpp"
@@ -453,9 +457,13 @@ TEST(RandomTest, SubstreamsAreStableAndIndependent) {
   EXPECT_NE(s2.next_u64(), s3.next_u64());
 }
 
-// An engine seeds its generator on the first draw; none of that may show.
-TEST(RandomTest, FirstDrawSeedingYieldsTheEagerSequence) {
-  for (const std::uint64_t seed : {0ULL, 1ULL, 99ULL, 20020612ULL, ~0ULL}) {
+// An engine computes each state word when a draw first needs it; none of
+// that may show. 1,000 draws cross the end of the first seeded half (word
+// 156), the first twist (312) and the second (624).
+TEST(RandomTest, MatchesStdMt19937_64ForEverySeedAndDrawCount) {
+  std::vector<std::uint64_t> seeds{0ULL, 1ULL, 99ULL, 20020612ULL, ~0ULL};
+  for (std::uint64_t i = 0; seeds.size() < 1000; ++i) seeds.push_back(mix64(i));
+  for (const std::uint64_t seed : seeds) {
     RandomEngine lazy{seed};
     std::mt19937_64 eager{mix64(seed)};
     for (int i = 0; i < 1000; ++i) ASSERT_EQ(lazy.next_u64(), eager()) << seed << " draw " << i;
@@ -477,6 +485,88 @@ TEST(RandomTest, CopiesContinueLikeTheOriginal) {
   // Assignment over an engine that has drawn behaves like a copy too.
   resumed = before_first;
   EXPECT_EQ(resumed.next_u64(), drawn.front());
+}
+
+// A copy holds only the words computed so far, so every offset into the
+// state (seeded half, twisted prefix, second generation) is checked.
+TEST(RandomTest, CopyAndAssignmentContinueAtEveryOffset) {
+  constexpr int kOffsets = 624;
+  constexpr int kAhead = 700;
+  std::mt19937_64 reference{mix64(31)};
+  std::vector<std::uint64_t> expected(kOffsets + kAhead);
+  for (std::uint64_t& x : expected) x = reference();
+
+  RandomEngine walker{31};
+  for (int offset = 0; offset < kOffsets; ++offset) {
+    RandomEngine copied{walker};
+    RandomEngine assigned{7};
+    for (int i = 0; i < offset % 4 * 100; ++i) (void)assigned.next_u64();  // drawn or not
+    assigned = walker;
+    RandomEngine& alias = assigned;
+    assigned = alias;  // self-assignment keeps the state
+    RandomEngine moved{std::move(copied)};
+    for (int i = 0; i < kAhead; ++i) {
+      const std::uint64_t want = expected[static_cast<std::size_t>(offset + i)];
+      ASSERT_EQ(moved.next_u64(), want) << "copy at offset " << offset << " draw " << i;
+      ASSERT_EQ(assigned.next_u64(), want) << "assignment at offset " << offset << " draw " << i;
+    }
+    ASSERT_EQ(walker.next_u64(), expected[static_cast<std::size_t>(offset)]);
+  }
+
+  // A drawn engine over an undrawn one, and back.
+  RandomEngine undrawn{5};
+  RandomEngine drawn{6};
+  std::mt19937_64 six{mix64(6)};
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(drawn.next_u64(), six());
+  RandomEngine target{5};
+  target = drawn;
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(target.next_u64(), six()) << "draw " << i;
+  target = undrawn;
+  std::mt19937_64 five{mix64(5)};
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(target.next_u64(), five()) << "draw " << i;
+}
+
+// The distributions draw through the engine's result_type, min() and
+// max(), so they consume exactly the words they consumed from
+// std::mt19937_64.
+TEST(RandomTest, DistributionsMatchAReferenceOnStdMt19937_64) {
+  struct Reference {
+    std::mt19937_64 gen;
+    double uniform01() { return static_cast<double>(gen() >> 11) * 0x1.0p-53; }
+    double exponential_mean(double mean) {
+      double u = uniform01();
+      if (u <= 0.0) u = 0x1.0p-53;
+      return -mean * std::log(u);
+    }
+    std::size_t categorical(const std::vector<double>& weights) {
+      double total = 0;
+      for (const double w : weights) total += w;
+      double x = uniform01() * total;
+      for (std::size_t i = 0; i < weights.size(); ++i) {
+        x -= weights[i];
+        if (x < 0) return i;
+      }
+      return weights.size() - 1;
+    }
+  };
+  const std::vector<double> weights{0.5, 0.0, 2.0, 1e-3, 7.25};
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t seed : {3ULL, 4242ULL, 20020612ULL}) {
+    RandomEngine rng{seed};
+    Reference ref{std::mt19937_64{mix64(seed)}};
+    for (int i = 0; i < 2000; ++i) {
+      using Ints = std::uniform_int_distribution<std::int64_t>;
+      ASSERT_EQ(rng.uniform_int(0, 4), (Ints{0, 4}(ref.gen)));
+      ASSERT_EQ(rng.uniform_int(-7, 1'000'000'007), (Ints{-7, 1'000'000'007}(ref.gen)));
+      ASSERT_EQ(rng.uniform_int(lo, hi), (Ints{lo, hi}(ref.gen)));
+      ASSERT_EQ(rng.normal(1.5, 0.25), (std::normal_distribution<double>{1.5, 0.25}(ref.gen)));
+      ASSERT_EQ(rng.weibull(1.7, 3.0), (std::weibull_distribution<double>{1.7, 3.0}(ref.gen)));
+      ASSERT_EQ(rng.exponential_mean(2.5), ref.exponential_mean(2.5));
+      ASSERT_EQ(rng.categorical(weights), ref.categorical(weights)) << seed << " draw " << i;
+      ASSERT_EQ(rng.uniform01(), ref.uniform01());
+    }
+  }
 }
 
 TEST(RandomTest, SubstreamSeedDoesNotDependOnDraws) {
@@ -537,6 +627,29 @@ TEST(RandomTest, CategoricalProportions) {
   EXPECT_THROW((void)rng.categorical({}), std::invalid_argument);
   EXPECT_THROW((void)rng.categorical({0.0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)rng.categorical({1.0, -1.0}), std::invalid_argument);
+}
+
+// An infinite weight used to lose every draw (inf - inf is NaN), and a NaN
+// weight was reported as a zero sum. A rejection names the weight.
+TEST(RandomTest, CategoricalRejectsNonFiniteWeights) {
+  RandomEngine rng{16};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  const auto message = [&rng](const std::vector<double>& weights) -> std::string {
+    try {
+      (void)rng.categorical(weights);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message({inf, 1.0}), "categorical: weight 0 is not finite");
+  EXPECT_EQ(message({1.0, -inf}), "categorical: weight 1 is not finite");
+  EXPECT_EQ(message({1.0, 2.0, nan}), "categorical: weight 2 is not finite");
+  EXPECT_EQ(message({1.0, -1.0}), "categorical: weight 1 is negative");
+  EXPECT_EQ(message({big, big}), "categorical: weights sum to infinity");
+  EXPECT_EQ(message({0.0, 0.0}), "categorical: weights sum to zero");
 }
 
 TEST(RandomTest, UniformIntCoversRangeInclusive) {
