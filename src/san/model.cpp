@@ -38,6 +38,25 @@ ActivityRef& ActivityRef::out_gate(OutputGateId g) {
   return *this;
 }
 
+Marking& Marking::operator=(const Marking& other) {
+  if (this == &other) return *this;
+  if (journal_ == nullptr) {
+    tokens_ = other.tokens_;
+    return *this;
+  }
+  if (other.size() != size()) {
+    throw std::logic_error{"Marking: a journaled marking cannot change its place count"};
+  }
+  for (std::size_t p = 0; p < size(); ++p) set(static_cast<PlaceId>(p), other.tokens_[p]);
+  return *this;
+}
+
+Marking& Marking::operator=(Marking&& other) {
+  if (journal_ != nullptr) return *this = std::as_const(other);
+  tokens_ = std::move(other.tokens_);
+  return *this;
+}
+
 PlaceId SanModel::place(const std::string& name, std::int32_t initial) {
   if (place_index_.contains(name)) throw std::logic_error{"SanModel: duplicate place " + name};
   if (initial < 0) throw std::logic_error{"SanModel: negative initial tokens in " + name};
@@ -85,6 +104,7 @@ ActivityRef SanModel::instant_activity(const std::string& name, double weight) {
   if (activity_index_.contains(name)) {
     throw std::logic_error{"SanModel: duplicate activity " + name};
   }
+  if (!std::isfinite(weight)) throw std::logic_error{"SanModel: non-finite weight on " + name};
   if (!(weight > 0)) throw std::logic_error{"SanModel: non-positive weight on " + name};
   const auto id = static_cast<ActivityId>(activities_.size());
   Activity act;

@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "san/distribution.hpp"
@@ -40,26 +41,90 @@ using ActivityId = std::uint32_t;
 using InputGateId = std::uint32_t;
 using OutputGateId = std::uint32_t;
 
+/// The places a marking change touched, each once, with its token count
+/// before the first touch.
+class MarkingJournal {
+ public:
+  struct Entry {
+    PlaceId place;
+    std::int32_t before;
+  };
+
+  /// Empties the journal and sizes it for `places` places.
+  void reset(std::size_t places) {
+    seen_.assign((places + 63) / 64, 0);
+    entries_.clear();
+  }
+  /// Records `p` with count `before` unless it is already recorded.
+  void note(PlaceId p, std::int32_t before) {
+    std::uint64_t& word = seen_[p / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    entries_.push_back({p, before});
+  }
+  /// The recorded places, in first-touch order.
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  /// Empties the journal in O(entries).
+  void clear() {
+    for (const Entry& e : entries_) seen_[e.place / 64] &= ~(std::uint64_t{1} << (e.place % 64));
+    entries_.clear();
+  }
+
+ private:
+  std::vector<std::uint64_t> seen_;  // bit p % 64 of word p / 64: place p recorded
+  std::vector<Entry> entries_;
+};
+
 /// Token counts for every place; the state of a SAN.
+///
+/// While a MarkingJournal is attached (through a JournalScope), set() and
+/// add() record each place they touch in it. Copies and moves carry the
+/// tokens only: a new marking has no journal, and an assigned one keeps its
+/// own, which records every place when one is attached. Equality compares
+/// the tokens.
 class Marking {
  public:
   Marking() = default;
   explicit Marking(std::size_t places) : tokens_(places, 0) {}
+  Marking(const Marking& other) : tokens_{other.tokens_} {}
+  Marking(Marking&& other) noexcept : tokens_{std::move(other.tokens_)} {}
+  Marking& operator=(const Marking& other);
+  Marking& operator=(Marking&& other);
 
   [[nodiscard]] std::int32_t get(PlaceId p) const { return tokens_[p]; }
   void set(PlaceId p, std::int32_t v) {
     if (v < 0) throw std::logic_error{"Marking: negative token count"};
+    if (journal_ != nullptr) journal_->note(p, tokens_[p]);
     tokens_[p] = v;
   }
   void add(PlaceId p, std::int32_t delta) { set(p, tokens_[p] + delta); }
 
   [[nodiscard]] std::size_t size() const { return tokens_.size(); }
   [[nodiscard]] const std::vector<std::int32_t>& raw() const { return tokens_; }
+  /// True while a JournalScope has a journal attached.
+  [[nodiscard]] bool journaled() const { return journal_ != nullptr; }
 
-  friend bool operator==(const Marking&, const Marking&) = default;
+  friend bool operator==(const Marking& a, const Marking& b) { return a.tokens_ == b.tokens_; }
+
+  /// Attaches a journal to a marking for the scope's lifetime, and detaches
+  /// it however the scope ends (a gate that throws included).
+  class JournalScope {
+   public:
+    JournalScope(Marking& marking, MarkingJournal& journal) : marking_{&marking} {
+      marking.journal_ = &journal;
+    }
+    ~JournalScope() { marking_->journal_ = nullptr; }
+    JournalScope(const JournalScope&) = delete;
+    JournalScope& operator=(const JournalScope&) = delete;
+
+   private:
+    Marking* marking_;
+  };
 
  private:
   std::vector<std::int32_t> tokens_;
+  MarkingJournal* journal_ = nullptr;
 };
 
 struct InputGate {

@@ -1,8 +1,6 @@
 #include "san/simulator.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +15,7 @@ SanSimulator::SanSimulator(const SanModel& model, des::RandomEngine rng)
 void SanSimulator::reset(des::RandomEngine rng) {
   rng_ = rng;
   marking_ = model_->initial_marking();
+  journal_.reset(marking_.size());
   now_ = des::TimePoint::origin();
   queue_.clear();
   enabled_.assign(model_->instantaneous_mask().size(), 0);
@@ -76,28 +75,30 @@ void SanSimulator::refresh_all() {
 void SanSimulator::fire(ActivityId a) {
   accrue_rewards(now_);  // integrate over the marking that held until now
   const Activity& act = model_->activity(a);
-  before_ = marking_.raw();
-
-  // Consume input arcs.
-  for (const PlaceId p : act.input_places) {
-    if (marking_.get(p) <= 0) {
-      throw std::logic_error{"SanSimulator: firing disabled activity " + act.name};
+  {
+    // The journal records every place the firing touches.
+    const Marking::JournalScope journaled{marking_, journal_};
+    // Consume input arcs.
+    for (const PlaceId p : act.input_places) {
+      if (marking_.get(p) <= 0) {
+        throw std::logic_error{"SanSimulator: firing disabled activity " + act.name};
+      }
+      marking_.add(p, -1);
     }
-    marking_.add(p, -1);
+    // Input gate functions.
+    for (const InputGateId g : act.input_gates) {
+      if (model_->in_gate(g).fire) model_->in_gate(g).fire(marking_);
+    }
+    // Case selection.
+    const Case* chosen = &act.cases.front();
+    if (act.cases.size() > 1) {
+      case_probs_.clear();
+      for (const Case& c : act.cases) case_probs_.push_back(c.probability);
+      chosen = &act.cases[rng_.categorical(case_probs_)];
+    }
+    for (const PlaceId p : chosen->output_places) marking_.add(p, 1);
+    for (const OutputGateId g : chosen->output_gates) model_->out_gate(g).fire(marking_);
   }
-  // Input gate functions.
-  for (const InputGateId g : act.input_gates) {
-    if (model_->in_gate(g).fire) model_->in_gate(g).fire(marking_);
-  }
-  // Case selection.
-  const Case* chosen = &act.cases.front();
-  if (act.cases.size() > 1) {
-    case_probs_.clear();
-    for (const Case& c : act.cases) case_probs_.push_back(c.probability);
-    chosen = &act.cases[rng_.categorical(case_probs_)];
-  }
-  for (const PlaceId p : chosen->output_places) marking_.add(p, 1);
-  for (const OutputGateId g : chosen->output_gates) model_->out_gate(g).fire(marking_);
 
   ++fire_counts_[a];
   ++total_firings_;
@@ -108,22 +109,15 @@ void SanSimulator::fire(ActivityId a) {
   if (act.timed) scheduled_[a] = des::kInvalidEventId;
 
   // Re-evaluate only activities sensitive to changed places (plus `a`), in
-  // ascending id order. Compare the markings a block of kBlock places at a
-  // time; only a block that differs is scanned place by place.
-  constexpr std::size_t kBlock = 64 / sizeof(std::int32_t);
+  // ascending id order: a place changed when the journal holds it with a
+  // count other than its count now.
   const auto mark = [this](ActivityId x) { affected_[x / 64] |= std::uint64_t{1} << (x % 64); };
   mark(a);
-  const std::int32_t* before = before_.data();
-  const std::int32_t* after = marking_.raw().data();
-  const std::size_t places = before_.size();
-  for (std::size_t lo = 0; lo < places; lo += kBlock) {
-    const std::size_t hi = std::min(lo + kBlock, places);
-    if (std::memcmp(before + lo, after + lo, (hi - lo) * sizeof(std::int32_t)) == 0) continue;
-    for (std::size_t p = lo; p < hi; ++p) {
-      if (before[p] == after[p]) continue;
-      for (const ActivityId x : model_->dependents(static_cast<PlaceId>(p))) mark(x);
-    }
+  for (const MarkingJournal::Entry& e : journal_.entries()) {
+    if (marking_.get(e.place) == e.before) continue;
+    for (const ActivityId x : model_->dependents(e.place)) mark(x);
   }
+  journal_.clear();
   for (std::size_t w = 0; w < affected_.size(); ++w) {
     for (std::uint64_t bits = std::exchange(affected_[w], 0); bits != 0; bits &= bits - 1) {
       refresh_activity(static_cast<ActivityId>(w * 64 + std::countr_zero(bits)));

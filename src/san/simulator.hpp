@@ -12,13 +12,13 @@
 //
 // A firing costs what it touches. The enabled set is a bitset, so picking
 // an instantaneous activity walks the words of (enabled & instantaneous) in
-// ascending id order and reads only the enabled candidates. The changed
-// places are found by comparing the markings before and after the firing
-// 16 places (64 bytes) at a time, scanning place by place only the blocks
-// that differ; their dependents go into a second bitset, refreshed in
-// ascending id order. Both give the candidates and the refresh order of a
-// full scan, so the draws are those of a full scan (san_test pins this
-// against a full-rescan reference).
+// ascending id order and reads only the enabled candidates. While an
+// activity fires, a MarkingJournal is attached to the marking and records
+// each place the arcs and gates touch, with its count before the first
+// touch; the dependents of every recorded place whose count changed go
+// into a second bitset, refreshed in ascending id order. Both give the
+// candidates and the refresh order of a full scan, so the draws are those
+// of a full scan (san_test pins this against a full-rescan reference).
 #pragma once
 
 #include <cstdint>
@@ -129,7 +129,7 @@ class SanSimulator {
 
   // scratch buffers reused across firings (the firing loop allocates
   // nothing in steady state)
-  std::vector<std::int32_t> before_;
+  MarkingJournal journal_;               // attached to marking_ only inside fire()
   std::vector<std::uint64_t> affected_;  // bitset like enabled_; all zero between firings
   std::vector<ActivityId> inst_ids_;     // enabled instantaneous candidates
   std::vector<double> inst_weights_;

@@ -7,8 +7,10 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "san/compose.hpp"
@@ -225,12 +227,86 @@ TEST(SanModelTest, EnabledCountsRepeatedArcsAndMaskTracksMutation) {
   EXPECT_THROW((void)m.instantaneous_mask(), std::logic_error);
 }
 
+TEST(SanModelTest, RejectsNonFiniteInstantaneousWeights) {
+  SanModel m;
+  const auto message = [&m](const std::string& name, double weight) -> std::string {
+    try {
+      m.instant_activity(name, weight);
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("inf", std::numeric_limits<double>::infinity()),
+            "SanModel: non-finite weight on inf");
+  EXPECT_EQ(message("nan", std::numeric_limits<double>::quiet_NaN()),
+            "SanModel: non-finite weight on nan");
+  EXPECT_EQ(message("zero", 0.0), "SanModel: non-positive weight on zero");
+  EXPECT_EQ(message("big", std::numeric_limits<double>::max()), "accepted");
+  EXPECT_EQ(m.activity_count(), 1u);
+}
+
 TEST(MarkingTest, RejectsNegativeTokens) {
   Marking m{2};
   m.set(0, 3);
   EXPECT_EQ(m.get(0), 3);
   EXPECT_THROW(m.set(1, -1), std::logic_error);
   EXPECT_THROW(m.add(1, -1), std::logic_error);
+}
+
+TEST(MarkingTest, JournalRecordsEachTouchedPlaceOnceWithItsFirstCount) {
+  Marking m{3};
+  m.set(0, 4);
+  MarkingJournal journal;
+  journal.reset(m.size());
+  {
+    const Marking::JournalScope scope{m, journal};
+    EXPECT_TRUE(m.journaled());
+    m.add(2, 1);
+    m.set(0, 9);
+    m.add(2, 1);
+    m.set(0, 4);  // back to its first count: recorded, but unchanged
+    EXPECT_THROW(m.set(1, -1), std::logic_error);  // rejected before it is recorded
+  }
+  EXPECT_FALSE(m.journaled());
+  ASSERT_EQ(journal.entries().size(), 2u);
+  EXPECT_EQ(journal.entries()[0].place, 2u);
+  EXPECT_EQ(journal.entries()[0].before, 0);
+  EXPECT_EQ(journal.entries()[1].place, 0u);
+  EXPECT_EQ(journal.entries()[1].before, 4);
+  journal.clear();
+  EXPECT_TRUE(journal.entries().empty());
+  m.add(1, 1);  // no journal attached
+  EXPECT_TRUE(journal.entries().empty());
+}
+
+// Copies and moves carry tokens, never the journal; a journaled marking
+// that is assigned a whole marking records every place.
+TEST(MarkingTest, CopiesCarryTokensOnly) {
+  Marking m{3};
+  m.set(0, 1);
+  Marking target{3};
+  target.set(2, 5);
+  MarkingJournal journal;
+  journal.reset(m.size());
+  {
+    const Marking::JournalScope scope{m, journal};
+    Marking copy{m};
+    EXPECT_FALSE(copy.journaled());
+    EXPECT_EQ(copy, m);
+    const Marking moved{std::move(copy)};
+    EXPECT_FALSE(moved.journaled());
+    Marking assigned{3};
+    assigned = m;
+    EXPECT_FALSE(assigned.journaled());
+    m = target;
+    EXPECT_TRUE(m.journaled());
+    EXPECT_THROW(m = Marking{4}, std::logic_error);
+  }
+  EXPECT_EQ(m, target);
+  ASSERT_EQ(journal.entries().size(), 3u);
+  EXPECT_EQ(journal.entries()[0].before, 1);
+  EXPECT_EQ(journal.entries()[2].before, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -455,6 +531,25 @@ TEST(SanSimulatorTest, ResetRestoresInitialState) {
   EXPECT_EQ(sim.total_firings(), 0u);
   sim.run();
   EXPECT_EQ(sim.marking().get(b), 1);
+}
+
+// A gate that assigns the whole marking bypasses set() and add() per
+// place; the journal must still see the places it changed.
+TEST(SanSimulatorTest, GateAssigningTheWholeMarkingRefreshesDependents) {
+  SanModel m;
+  const PlaceId a = m.place("a", 1);
+  const PlaceId b = m.place("b");
+  const PlaceId done = m.place("done");
+  Marking handoff = m.initial_marking();
+  handoff.set(a, 0);
+  handoff.set(b, 1);
+  const auto assign = m.output_gate("assign", [handoff](Marking& mk) { mk = handoff; });
+  m.timed_activity("t", Distribution::deterministic_ms(1)).in(a).out_gate(assign);
+  const auto u = m.timed_activity("u", Distribution::deterministic_ms(1)).in(b).out(done);
+  SanSimulator sim{m, rng_for_test()};
+  EXPECT_EQ(sim.run().reason, StopReason::kDeadlock);
+  EXPECT_EQ(sim.fire_count(u.id()), 1u);
+  EXPECT_EQ(sim.marking().get(done), 1);
 }
 
 TEST(SanSimulatorTest, DeterministicGivenSeed) {
@@ -708,6 +803,48 @@ TEST(SanSimulatorTest, MatchesFullRescanReferenceOnRandomModels) {
   // The models must exercise the paths the comparison is about.
   EXPECT_GT(firings, 10'000u);
   EXPECT_GT(choices, 100u);
+}
+
+// A gate that throws mid-firing leaves the marking without a journal, and
+// reset() forgets what the interrupted firing recorded. The throw comes
+// when the counter n goes 1 -> 2; had reset() kept that record, the first
+// firing after it (n 0 -> 1) would read as "n unchanged" and never enable
+// `seen`.
+TEST(SanSimulatorTest, GateThrowingMidFiringLeavesNoJournal) {
+  SanModel m;
+  const PlaceId a = m.place("a", 1);
+  const PlaceId b = m.place("b");
+  const PlaceId n = m.place("n");
+  const PlaceId seen = m.place("seen");
+  bool armed = true;
+  const auto boom = m.output_gate("boom", [&armed, n](Marking& mk) {
+    if (armed && mk.get(n) == 2) throw std::runtime_error{"boom"};
+  });
+  m.timed_activity("t", Distribution::exponential_ms(1)).in(a).out(b).out(n).out_gate(boom);
+  m.timed_activity("u", Distribution::exponential_ms(1)).in(b).out(a);
+  const auto first = m.input_gate("first", {n, seen}, [n, seen](const Marking& mk) {
+    return mk.get(n) >= 1 && mk.get(seen) == 0;
+  });
+  m.instant_activity("see").in_gate(first).out(seen);
+
+  std::vector<Firing> got;
+  SanSimulator sim{m, des::RandomEngine{3}};
+  sim.set_fire_hook([&got](ActivityId act, des::TimePoint at) { got.push_back({act, at}); });
+  EXPECT_THROW((void)sim.run(), std::runtime_error);
+  EXPECT_FALSE(sim.marking().journaled());
+
+  armed = false;
+  const auto limit = des::Duration::from_ms(50);
+  got.clear();
+  sim.reset(des::RandomEngine{3});
+  sim.run(limit);
+  std::vector<Firing> want;
+  SanSimulator fresh{m, des::RandomEngine{3}};
+  fresh.set_fire_hook([&want](ActivityId act, des::TimePoint at) { want.push_back({act, at}); });
+  fresh.run(limit);
+  EXPECT_GT(want.size(), 20u);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(sim.marking(), fresh.marking());
 }
 
 // --------------------------------------------------------------------------
