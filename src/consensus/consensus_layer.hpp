@@ -198,6 +198,7 @@ class ConsensusLayer : public runtime::Layer {
     it->second.decided = false;
     it->second.decide_pending = false;
     it->second.decide_broadcast = true;  // the corrupted re-decide must not re-flood
+    if (cid < decided_prefix_) decided_prefix_ = cid;
   }
   /// Test-only: mutable log access for corrupting records between a crash
   /// and its replay (the replay-matches-precrash audit must notice).
@@ -260,6 +261,14 @@ class ConsensusLayer : public runtime::Layer {
     if (instances_.size() > peak_active_) peak_active_ = instances_.size();
     return inst;
   }
+  /// Moves decided_prefix_ over the consecutive cids that are present and
+  /// decided; a gap or a collected cid stops it.
+  void advance_decided_prefix() {
+    for (auto it = instances_.find(decided_prefix_);
+         it != instances_.end() && it->first == decided_prefix_ && it->second.decided; ++it) {
+      ++decided_prefix_;
+    }
+  }
   static void touch_epoch(Instance& inst, std::uint32_t epoch) {
     if (!inst.epoch_set) {
       inst.epoch_set = true;
@@ -281,6 +290,10 @@ class ConsensusLayer : public runtime::Layer {
 
   const MembershipView* view_ = nullptr;
   std::map<std::int32_t, Instance> instances_;
+  /// Every instance held with a cid below this is decided (cids are never
+  /// negative), so a suspicion need not walk them. Collection may erase
+  /// them; a collected cid never comes back.
+  std::int32_t decided_prefix_ = 0;
   detail::InstanceGc gc_;
   std::size_t peak_active_ = 0;
   std::function<void(const DecisionEvent&)> on_decide_;
@@ -433,6 +446,7 @@ void ConsensusLayer<Protocol, InstanceT>::finish_decide(std::int32_t cid, Instan
 #endif
   inst.decided = true;
   inst.decide_pending = false;
+  if (cid == decided_prefix_) advance_decided_prefix();
   if (on_decide_ && inst.started) {
     const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
     on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
@@ -487,7 +501,9 @@ void ConsensusLayer<Protocol, InstanceT>::on_message(const Message& m) {
 template <typename Protocol, typename InstanceT>
 void ConsensusLayer<Protocol, InstanceT>::on_suspicion(HostId peer, bool suspected) {
   if (!suspected) return;
-  for (auto& [cid, inst] : instances_) {
+  // Only started, undecided instances react, and none lies below the prefix.
+  for (auto it = instances_.lower_bound(decided_prefix_); it != instances_.end(); ++it) {
+    auto& [cid, inst] = *it;
     if (inst.started && !inst.decided) protocol().on_suspected(cid, inst, peer);
   }
 }
@@ -515,6 +531,7 @@ void ConsensusLayer<Protocol, InstanceT>::on_crash() {
 template <typename Protocol, typename InstanceT>
 void ConsensusLayer<Protocol, InstanceT>::on_restart() {
   instances_.clear();
+  decided_prefix_ = 0;
   if (!log_.enabled()) {
     // Volatile restart: a fresh incarnation may legitimately re-learn and
     // re-report old decisions, so the audit ledgers reset with the state.
@@ -566,6 +583,7 @@ void ConsensusLayer<Protocol, InstanceT>::on_restart() {
     q.round = inst.round;
     bcast(inst, q);
   }
+  advance_decided_prefix();
   log_.note_replayed(replayed);
   SANPERF_AUDIT_ONLY(audit_check_replay();)
 }

@@ -9,6 +9,8 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "consensus/ct_consensus.hpp"
 #include "consensus/mr_consensus.hpp"
@@ -178,6 +180,96 @@ TYPED_TEST(ConsensusLayerTest, ProposeTwiceRejectedAndAccessorsBeforeDecision) {
   EXPECT_EQ(cons.rounds_used(0), 0);
   cons.propose(0, 1);
   EXPECT_THROW(cons.propose(0, 2), std::logic_error);
+}
+
+/// A detector whose suspicions the test sets.
+class ManualFd : public runtime::Layer, public fd::FailureDetector {
+ public:
+  [[nodiscard]] bool is_suspected(HostId peer) const override { return suspected_.contains(peer); }
+  void add_listener(fd::SuspicionListener listener) override {
+    listeners_.push_back(std::move(listener));
+  }
+  void on_message(const runtime::Message&) override {}
+
+  void set_suspected(HostId peer, bool suspected) {
+    if (suspected) {
+      suspected_.insert(peer);
+    } else {
+      suspected_.erase(peer);
+    }
+    for (const auto& listener : listeners_) listener(peer, suspected);
+  }
+
+ private:
+  std::set<HostId> suspected_;
+  std::vector<fd::SuspicionListener> listeners_;
+};
+
+/// Instances that reacted to a suspected coordinator: CT nacks and enters
+/// the next round, MR votes bottom (and enters it on a majority of votes).
+std::uint64_t suspicion_reactions(const CtConsensus& cons) { return cons.stats().nacks_sent; }
+std::uint64_t suspicion_reactions(const MrConsensus& cons) { return cons.stats().bottom_aux; }
+
+// A suspicion skips the decided prefix of cids; a gap stops the prefix and
+// a restart resets it, so every started, undecided instance still reacts.
+TYPED_TEST(ConsensusLayerTest, SuspicionReachesExactlyTheStartedUndecidedInstances) {
+  Cluster cluster{base_config(3, 9)};
+  std::vector<ManualFd*> fds;
+  for (HostId i = 0; i < 3; ++i) {
+    auto& proc = cluster.process(i);
+    fds.push_back(&proc.add_layer<ManualFd>());
+    proc.add_layer<TypeParam>(*fds.back());
+  }
+  cluster.run_until(des::TimePoint::origin());
+  const auto layer = [&cluster](HostId h) -> TypeParam& {
+    return cluster.process(h).template layer<TypeParam>();
+  };
+  // Host 1 ends with cids 0..2 and 4 decided, none at 3, 5 started and
+  // waiting for its round-1 coordinator (host 0), 6 decided and 7 decided
+  // without having started it. Cid 2 decides last, so the prefix reaches
+  // the gap with decided cids beyond it.
+  const auto propose_everywhere = [&layer](std::int32_t cid) {
+    for (HostId h = 0; h < 3; ++h) layer(h).propose(cid, 10 * cid + h);
+  };
+  for (const std::int32_t cid : {0, 1, 4, 6}) propose_everywhere(cid);
+  for (const HostId h : {0u, 2u}) layer(h).propose(7, 70 + h);
+  TypeParam& cons = layer(1);
+  cons.propose(5, 51);
+  cluster.run_until(des::TimePoint::origin() + des::Duration::from_ms(100));
+  ASSERT_TRUE(cons.has_decided(4));
+  propose_everywhere(2);
+  cluster.run_until(des::TimePoint::origin() + des::Duration::from_ms(200));
+  for (const std::int32_t cid : {0, 1, 2, 4, 6, 7}) ASSERT_TRUE(cons.has_decided(cid)) << cid;
+  ASSERT_FALSE(cons.has_decided(5));
+  // The gap fills late: the prefix must not have moved past it.
+  cons.propose(3, 31);
+  ASSERT_EQ(cons.rounds_used(3), 1);
+  ASSERT_EQ(cons.rounds_used(5), 1);
+
+  std::vector<std::int32_t> rounds;
+  for (std::int32_t cid = 0; cid < 8; ++cid) rounds.push_back(cons.rounds_used(cid));
+  const std::uint64_t before = suspicion_reactions(cons);
+  fds[1]->set_suspected(0, true);
+  EXPECT_EQ(suspicion_reactions(cons), before + 2);  // instances 3 and 5
+  for (const std::int32_t cid : {0, 1, 2, 4, 6, 7}) {
+    EXPECT_EQ(cons.rounds_used(cid), rounds[static_cast<std::size_t>(cid)]) << cid;
+  }
+  if constexpr (std::is_same_v<TypeParam, CtConsensus>) {
+    EXPECT_EQ(cons.rounds_used(3), 2);
+    EXPECT_EQ(cons.rounds_used(5), 2);
+  }
+
+  // A volatile restart forgets every instance: cid 1, below the old
+  // prefix, starts again undecided and must react.
+  fds[1]->set_suspected(0, false);
+  cluster.process(1).crash();
+  cluster.process(1).restart();
+  cons.propose(1, 11);
+  ASSERT_FALSE(cons.has_decided(1));
+  const std::uint64_t restarted = suspicion_reactions(cons);
+  fds[1]->set_suspected(0, true);
+  EXPECT_EQ(suspicion_reactions(cons), restarted + 1);
+  if constexpr (std::is_same_v<TypeParam, CtConsensus>) EXPECT_EQ(cons.rounds_used(1), 2);
 }
 
 // Safety sweep: agreement + validity over (n, crash, seed) combinations.
