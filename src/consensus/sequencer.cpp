@@ -1,6 +1,7 @@
 #include "consensus/sequencer.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "consensus/ct_consensus.hpp"
 
@@ -62,12 +63,7 @@ std::vector<ExecutionResult> ConsensusSequencer::run() {
 
     cluster_->run_until([&] { return first[k].at.has_value(); }, t0 + kGiveUp);
 
-    ExecutionResult res;
-    res.cid = cid;
-    res.t0 = t0;
-    res.t_decide = first[k].at;
-    res.rounds = first[k].rounds;
-    results.push_back(res);
+    results.push_back(ExecutionResult::of(cid, t0, first[k].at, first[k].rounds));
 
     // Next start: the separation, pushed back when a slow execution would
     // otherwise overlap (footnote 2).

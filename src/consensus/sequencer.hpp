@@ -1,6 +1,8 @@
 // Drives a sequence of isolated Chandra-Toueg executions on a cluster and
 // measures per-execution latency: the paper's class-3 schedule (Section
-// 2.3 / Section 4).
+// 2.3 / Section 4). core::run_fault_class3 runs it on the cluster that
+// core/workload_cluster.hpp assembles for every harness, and it reports
+// each execution in the harnesses' one record, ExecutionResult.
 //
 // All processes propose at the same instant t0 (up to an emulated NTP
 // synchronisation skew of +-50 us); latency is t1 - t0 where t1 is the time
@@ -9,13 +11,14 @@
 // after its decision so executions stay isolated (the paper's footnote 2).
 // An execution undecided after 5 s counts as undecided. These timings are
 // the paper's and are fixed; for overlapping instances or offered-load
-// arrival processes use core::run_workload instead.
+// arrival processes use core::run_workload instead. The sequencer keeps
+// its own proposal schedule and NTP draw, which the goldens pin.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "consensus/execution.hpp"
 #include "des/random.hpp"
 #include "des/time.hpp"
 #include "runtime/cluster.hpp"
@@ -36,16 +39,6 @@ struct SequencerConfig {
   return des::Duration::from_ms(half_width_ms +
                                 rng.uniform(-half_width_ms, half_width_ms));
 }
-
-struct ExecutionResult {
-  std::int32_t cid = 0;
-  des::TimePoint t0;                        ///< nominal common start
-  std::optional<des::TimePoint> t_decide;   ///< first decision, if any
-  std::int32_t rounds = 0;                  ///< rounds used by the first decider
-
-  [[nodiscard]] bool decided() const { return t_decide.has_value(); }
-  [[nodiscard]] double latency_ms() const { return (*t_decide - t0).to_ms(); }
-};
 
 class ConsensusSequencer {
  public:

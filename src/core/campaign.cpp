@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/measurement.hpp"
 #include "core/parse_util.hpp"
 
 namespace sanperf::core {
@@ -265,6 +266,11 @@ ResultTable CampaignRegistry::run(std::string_view name, const RunOptions& optio
     throw std::out_of_range{"CampaignRegistry: unknown scenario '" + std::string{name} + "'"};
   }
   return run(*spec, options);
+}
+
+ResultTable::Value mean_ci_cell(const MeasuredLatency& latency) {
+  if (latency.latencies_ms.empty()) return ResultTable::Value{};
+  return ResultTable::Value{latency.summary().mean_ci(0.90)};
 }
 
 CampaignRegistry& CampaignRegistry::global() {

@@ -196,6 +196,12 @@ class CampaignRegistry {
   std::vector<ScenarioSpec> specs_;
 };
 
+struct MeasuredLatency;
+
+/// A latency fold's 90% mean CI as a table cell, empty when no execution
+/// decided: a mean over zero samples would print as 0.
+[[nodiscard]] ResultTable::Value mean_ci_cell(const MeasuredLatency& latency);
+
 /// The in-tree scenario families global() lists, each in `sanperf list`
 /// order: the paper artifacts, ablations and extensions (experiments.cpp),
 /// then the workload-engine and fault-injection scenarios (scenarios.cpp).

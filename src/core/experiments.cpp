@@ -143,14 +143,15 @@ std::pair<Value, Value> paper_cells(std::size_t n, int crashed) {
 
 /// One task of a space mixing emulator executions and SAN replications.
 struct MixedCell {
-  ExecOutcome exec;
+  consensus::ExecutionResult exec;
   std::optional<double> reward;
 };
 
-std::vector<ExecOutcome> execs_of(const std::vector<MixedCell>& cells) {
-  std::vector<ExecOutcome> out;
-  out.reserve(cells.size());
-  for (const MixedCell& c : cells) out.push_back(c.exec);
+/// Folds the emulator executions of one group's cells in index order.
+template <typename Cell>
+MeasuredLatency fold_execs(const std::vector<Cell>& cells) {
+  MeasuredLatency out;
+  for (const Cell& c : cells) out.add(c.exec);
   return out;
 }
 
@@ -271,8 +272,8 @@ ScenarioSpec fig7a_spec() {
     ResultTable table{"fig7a", columns};
     for (std::size_t g = 0; g < ns.size(); ++g) {
       const auto meas = fold_latency_outcomes(outcomes[g]);
-      table.add_row({int_of(ns[g]), paper_cells(ns[g], -1).first,
-                     meas.summary().mean_ci(0.90), int_of(meas.undecided),
+      table.add_row({int_of(ns[g]), paper_cells(ns[g], -1).first, mean_ci_cell(meas),
+                     int_of(meas.undecided),
                      SampleRef{meas.latencies_ms}});
     }
     return table;
@@ -321,7 +322,7 @@ ScenarioSpec fig7b_spec() {
       return cell;
     });
 
-    const auto measured_ms = fold_latency_outcomes(execs_of(cells[0])).latencies_ms;
+    const auto measured_ms = fold_execs(cells[0]).latencies_ms;
     std::vector<std::vector<std::optional<double>>> rewards;
     for (std::size_t k = 0; k < candidates.size(); ++k) rewards.push_back(rewards_of(cells[k + 1]));
     const TsendSweep sweep = fold_tsend_sweep(candidates, rewards, stats::Ecdf{measured_ms});
@@ -372,7 +373,7 @@ ScenarioSpec table1_spec() {
     struct Row {
       std::size_t n = 0;
       int crashed = -1;
-      stats::MeanCI meas;
+      Value meas;
       std::optional<double> sim;
     };
     struct Group {
@@ -423,7 +424,7 @@ ScenarioSpec table1_spec() {
       if (groups[g].study != nullptr) {
         row.sim = fold_study_rewards(rewards_of(cells[g])).summary.mean();
       } else {
-        row.meas = fold_latency_outcomes(execs_of(cells[g])).summary().mean_ci(0.90);
+        row.meas = mean_ci_cell(fold_execs(cells[g]));
       }
     }
     ResultTable table{"table1", columns};
@@ -753,11 +754,19 @@ ScenarioSpec ext_algorithms_spec() {
     ResultTable table{"ext_algorithms", columns};
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
       const auto point = run.grid.point(p);
-      const auto ct = fold_latency_outcomes(outcomes[2 * p]).summary();
-      const auto mr = fold_latency_outcomes(outcomes[2 * p + 1]).summary();
-      table.add_row({point.get_int("n"), point.get_string("scenario"), ct.mean_ci(),
-                     mr.mean_ci(), mr.mean() / ct.mean(),
-                     std::string{mr.mean() < ct.mean() ? "MR" : "CT"}});
+      const auto ct = fold_latency_outcomes(outcomes[2 * p]);
+      const auto mr = fold_latency_outcomes(outcomes[2 * p + 1]);
+      // A ratio and a winner need both sides to have decided.
+      Value ratio{};
+      Value winner{};
+      if (!ct.latencies_ms.empty() && !mr.latencies_ms.empty()) {
+        const double ct_mean = ct.summary().mean();
+        const double mr_mean = mr.summary().mean();
+        ratio = Value{mr_mean / ct_mean};
+        winner = Value{std::string{mr_mean < ct_mean ? "MR" : "CT"}};
+      }
+      table.add_row({point.get_int("n"), point.get_string("scenario"), mean_ci_cell(ct),
+                     mean_ci_cell(mr), std::move(ratio), std::move(winner)});
     }
     return table;
   };
@@ -790,7 +799,7 @@ ScenarioSpec ext_throughput_spec() {
     // Per n: a flat group of isolated executions plus a single-task group
     // holding the (inherently sequential) back-to-back stream.
     struct Cell {
-      ExecOutcome exec;
+      consensus::ExecutionResult exec;
       std::optional<WorkloadResult> stream;
     };
     ShardSpace space;
@@ -828,9 +837,7 @@ ScenarioSpec ext_throughput_spec() {
 
     ResultTable table{"ext_throughput", columns};
     for (std::size_t g = 0; g < ns.size(); ++g) {
-      std::vector<ExecOutcome> outcomes;
-      for (const Cell& c : cells[2 * g]) outcomes.push_back(c.exec);
-      const double iso = fold_latency_outcomes(outcomes).summary().mean();
+      const double iso = fold_execs(cells[2 * g]).summary().mean();
       const WorkloadStats& tput = cells[2 * g + 1][0].stream->stats;
       const double bound = iso > 0 ? 1000.0 / iso : 0;
       table.add_row({int_of(ns[g]), iso, tput.latency_ci, tput.delivered_per_s,

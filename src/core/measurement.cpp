@@ -1,13 +1,16 @@
 #include "core/measurement.hpp"
 
 #include <any>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
+#include "consensus/ct_consensus.hpp"
+#include "consensus/sequencer.hpp"
 #include "core/workload.hpp"
+#include "core/workload_cluster.hpp"
 #include "des/simulator.hpp"
-#include "faults/experiments.hpp"
-#include "faults/plan.hpp"
+#include "fd/heartbeat_fd.hpp"
 #include "net/network.hpp"
 
 namespace sanperf::core {
@@ -108,6 +111,15 @@ std::vector<double> measure_broadcast_delays(const net::NetworkParams& params, s
   return pool_probe_shards(std::move(shards), runner);
 }
 
+void MeasuredLatency::add(const consensus::ExecutionResult& exec) {
+  if (exec.decided()) {
+    latencies_ms.push_back(*exec.latency_ms);
+    rounds.push_back(exec.rounds);
+  } else {
+    ++undecided;
+  }
+}
+
 void MeasuredLatency::merge(const MeasuredLatency& other) {
   latencies_ms.insert(latencies_ms.end(), other.latencies_ms.begin(), other.latencies_ms.end());
   rounds.insert(rounds.end(), other.rounds.begin(), other.rounds.end());
@@ -120,9 +132,10 @@ stats::SummaryStats MeasuredLatency::summary() const {
   return s;
 }
 
-ExecOutcome run_latency_execution(std::size_t n, const net::NetworkParams& params,
-                                  const net::TimerModel& timers, int initially_crashed,
-                                  std::size_t k, std::uint64_t exec_seed) {
+consensus::ExecutionResult run_latency_execution(std::size_t n, const net::NetworkParams& params,
+                                                const net::TimerModel& timers,
+                                                int initially_crashed, std::size_t k,
+                                                std::uint64_t exec_seed) {
   // The workload engine's one-shot mode IS the historic harness.
   WorkloadConfig cfg;
   cfg.n = n;
@@ -132,18 +145,11 @@ ExecOutcome run_latency_execution(std::size_t n, const net::NetworkParams& param
   return run_one_shot(cfg, k, exec_seed);
 }
 
-MeasuredLatency fold_latency_outcomes(const std::vector<ExecOutcome>& outcomes) {
+MeasuredLatency fold_latency_outcomes(std::span<const consensus::ExecutionResult> outcomes) {
   // Merge in execution order: identical to the sequential loop.
   MeasuredLatency out;
   out.latencies_ms.reserve(outcomes.size());
-  for (const ExecOutcome& exec : outcomes) {
-    if (exec.latency_ms) {
-      out.latencies_ms.push_back(*exec.latency_ms);
-      out.rounds.push_back(exec.rounds);
-    } else {
-      ++out.undecided;
-    }
-  }
+  for (const consensus::ExecutionResult& exec : outcomes) out.add(exec);
   return out;
 }
 
@@ -165,19 +171,76 @@ Class3Run measure_class3_run(std::size_t n, const net::NetworkParams& params,
                              std::size_t executions, std::uint64_t seed) {
   // The fault harness under an empty plan, which schedules nothing and
   // never draws: one class-3 harness for plain and fault-injected runs.
-  const auto run = faults::run_fault_class3(n, params, timers, timeout_ms, executions,
-                                            faults::FaultPlan{}, seed);
+  const auto run = run_fault_class3(n, params, timers, timeout_ms, executions,
+                                    faults::FaultPlan{}, seed);
   Class3Run out;
-  for (const auto& res : run.executions) {
-    if (res.decided()) {
-      out.latency.latencies_ms.push_back(res.latency_ms());
-      out.latency.rounds.push_back(res.rounds);
-    } else {
-      ++out.latency.undecided;
-    }
-  }
+  for (const auto& res : run.executions) out.latency.add(res);
   out.qos = run.qos;
   out.experiment_ms = run.experiment_ms;
+  return out;
+}
+
+FaultClass3Run run_fault_class3(std::size_t n, const net::NetworkParams& params,
+                                const net::TimerModel& timers, double timeout_ms,
+                                std::size_t executions, const faults::FaultPlan& plan,
+                                std::uint64_t seed) {
+  WorkloadConfig cfg;
+  cfg.n = n;
+  cfg.network = params;
+  cfg.timers = timers;
+  cfg.fault_plan = &plan;
+  detail::WorkloadCluster<consensus::CtConsensus> assembly{
+      cfg, seed, timeout_ms, [](runtime::Process&, consensus::CtConsensus&) {}};
+  runtime::Cluster& cluster = assembly.cluster();
+
+  consensus::SequencerConfig seq_cfg;
+  seq_cfg.executions = executions;
+  consensus::ConsensusSequencer seq{cluster, seq_cfg};
+
+  FaultClass3Run run;
+  run.executions = seq.run();
+
+  // QoS over the full experiment duration, all ordered pairs (crashed
+  // monitors contribute their frozen histories). A host crashed at t <= 0
+  // and never recovered skipped on_start, so its detector has no histories
+  // to contribute.
+  std::vector<const fd::PairHistory*> histories;
+  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(n); ++pid) {
+    const auto& hb = cluster.process(pid).layer<fd::HeartbeatFd>();
+    if (hb.histories().size() != n) continue;  // never started
+    for (runtime::HostId peer = 0; peer < static_cast<runtime::HostId>(n); ++peer) {
+      if (peer == pid) continue;
+      histories.push_back(&hb.histories()[peer]);
+    }
+  }
+  run.qos = fd::average_qos(histories, seq.experiment_end());
+  run.experiment_ms = seq.experiment_end().to_ms();
+  return run;
+}
+
+void PhasedLatency::merge(const PhasedLatency& other) {
+  before.merge(other.before);
+  during.merge(other.during);
+  after.merge(other.after);
+}
+
+std::size_t PhasedLatency::undecided() const {
+  return before.undecided + during.undecided + after.undecided;
+}
+
+PhasedLatency split_by_window(std::span<const consensus::ExecutionResult> execs,
+                              double start_ms, double end_ms) {
+  PhasedLatency out;
+  const bool no_window = std::isinf(start_ms);
+  for (const consensus::ExecutionResult& exec : execs) {
+    MeasuredLatency* bucket = &out.during;
+    if (exec.start_ms >= end_ms) {
+      bucket = &out.after;
+    } else if (no_window || (exec.decided() && exec.decide_ms() < start_ms)) {
+      bucket = &out.before;  // over before the fault opened
+    }
+    bucket->add(exec);
+  }
   return out;
 }
 

@@ -1,12 +1,19 @@
 // Measurement campaigns on the emulated cluster -- the "experiments on a
-// cluster of PCs" half of the paper's combined methodology.
+// cluster of PCs" half of the paper's combined methodology. Class 1/2
+// executions run through core::run_one_shot and class-3 runs through
+// run_fault_class3; both build their cluster with the workload streams'
+// assembly (core/workload_cluster.hpp) and report every execution as a
+// consensus::ExecutionResult, which MeasuredLatency and split_by_window
+// fold.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
+#include "consensus/execution.hpp"
 #include "core/replication.hpp"
+#include "faults/plan.hpp"
 #include "fd/qos.hpp"
 #include "net/params.hpp"
 #include "stats/summary.hpp"
@@ -64,18 +71,14 @@ inline constexpr std::size_t kDelayProbeShard = 64;
 
 // --- Class 1/2 latency campaigns --------------------------------------------
 
-/// Outcome of one isolated consensus execution (the flat sharding unit of
-/// the Fig 7a / Table 1 measurement campaigns).
-struct ExecOutcome {
-  std::optional<double> latency_ms;  ///< empty when the execution timed out
-  std::int32_t rounds = 0;
-};
-
 struct MeasuredLatency {
   std::vector<double> latencies_ms;  ///< decided executions only
   std::vector<std::int32_t> rounds;  ///< rounds used by the first decider
   std::size_t undecided = 0;
 
+  /// Counts one execution: its latency and rounds if it decided, else one
+  /// undecided.
+  void add(const consensus::ExecutionResult& exec);
   /// Appends another campaign's executions (shard merging).
   void merge(const MeasuredLatency& other);
 
@@ -84,14 +87,14 @@ struct MeasuredLatency {
 
 /// One isolated Chandra-Toueg execution with an explicitly derived seed
 /// (task `k` of a campaign; seeds come from SeedSplitter{seed, "exec"}).
-[[nodiscard]] ExecOutcome run_latency_execution(std::size_t n, const net::NetworkParams& params,
-                                                const net::TimerModel& timers,
-                                                int initially_crashed, std::size_t k,
-                                                std::uint64_t exec_seed);
+[[nodiscard]] consensus::ExecutionResult run_latency_execution(
+    std::size_t n, const net::NetworkParams& params, const net::TimerModel& timers,
+    int initially_crashed, std::size_t k, std::uint64_t exec_seed);
 
 /// Folds per-execution outcomes in execution order -- the exact merge the
 /// sequential campaign loop performs.
-[[nodiscard]] MeasuredLatency fold_latency_outcomes(const std::vector<ExecOutcome>& outcomes);
+[[nodiscard]] MeasuredLatency fold_latency_outcomes(
+    std::span<const consensus::ExecutionResult> outcomes);
 
 /// Consensus latency for run classes 1 and 2: isolated executions, static
 /// complete-and-accurate failure detectors, optional initial crash.
@@ -118,6 +121,38 @@ struct Class3Run {
 [[nodiscard]] Class3Run measure_class3_run(std::size_t n, const net::NetworkParams& params,
                                            const net::TimerModel& timers, double timeout_ms,
                                            std::size_t executions, std::uint64_t seed);
+
+/// One class-3 run with `plan` replayed on the cluster. It keeps the
+/// per-execution results, so folds can bucket them against the plan's
+/// fault windows (split_by_window). measure_class3_run is this run under
+/// an empty plan, which schedules nothing and never draws.
+struct FaultClass3Run {
+  std::vector<consensus::ExecutionResult> executions;
+  fd::QosEstimate qos;
+  double experiment_ms = 0;
+};
+
+[[nodiscard]] FaultClass3Run run_fault_class3(std::size_t n, const net::NetworkParams& params,
+                                              const net::TimerModel& timers, double timeout_ms,
+                                              std::size_t executions,
+                                              const faults::FaultPlan& plan, std::uint64_t seed);
+
+/// Executions bucketed against a fault window [start_ms, end_ms): "after"
+/// started at or past the window's end, "before" decided strictly before
+/// it opened, and "during" holds the rest (started inside it, still in
+/// flight when it opened, or undecided before its end). A window that
+/// never opens (start = inf, e.g. an event-free plan) puts everything in
+/// "before". This is the split the recovery scenarios report.
+struct PhasedLatency {
+  MeasuredLatency before, during, after;
+
+  void merge(const PhasedLatency& other);
+  /// Undecided executions over all three phases.
+  [[nodiscard]] std::size_t undecided() const;
+};
+
+[[nodiscard]] PhasedLatency split_by_window(std::span<const consensus::ExecutionResult> execs,
+                                            double start_ms, double end_ms);
 
 /// Aggregates several independent class-3 runs: means and 90% confidence
 /// intervals computed over the per-run means (the paper's procedure).

@@ -15,7 +15,6 @@
 #include "core/rss.hpp"
 #include "core/workload.hpp"
 #include "des/random.hpp"
-#include "faults/experiments.hpp"
 #include "stats/ecdf.hpp"
 #include "topo/topology.hpp"
 
@@ -61,11 +60,6 @@ std::pair<double, double> fold_window(const faults::FaultPlan& plan, std::size_t
   return {faults::kForeverMs, faults::kForeverMs};
 }
 
-Value phase_ci(const MeasuredLatency& phase) {
-  if (phase.latencies_ms.empty()) return Value{};
-  return Value{phase.summary().mean_ci(0.90)};
-}
-
 Value phase_p95(const MeasuredLatency& phase) {
   if (phase.latencies_ms.empty()) return Value{};
   return Value{stats::Ecdf{phase.latencies_ms}.quantile(0.95)};
@@ -73,13 +67,6 @@ Value phase_p95(const MeasuredLatency& phase) {
 
 /// Executions a fold saw, decided or not.
 std::size_t executions(const MeasuredLatency& m) { return m.latencies_ms.size() + m.undecided; }
-
-/// Undecided executions over all three phases of a before/during/after
-/// fold (faults::PhasedLatency or PhasedWorkload).
-template <typename Phases>
-std::size_t undecided_of(const Phases& phases) {
-  return phases.before.undecided + phases.during.undecided + phases.after.undecided;
-}
 
 // --- Fault-injection scenarios (src/faults) ----------------------------------
 
@@ -154,21 +141,21 @@ ScenarioSpec phased_fault_spec(bool partition_view) {
     }
     const auto runs = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
       const std::size_t n = run.grid.point(t.group).get_size("n");
-      return faults::run_fault_class3(n, ctx.network, ctx.timers, kFaultTimeoutMs,
-                                      ctx.scale.class3_executions, plans[t.group], t.seed);
+      return run_fault_class3(n, ctx.network, ctx.timers, kFaultTimeoutMs,
+                              ctx.scale.class3_executions, plans[t.group], t.seed);
     });
 
     ResultTable table{name, columns};
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
       const auto point = run.grid.point(p);
       const auto [start_ms, end_ms] = fold_window(plans[p], point.get_size("n"));
-      faults::PhasedLatency phases;
+      PhasedLatency phases;
       for (const auto& one : runs[p]) {  // run order: the sequential fold
-        phases.merge(faults::split_by_window(one.executions, start_ms, end_ms));
+        phases.merge(split_by_window(one.executions, start_ms, end_ms));
       }
-      table.add_row({point.get_int("n"), point.get_real(axis), phase_ci(phases.before),
-                     phase_ci(phases.during), phase_ci(phases.after),
-                     int_of(executions(phases.during)), int_of(undecided_of(phases))});
+      table.add_row({point.get_int("n"), point.get_real(axis), mean_ci_cell(phases.before),
+                     mean_ci_cell(phases.during), mean_ci_cell(phases.after),
+                     int_of(executions(phases.during)), int_of(phases.undecided())});
     }
     return table;
   };
@@ -204,6 +191,10 @@ ScenarioSpec lossy_consensus_spec() {
       const auto point = run.grid.point(p);
       const std::size_t n = point.get_size("n");
       const double pct = point.get_real("loss_pct");
+      if (!(pct >= 0 && pct <= 100)) {
+        throw std::invalid_argument{"lossy_consensus: loss_pct must be in [0, 100], got " +
+                                    to_string(AxisValue{pct})};
+      }
       faults::FaultPlan plan;
       if (run.fault_plan != nullptr) {
         plan = *run.fault_plan;
@@ -236,7 +227,7 @@ ScenarioSpec lossy_consensus_spec() {
       const auto meas = fold_latency_outcomes(outcomes[p]);
       const std::size_t total = executions(meas);
       table.add_row({point.get_int("n"), point.get_real("loss_pct"),
-                     point.get_string("algorithm"), phase_ci(meas),
+                     point.get_string("algorithm"), mean_ci_cell(meas),
                      total > 0 ? Value{100.0 * static_cast<double>(meas.latencies_ms.size()) /
                                        static_cast<double>(total)}
                                : Value{},
@@ -334,7 +325,7 @@ ScenarioSpec slowdown_sweep_spec() {
         }
       }
       table.add_row({point.get_int("n"), point.get_string("resource"), point.get_real("factor"),
-                     phase_ci(folded[p]), std::move(vs_nominal), int_of(folded[p].undecided)});
+                     mean_ci_cell(folded[p]), std::move(vs_nominal), int_of(folded[p].undecided)});
     }
     return table;
   };
@@ -436,9 +427,9 @@ double measured_instant_ms(const WorkloadSpec& stream, double frac) {
 
 /// A stream's measured instances split before / during / after its plan's
 /// fault window.
-PhasedWorkload plan_phases(const StreamPoint& sp) {
+PhasedLatency plan_phases(const StreamPoint& sp) {
   const auto [start_ms, end_ms] = fold_window(*sp.plan, sp.cfg.n);
-  return split_workload_by_window(sp.result, start_ms, end_ms);
+  return split_by_window(sp.result.measured(), start_ms, end_ms);
 }
 
 Value latency_ci_cell(const WorkloadStats& stats) {
@@ -684,11 +675,11 @@ ScenarioSpec crash_under_load_spec() {
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
-      const PhasedWorkload phases = plan_phases(sp);
+      const PhasedLatency phases = plan_phases(sp);
       table.add_row({sp.point.get_int("n"), sp.point.get_real("downtime_ms"),
-                     sp.point.get_real("offered_per_s"), phase_ci(phases.before),
-                     phase_ci(phases.during), phase_ci(phases.after),
-                     int_of(executions(phases.during)), int_of(undecided_of(phases))});
+                     sp.point.get_real("offered_per_s"), mean_ci_cell(phases.before),
+                     mean_ci_cell(phases.during), mean_ci_cell(phases.after),
+                     int_of(executions(phases.during)), int_of(phases.undecided())});
     }
     return table;
   };
@@ -752,12 +743,12 @@ ScenarioSpec recovery_under_load_spec() {
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
-      const PhasedWorkload phases = plan_phases(sp);
+      const PhasedLatency phases = plan_phases(sp);
       table.add_row({sp.point.get_int("n"), sp.point.get_string("mode"),
-                     sp.point.get_real("offered_per_s"), phase_ci(phases.before),
-                     phase_ci(phases.during), phase_ci(phases.after),
+                     sp.point.get_real("offered_per_s"), mean_ci_cell(phases.before),
+                     mean_ci_cell(phases.during), mean_ci_cell(phases.after),
                      sp.result.value_stats.p95_latency_ms,
-                     sp.result.value_stats.delivered_per_s, int_of(undecided_of(phases)),
+                     sp.result.value_stats.delivered_per_s, int_of(phases.undecided()),
                      int_of(sp.result.instances_replayed),
                      int_of(sp.result.durable_appends)});
     }
@@ -815,9 +806,9 @@ ScenarioSpec rolling_restart_spec() {
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
-      const PhasedWorkload phases = plan_phases(sp);
+      const PhasedLatency phases = plan_phases(sp);
       table.add_row({sp.point.get_int("n"), sp.point.get_string("mode"),
-                     phase_ci(phases.before), phase_ci(phases.during), phase_ci(phases.after),
+                     mean_ci_cell(phases.before), mean_ci_cell(phases.during), mean_ci_cell(phases.after),
                      phase_p95(phases.during), int_of(sp.result.value_stats.decided),
                      int_of(sp.result.value_stats.undecided),
                      int_of(sp.result.instances_replayed)});
@@ -873,11 +864,11 @@ ScenarioSpec membership_growth_spec() {
         t1 = changes.front().at_ms;
         t2 = changes.back().at_ms;
       }
-      const PhasedWorkload phases = split_workload_by_window(sp.result, t1, t2);
+      const PhasedLatency phases = split_by_window(sp.result.measured(), t1, t2);
       table.add_row({sp.point.get_int("n"), sp.point.get_real("offered_per_s"),
-                     phase_ci(phases.before), phase_ci(phases.during), phase_ci(phases.after),
+                     mean_ci_cell(phases.before), mean_ci_cell(phases.during), mean_ci_cell(phases.after),
                      phase_p95(phases.after), int_of(changes.size()),
-                     int_of(undecided_of(phases))});
+                     int_of(phases.undecided())});
     }
     return table;
   };
@@ -949,12 +940,12 @@ ScenarioSpec rack_loss_consensus_spec() {
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
-      const PhasedWorkload phases = plan_phases(sp);
+      const PhasedLatency phases = plan_phases(sp);
       table.add_row({sp.point.get_int("n"), sp.point.get_int("racks"),
                      sp.point.get_string("algorithm"), sp.point.get_real("downtime_ms"),
-                     sp.point.get_real("offered_per_s"), phase_ci(phases.before),
-                     phase_ci(phases.during), phase_ci(phases.after),
-                     int_of(executions(phases.during)), int_of(undecided_of(phases))});
+                     sp.point.get_real("offered_per_s"), mean_ci_cell(phases.before),
+                     mean_ci_cell(phases.during), mean_ci_cell(phases.after),
+                     int_of(executions(phases.during)), int_of(phases.undecided())});
     }
     return table;
   };

@@ -5,7 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,10 +14,7 @@
 #include "consensus/ct_consensus.hpp"
 #include "consensus/mr_consensus.hpp"
 #include "consensus/sequencer.hpp"  // draw_ntp_start_offset
-#include "core/exec_harness.hpp"
-#include "faults/injector.hpp"
-#include "faults/lowering.hpp"
-#include "fd/failure_detector.hpp"
+#include "core/workload_cluster.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
 #include "stats/batch_means.hpp"
@@ -42,21 +39,7 @@ const char* to_string(ThinkTimeDist dist) {
   return "?";
 }
 
-MeasuredLatency WorkloadResult::measured_latency() const {
-  MeasuredLatency out;
-  for (std::size_t k = warmup; k < instances.size(); ++k) {
-    const InstanceRecord& rec = instances[k];
-    if (rec.decided()) {
-      out.latencies_ms.push_back(*rec.latency_ms);
-      out.rounds.push_back(rec.rounds);
-    } else {
-      ++out.undecided;
-    }
-  }
-  return out;
-}
-
-WorkloadStats fold_workload_stats(const std::vector<InstanceRecord>& instances,
+WorkloadStats fold_workload_stats(const std::vector<consensus::ExecutionResult>& instances,
                                   std::size_t warmup, std::size_t batches) {
   WorkloadStats out;
   if (instances.size() <= warmup) return out;
@@ -84,7 +67,7 @@ WorkloadStats fold_workload_stats(const std::vector<InstanceRecord>& instances,
   std::size_t window_count = 0;
 
   for (std::size_t k = warmup; k < instances.size(); ++k) {
-    const InstanceRecord& rec = instances[k];
+    const consensus::ExecutionResult& rec = instances[k];
     last_start = std::max(last_start, rec.start_ms);
     if (!rec.decided()) {
       ++out.undecided;
@@ -183,35 +166,12 @@ ValueStats fold_value_stats(const std::vector<ValueRecord>& values, std::size_t 
   return out;
 }
 
-PhasedWorkload split_workload_by_window(const WorkloadResult& result, double start_ms,
-                                        double end_ms) {
-  PhasedWorkload out;
-  // A window that never opens (start = inf) puts everything in "before".
-  const bool no_window = std::isinf(start_ms);
-  for (std::size_t k = result.warmup; k < result.instances.size(); ++k) {
-    const InstanceRecord& rec = result.instances[k];
-    MeasuredLatency* bucket = &out.during;
-    if (rec.start_ms >= end_ms) {
-      bucket = &out.after;
-    } else if (no_window || (rec.decided() && rec.decide_ms() < start_ms)) {
-      bucket = &out.before;  // over before the fault opened
-    }
-    if (rec.decided()) {
-      bucket->latencies_ms.push_back(*rec.latency_ms);
-      bucket->rounds.push_back(rec.rounds);
-    } else {
-      ++bucket->undecided;
-    }
-  }
-  return out;
-}
-
 namespace {
 
-/// Rejects a spec the engine would otherwise clamp silently or fail on deep
-/// inside the simulator. Zero timings stay valid (a simultaneous burst, no
-/// think time, no linger).
-void validate(const WorkloadSpec& spec) {
+/// Rejects a spec or config the engine would otherwise clamp silently or
+/// fail on deep inside the simulator. Zero timings stay valid (a
+/// simultaneous burst, no think time, no linger, a free log).
+void validate(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   if (spec.measured == 0) throw std::invalid_argument{"run_workload: measured == 0"};
   if (spec.arrivals == ArrivalProcess::kOpenLoop && !(spec.offered_per_s > 0)) {
     throw std::invalid_argument{"run_workload: open loop needs offered_per_s > 0"};
@@ -224,7 +184,8 @@ void validate(const WorkloadSpec& spec) {
                                      std::pair{spec.separation_ms, "separation_ms"},
                                      std::pair{spec.think_ms, "think_ms"},
                                      std::pair{spec.batch_linger_ms, "batch_linger_ms"},
-                                     std::pair{spec.ntp_skew_ms, "ntp_skew_ms"}}) {
+                                     std::pair{spec.ntp_skew_ms, "ntp_skew_ms"},
+                                     std::pair{cfg.durable_append_ms, "durable_append_ms"}}) {
     if (!(std::isfinite(value) && value >= 0)) {
       throw std::invalid_argument{std::string{"run_workload: "} + field +
                                   " must be finite and >= 0"};
@@ -237,46 +198,17 @@ void validate(const WorkloadSpec& spec) {
 
 template <typename ConsensusLayer>
 WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
-  validate(spec);
+  validate(cfg, spec);
   const std::size_t total = spec.warmup + spec.measured;
-
-  // The persistent cluster: built once, serving the whole stream.
-  runtime::ClusterConfig ccfg;
-  ccfg.n = cfg.n;
-  ccfg.network = cfg.network;
-  ccfg.timers = cfg.timers;
-  ccfg.topology = cfg.topology;
-  ccfg.seed = cfg.seed;
-  runtime::Cluster cluster{ccfg};
-  std::optional<faults::FaultInjector> injector;
-  if (cfg.fault_plan != nullptr) injector.emplace(cluster, *cfg.fault_plan);
-
-  // Domain-scoped events expand against the run topology up front (the
-  // injector lowers identically), so the static detector's initially_down
-  // and the membership scan below see the per-host form.
-  std::optional<faults::FaultPlan> lowered_plan;
-  const faults::FaultPlan* plan = cfg.fault_plan;
-  if (plan != nullptr && plan->has_domain_events()) {
-    lowered_plan = faults::lower_plan(
-        *plan, cfg.topology ? *cfg.topology : topo::Topology::single_hub(cfg.n));
-    plan = &*lowered_plan;
-  }
-
-  std::set<runtime::HostId> suspected;
-  if (plan != nullptr) {
-    for (const faults::HostId h : plan->initially_down()) suspected.insert(h);
-  }
-  if (cfg.initially_crashed >= 0) {
-    suspected.insert(static_cast<runtime::HostId>(cfg.initially_crashed));
-  }
 
   // Dynamic membership: one shared epoch-history view, advanced
   // view-synchronously at the instant a membership-change control instance
   // decides. Null (the common case) keeps every layer on its
   // fixed-membership code paths, bit-exact with the legacy engine.
+  // Lowering passes membership events through, so the raw plan has them.
   bool dynamic_membership = !cfg.initial_members.empty();
-  if (plan != nullptr) {
-    for (const faults::FaultEvent& e : plan->events()) {
+  if (cfg.fault_plan != nullptr) {
+    for (const faults::FaultEvent& e : cfg.fault_plan->events()) {
       if (e.kind == faults::FaultKind::kAddHost || e.kind == faults::FaultKind::kRemoveHost) {
         dynamic_membership = true;
       }
@@ -300,6 +232,43 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     view.emplace(std::move(init));
   }
 
+  // First decision or give-up for instance `cid`; assigned below (the
+  // launch path and the decide callbacks both need it).
+  std::function<void(std::int32_t, std::optional<des::TimePoint>, std::int32_t)> close_instance;
+
+  // The persistent cluster: built once, serving the whole stream. The
+  // stream-only settings go on each host's layers here.
+  detail::WorkloadCluster<ConsensusLayer> assembly{
+      cfg, cfg.seed, cfg.heartbeat_timeout_ms,
+      [&](runtime::Process& proc, ConsensusLayer& cons) {
+        if (view && cfg.heartbeat_timeout_ms) {
+          proc.layer<fd::HeartbeatFd>().set_membership(&*view);
+        }
+        cons.set_gc_decided(true);  // memory bounded by the in-flight window
+        cons.set_rotate_coordinators(cfg.rotate_coordinators);
+        if (cfg.durable_log) {
+          consensus::DurableLogConfig dcfg;
+          dcfg.enabled = true;
+          dcfg.append_latency_ms = cfg.durable_append_ms;
+          cons.set_durable_log(dcfg);
+        }
+        if (view) cons.set_membership(&*view);
+        cons.set_decide_callback([&close_instance](const consensus::DecisionEvent& ev) {
+          // Simulated time is monotone, so the first callback carries the
+          // globally first decision of the instance.
+          close_instance(ev.cid, ev.at, ev.round);
+        });
+      }};
+  runtime::Cluster& cluster = assembly.cluster();
+  const faults::FaultPlan* plan = assembly.plan();
+  if (view) {
+    // Hosts outside the starting member set sit crashed until an add_host
+    // control instance decides them in.
+    for (runtime::HostId h = 0; h < static_cast<runtime::HostId>(cfg.n); ++h) {
+      if (!view->is_member(h) && !cluster.process(h).crashed()) cluster.crash_initially(h);
+    }
+  }
+
   struct Slot {
     des::TimePoint start;
     std::optional<des::TimePoint> decided_at;
@@ -317,48 +286,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   std::size_t next_vid = 0;
   // Closed-loop continuation, installed below; null for the other modes.
   std::function<void(std::size_t)> on_value_closed;
-  // First decision or give-up for instance `cid`; assigned below (the
-  // launch path and the decide callbacks both need it).
-  std::function<void(std::int32_t, std::optional<des::TimePoint>, std::int32_t)> close_instance;
-
-  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
-    auto& proc = cluster.process(pid);
-    fd::FailureDetector* fd_layer = nullptr;
-    if (cfg.heartbeat_timeout_ms) {
-      auto& hb = proc.add_layer<fd::HeartbeatFd>(
-          fd::HeartbeatFdParams::from_timeout_ms(*cfg.heartbeat_timeout_ms));
-      if (view) hb.set_membership(&*view);
-      fd_layer = &hb;
-    } else {
-      fd_layer = &proc.add_layer<fd::StaticFd>(suspected);
-    }
-    auto& cons = proc.add_layer<ConsensusLayer>(*fd_layer);
-    cons.set_gc_decided(true);  // memory bounded by the in-flight window
-    cons.set_rotate_coordinators(cfg.rotate_coordinators);
-    if (cfg.durable_log) {
-      consensus::DurableLogConfig dcfg;
-      dcfg.enabled = true;
-      dcfg.append_latency_ms = cfg.durable_append_ms;
-      cons.set_durable_log(dcfg);
-    }
-    if (view) cons.set_membership(&*view);
-    cons.set_decide_callback([&close_instance](const consensus::DecisionEvent& ev) {
-      // Simulated time is monotone, so the first callback carries the
-      // globally first decision of the instance.
-      close_instance(ev.cid, ev.at, ev.round);
-    });
-  }
-  if (injector) injector->arm();
-  if (cfg.initially_crashed >= 0) {
-    cluster.crash_initially(static_cast<runtime::HostId>(cfg.initially_crashed));
-  }
-  if (view) {
-    // Hosts outside the starting member set sit crashed until an add_host
-    // control instance decides them in.
-    for (runtime::HostId h = 0; h < static_cast<runtime::HostId>(cfg.n); ++h) {
-      if (!view->is_member(h) && !cluster.process(h).crashed()) cluster.crash_initially(h);
-    }
-  }
 
   auto skew_rng = cluster.rng_stream("ntp-skew");
   auto arrival_rng = cluster.rng_stream("arrivals");
@@ -372,31 +299,21 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
            launched_instances - closed_instances < spec.pipeline_window;
   };
 
-  // Launches one consensus instance carrying `batch` at the current
-  // simulated time: every process draws its NTP skew now, and liveness is
-  // checked when the propose fires (exactly like the class-3 sequencer, so
-  // a host recovering in between takes part).
-  auto launch_batch = [&](std::vector<consensus::BatchedValue> batch) {
+  // Opens the next instance, carrying `payload`, at the current simulated
+  // time and returns its cid: every current member draws its NTP skew now,
+  // and liveness is checked when the propose fires (exactly like the
+  // class-3 sequencer, so a host recovering in between takes part); the
+  // give-up deadline closes it undecided.
+  auto launch = [&](const std::vector<std::int64_t>& payload) {
     const auto cid = static_cast<std::int32_t>(slots.size());
     ++launched_instances;
-    slots.emplace_back();
-    Slot& slot = slots.back();
-    slot.start = sim.now();
-    slot.first_vid = static_cast<std::size_t>(batch.front().value);
-    slot.value_count = batch.size();
-    std::vector<std::int64_t> payload;
-    payload.reserve(batch.size());
-    for (const consensus::BatchedValue& v : batch) {
-      payload.push_back(v.value);
-      auto& rec = values[static_cast<std::size_t>(v.value)];
-      rec.cid = cid;
-      rec.queue_ms = (slot.start - v.enqueued_at).to_ms();
-    }
+    const des::TimePoint start = sim.now();
+    slots.emplace_back().start = start;
     const auto schedule_propose = [&](runtime::HostId pid) {
       auto& proc = cluster.process(pid);
-      const des::TimePoint start =
-          slot.start + consensus::draw_ntp_start_offset(skew_rng, spec.ntp_skew_ms);
-      sim.schedule_at(start, [&proc, cid, payload] {
+      const des::TimePoint at =
+          start + consensus::draw_ntp_start_offset(skew_rng, spec.ntp_skew_ms);
+      sim.schedule_at(at, [&proc, cid, payload = std::vector<std::int64_t>{payload}] {
         if (!proc.crashed()) {
           proc.layer<ConsensusLayer>().propose(cid, payload);
         }
@@ -413,10 +330,27 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
         schedule_propose(pid);
       }
     }
-    sim.schedule_at(slot.start + des::Duration::from_ms(spec.instance_timeout_ms),
+    sim.schedule_at(start + des::Duration::from_ms(spec.instance_timeout_ms),
                     [&close_instance, cid] {
                       close_instance(cid, std::nullopt, 0);  // give up: undecided
                     });
+    return cid;
+  };
+
+  // Launches the instance carrying a closed client batch.
+  auto launch_batch = [&](std::vector<consensus::BatchedValue> batch) {
+    std::vector<std::int64_t> payload;
+    payload.reserve(batch.size());
+    for (const consensus::BatchedValue& v : batch) payload.push_back(v.value);
+    const std::int32_t cid = launch(payload);
+    Slot& slot = slots.back();
+    slot.first_vid = static_cast<std::size_t>(batch.front().value);
+    slot.value_count = batch.size();
+    for (const consensus::BatchedValue& v : batch) {
+      auto& rec = values[static_cast<std::size_t>(v.value)];
+      rec.cid = cid;
+      rec.queue_ms = (slot.start - v.enqueued_at).to_ms();
+    }
   };
 
   auto maybe_launch_ready = [&] {
@@ -511,26 +445,9 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   // not queue behind the very backlog it is meant to relieve.
   auto launch_control = [&](bool add, runtime::HostId host) {
     if (!view || add == view->is_member(static_cast<consensus::MemberId>(host))) return;
-    const auto cid = static_cast<std::int32_t>(slots.size());
-    ++launched_instances;
-    slots.emplace_back();
-    Slot& slot = slots.back();
-    slot.start = sim.now();
+    const std::int32_t cid = launch({add ? -(static_cast<std::int64_t>(host) + 1)
+                                         : -(static_cast<std::int64_t>(host) + 1001)});
     pending_changes.emplace(cid, PendingChange{add, host});
-    std::vector<std::int64_t> payload{
-        add ? -(static_cast<std::int64_t>(host) + 1) : -(static_cast<std::int64_t>(host) + 1001)};
-    for (const consensus::MemberId m : view->members()) {
-      auto& proc = cluster.process(static_cast<runtime::HostId>(m));
-      const des::TimePoint start =
-          slot.start + consensus::draw_ntp_start_offset(skew_rng, spec.ntp_skew_ms);
-      sim.schedule_at(start, [&proc, cid, payload] {
-        if (!proc.crashed()) {
-          proc.layer<ConsensusLayer>().propose(cid, payload);
-        }
-      });
-    }
-    sim.schedule_at(slot.start + des::Duration::from_ms(spec.instance_timeout_ms),
-                    [&close_instance, cid] { close_instance(cid, std::nullopt, 0); });
   };
 
   // Submits the next client value of the stream at the current time.
@@ -626,14 +543,8 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   WorkloadResult out;
   out.instances.reserve(slots.size());
   for (std::size_t k = 0; k < slots.size(); ++k) {
-    InstanceRecord rec;
-    rec.cid = static_cast<std::int32_t>(k);
-    rec.start_ms = slots[k].start.to_ms();
-    if (slots[k].decided_at) {
-      rec.latency_ms = (*slots[k].decided_at - slots[k].start).to_ms();
-      rec.rounds = slots[k].rounds;
-    }
-    out.instances.push_back(rec);
+    out.instances.push_back(consensus::ExecutionResult::of(
+        static_cast<std::int32_t>(k), slots[k].start, slots[k].decided_at, slots[k].rounds));
   }
   // An instance is warm-up iff every value it carries is a warm-up value;
   // batches take consecutive vids, so warm-up instances are a prefix.
@@ -667,6 +578,47 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   return out;
 }
 
+/// One instance `k` on a fresh cluster: the class-1/2 harness behind every
+/// isolated-execution campaign, with the static detector and the
+/// one-shot's own NTP draw (live hosts only, uniform in [0, 50 us)).
+template <typename ConsensusLayer>
+consensus::ExecutionResult run_one_shot_as(const WorkloadConfig& cfg, std::size_t k,
+                                           std::uint64_t exec_seed) {
+  // Independent executions: a fresh cluster per run keeps them perfectly
+  // isolated (the cluster equivalent of the paper's 10 ms separation).
+  std::optional<des::TimePoint> first_decide;
+  std::int32_t first_rounds = 0;
+  detail::WorkloadCluster<ConsensusLayer> assembly{
+      cfg, exec_seed, /*heartbeat_timeout_ms=*/std::nullopt,
+      [&](runtime::Process&, ConsensusLayer& cons) {
+        cons.set_decide_callback([&](const consensus::DecisionEvent& ev) {
+          if (!first_decide || ev.at < *first_decide) {
+            first_decide = ev.at;
+            first_rounds = ev.round;
+          }
+        });
+      }};
+  runtime::Cluster& cluster = assembly.cluster();
+
+  // All correct processes propose at t0 (up to the emulated NTP skew).
+  const des::TimePoint t0 = des::TimePoint::origin() + des::Duration::from_ms(1.0);
+  auto skew_rng = cluster.rng_stream("ntp-skew");
+  for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
+    auto& proc = cluster.process(pid);
+    if (proc.crashed()) continue;
+    const des::TimePoint start = t0 + des::Duration::from_ms(skew_rng.uniform(0.0, 0.05));
+    cluster.sim().schedule_at(start, [&proc, k] {
+      proc.template layer<ConsensusLayer>().propose(static_cast<std::int32_t>(k),
+                                                    1 + proc.id());
+    });
+  }
+
+  const des::TimePoint deadline = t0 + des::Duration::from_ms(1000.0);
+  cluster.run_until([&] { return first_decide.has_value(); }, deadline);
+  return consensus::ExecutionResult::of(static_cast<std::int32_t>(k), t0, first_decide,
+                                        first_rounds);
+}
+
 }  // namespace
 
 WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
@@ -679,16 +631,13 @@ WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec)
   throw std::invalid_argument{"run_workload: unknown algorithm"};
 }
 
-ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k, std::uint64_t exec_seed) {
+consensus::ExecutionResult run_one_shot(const WorkloadConfig& cfg, std::size_t k,
+                                       std::uint64_t exec_seed) {
   switch (cfg.algorithm) {
     case Algorithm::kChandraToueg:
-      return detail::run_one_consensus_execution<consensus::CtConsensus>(
-          cfg.n, cfg.network, cfg.timers, cfg.initially_crashed, k, exec_seed, cfg.fault_plan,
-          cfg.topology);
+      return run_one_shot_as<consensus::CtConsensus>(cfg, k, exec_seed);
     case Algorithm::kMostefaouiRaynal:
-      return detail::run_one_consensus_execution<consensus::MrConsensus>(
-          cfg.n, cfg.network, cfg.timers, cfg.initially_crashed, k, exec_seed, cfg.fault_plan,
-          cfg.topology);
+      return run_one_shot_as<consensus::MrConsensus>(cfg, k, exec_seed);
   }
   throw std::invalid_argument{"run_one_shot: unknown algorithm"};
 }

@@ -13,19 +13,23 @@
 // intervals (consecutive instances share the cluster and correlate).
 //
 // run_one_shot runs a single instance on a fresh cluster: the class-1/2
-// harness (core/exec_harness.hpp) behind every isolated-execution campaign,
-// plain, comparative or fault-injected. The class-3 schedule lives in
-// consensus::ConsensusSequencer. The three drivers draw their NTP offsets
-// differently, and the goldens pin every draw, so they stay three.
+// harness behind every isolated-execution campaign, plain, comparative or
+// fault-injected. The class-3 schedule lives in
+// consensus::ConsensusSequencer, driven by core::run_fault_class3. All
+// three harnesses build their cluster with one assembly
+// (core/workload_cluster.hpp) and return one record per instance,
+// consensus::ExecutionResult. Each keeps its own NTP draw and proposal
+// schedule, because the goldens pin every draw.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"       // Algorithm
-#include "core/measurement.hpp"  // ExecOutcome, MeasuredLatency
+#include "core/measurement.hpp"  // ExecutionResult, MeasuredLatency
 #include "faults/plan.hpp"
 #include "net/params.hpp"
 #include "stats/summary.hpp"
@@ -138,17 +142,6 @@ struct WorkloadSpec {
   bool resubmit_undecided = false;
 };
 
-/// One instance of the stream, in cid order.
-struct InstanceRecord {
-  std::int32_t cid = 0;
-  double start_ms = 0;               ///< nominal common start (arrival)
-  std::optional<double> latency_ms;  ///< first decision - start; empty = undecided
-  std::int32_t rounds = 0;           ///< rounds used by the first decider
-
-  [[nodiscard]] bool decided() const { return latency_ms.has_value(); }
-  [[nodiscard]] double decide_ms() const { return start_ms + *latency_ms; }
-};
-
 /// One client value of the stream, in arrival order. End-to-end latency
 /// decomposes exactly into the queueing delay spent waiting for the batch
 /// to close (plus any pipeline-window wait) and the consensus latency of
@@ -199,7 +192,8 @@ struct WorkloadStats {
 };
 
 struct WorkloadResult {
-  std::vector<InstanceRecord> instances;  ///< warm-up first, then measured
+  /// One per instance in cid order, warm-up first; start_ms is the launch.
+  std::vector<consensus::ExecutionResult> instances;
   /// Warm-up *instances* (instances whose values are all warm-up values);
   /// equals the spec's warmup at batch_size = 1.
   std::size_t warmup = 0;
@@ -235,13 +229,16 @@ struct WorkloadResult {
   std::uint64_t events_processed = 0;
   double sim_duration_ms = 0;
 
-  /// Measured-window latencies in the campaign-facing shape.
-  [[nodiscard]] MeasuredLatency measured_latency() const;
+  /// The measured instances (warm-up excluded).
+  [[nodiscard]] std::span<const consensus::ExecutionResult> measured() const {
+    return std::span{instances}.subspan(warmup);
+  }
 };
 
 /// Runs `spec` against one persistent cluster described by `cfg`. Throws
-/// std::invalid_argument naming the field when a timing is negative or
-/// not finite, or the instance timeout is not positive.
+/// std::invalid_argument naming the field when a timing (the log append
+/// latency included) is negative or not finite, or the instance timeout
+/// is not positive.
 [[nodiscard]] WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec);
 
 /// One-shot mode: a single instance `k` on a fresh cluster seeded
@@ -249,28 +246,19 @@ struct WorkloadResult {
 /// at the start (cfg.initially_crashed and the hosts cfg.fault_plan
 /// crashes at t <= 0). Only n, network, timers, topology, algorithm,
 /// initially_crashed and fault_plan are read.
-[[nodiscard]] ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k,
-                                       std::uint64_t exec_seed);
+[[nodiscard]] consensus::ExecutionResult run_one_shot(const WorkloadConfig& cfg, std::size_t k,
+                                                     std::uint64_t exec_seed);
 
 /// The pure statistics fold behind WorkloadResult.stats: warm-up
 /// truncation, batch-means CIs, realised offered/delivered rates.
-[[nodiscard]] WorkloadStats fold_workload_stats(const std::vector<InstanceRecord>& instances,
-                                                std::size_t warmup, std::size_t batches);
+[[nodiscard]] WorkloadStats fold_workload_stats(
+    const std::vector<consensus::ExecutionResult>& instances, std::size_t warmup,
+    std::size_t batches);
 
 /// The per-value counterpart behind WorkloadResult.value_stats: warm-up
 /// truncation over the first `warmup` values, batch-means CI over
 /// end-to-end (queue + consensus) latencies.
 [[nodiscard]] ValueStats fold_value_stats(const std::vector<ValueRecord>& values,
                                           std::size_t warmup, std::size_t batches);
-
-/// Measured instances bucketed against a fault window [start_ms, end_ms):
-/// same semantics as faults::split_by_window ("after" starts at or past the
-/// window's end, "before" decided strictly earlier, the rest "during").
-struct PhasedWorkload {
-  MeasuredLatency before, during, after;
-};
-
-[[nodiscard]] PhasedWorkload split_workload_by_window(const WorkloadResult& result,
-                                                      double start_ms, double end_ms);
 
 }  // namespace sanperf::core

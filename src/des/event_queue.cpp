@@ -14,7 +14,6 @@ std::uint32_t EventQueue::acquire_slot() {
     return slot;
   }
   slots_.emplace_back();
-  slots_.back().gen = gen_floor_;
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -160,28 +159,5 @@ void EventQueue::audit_check_heap() const {
                           std::to_string(slots_.size()));
 }
 #endif
-
-void EventQueue::shrink_to_fit() {
-  // Only tail slots can go: interior slots are addressed by index from the
-  // heap and from outstanding EventIds, so compaction would remap them.
-  while (!slots_.empty() && slots_.back().heap_pos == kNpos) {
-    // A handle to the dropped slot carries gen <= gen, so any slot later
-    // re-created at this index must start strictly above it.
-    if (slots_.back().gen >= gen_floor_) gen_floor_ = slots_.back().gen + 1;
-    slots_.pop_back();
-  }
-  // The free list may reference dropped slots; rebuild it over the
-  // survivors in ascending index order.
-  free_head_ = kNpos;
-  std::uint32_t* tail = &free_head_;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].heap_pos != kNpos) continue;
-    *tail = i;
-    tail = &slots_[i].next_free;
-  }
-  *tail = kNpos;
-  slots_.shrink_to_fit();
-  heap_.shrink_to_fit();
-}
 
 }  // namespace sanperf::des

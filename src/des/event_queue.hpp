@@ -169,22 +169,6 @@ class EventQueue {
   /// outstanding EventId goes stale.
   void clear();
 
-  /// Releases slab capacity retained from past high-water marks: drops
-  /// every free slot at the tail of the slab (after clear() that is the
-  /// whole slab) and returns the memory to the allocator. Live events are
-  /// untouched; free slots buried under live ones stay until those fire.
-  /// Stale EventIds remain stale: generations of dropped slots are folded
-  /// into a floor that future slot allocations start from, so an old
-  /// handle can never alias a re-created slot.
-  void shrink_to_fit();
-
-  /// clear() + shrink_to_fit(): the clear-with-shrink policy for
-  /// long-lived simulators with bursty schedules.
-  void clear_and_shrink() {
-    clear();
-    shrink_to_fit();
-  }
-
   /// Slots ever allocated (live + free). Exposed so tests and benches can
   /// assert steady-state slot reuse (no slab growth under churn).
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
@@ -249,7 +233,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> heap_;  ///< slot indices, binary min-heap
   std::uint32_t free_head_ = kNpos;
-  std::uint32_t gen_floor_ = 0;  ///< new slots start here; > any dropped gen
   std::uint64_t next_seq_ = 0;
 #if SANPERF_AUDIT_ENABLED
   static constexpr std::uint64_t kAuditPeriod = 1024;  ///< ops between self-checks

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -302,6 +303,25 @@ TEST(ScenarioRunTest, FaultPlanOnlyWhereTheSpecTakesOne) {
   EXPECT_EQ(takers, 9u);
   options.axis_overrides = {{"n", "3"}, {"factor", "1"}, {"resource", "cpu"}};
   EXPECT_EQ(registry.run("slowdown_sweep", options).row_count(), 1u);
+}
+
+TEST(ScenarioRunTest, CellsOverNoDecidedExecutionAreEmpty) {
+  // n = 2 with the coordinator down leaves no majority, so no execution
+  // decides. A mean over zero samples used to print as 0, and
+  // ext_algorithms a NaN ratio and a CT "winner".
+  const auto& registry = core::CampaignRegistry::global();
+  core::RunOptions options;
+  options.scale = core::Scale::quick();
+  options.scale.class1_executions = 8;
+  options.axis_overrides = {{"n", "2"}, {"scenario", "coordinator-crash"}};
+  const auto table1 = registry.run("table1", options);
+  ASSERT_EQ(table1.row_count(), 1u);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(table1.at(0, "meas_ms")));
+  const auto algorithms = registry.run("ext_algorithms", options);
+  ASSERT_EQ(algorithms.row_count(), 1u);
+  for (const char* column : {"ct_ms", "mr_ms", "mr_over_ct", "winner"}) {
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(algorithms.at(0, column))) << column;
+  }
 }
 
 // --- Paper agreement and shape gates ------------------------------------------

@@ -347,7 +347,7 @@ TEST(CtConsensusClass3Test, DecidesDespiteWrongSuspicions) {
   for (const auto& r : results) {
     if (r.decided()) {
       ++decided;
-      EXPECT_GT(r.latency_ms(), 0.0);
+      EXPECT_GT(*r.latency_ms, 0.0);
       EXPECT_GE(r.rounds, 1);
     }
   }
@@ -376,7 +376,7 @@ TEST(SequencerTest, ExecutionsSeparatedByConfiguredGap) {
   const auto results = seq.run();
   ASSERT_EQ(results.size(), 5u);
   for (std::size_t k = 1; k < results.size(); ++k) {
-    const double gap = (results[k].t0 - results[k - 1].t0).to_ms();
+    const double gap = results[k].start_ms - results[k - 1].start_ms;
     EXPECT_GE(gap, 10.0 - 1e-9);
     EXPECT_LT(gap, 13.0);  // failure-free latencies are ~1 ms
   }
@@ -402,13 +402,17 @@ TEST(SequencerTest, SlowExecutionPushesBackTheNextStart) {
   ASSERT_EQ(results.size(), 6u);
   const auto separation = des::Duration::from_ms(10.0);
   const auto quiet = des::Duration::from_ms(2.0);
+  // The record keeps milliseconds; a whole-nanosecond instant round-trips
+  // through Duration::from_ms exactly, so the check stays exact.
+  const auto start_of = [&](std::size_t k) {
+    return des::TimePoint::origin() + des::Duration::from_ms(results[k].start_ms);
+  };
   for (std::size_t k = 0; k + 1 < results.size(); ++k) {
     ASSERT_TRUE(results[k].decided()) << k;
-    EXPECT_EQ(results[k + 1].t0,
-              std::max(results[k].t0 + separation, *results[k].t_decide + quiet))
-        << k;
+    const des::TimePoint decided = start_of(k) + des::Duration::from_ms(*results[k].latency_ms);
+    EXPECT_EQ(start_of(k + 1), std::max(start_of(k) + separation, decided + quiet)) << k;
   }
-  EXPECT_GT(results[1].t0 - results[0].t0, separation);
+  EXPECT_GT(start_of(1) - start_of(0), separation);
 }
 
 TEST(CtConsensusTest, StatsCountersFailureFreeRun) {
@@ -575,8 +579,8 @@ TEST(SequencerTest, LatenciesConsistentAcrossInstances) {
   const auto results = seq.run();
   for (const auto& r : results) {
     ASSERT_TRUE(r.decided());
-    EXPECT_GT(r.latency_ms(), 0.3);
-    EXPECT_LT(r.latency_ms(), 6.0);
+    EXPECT_GT(*r.latency_ms, 0.3);
+    EXPECT_LT(*r.latency_ms, 6.0);
     EXPECT_EQ(r.rounds, 1);
   }
 }

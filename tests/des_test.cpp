@@ -227,71 +227,6 @@ TEST(EventQueueTest, ClearMidRunStalesAllIdsAndKeepsSlab) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueTest, ShrinkReleasesHighWaterMarkAfterClear) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 64; ++i) {
-    ids.push_back(q.push(TimePoint::origin() + Duration::millis(i), [] {}));
-  }
-  EXPECT_EQ(q.slot_capacity(), 64u);
-  q.clear_and_shrink();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.slot_capacity(), 0u);
-
-  // Stale ids from before the shrink must not alias re-created slots,
-  // even though the slot indices start from zero again.
-  const EventId fresh = q.push(TimePoint::origin() + Duration::millis(1), [] {});
-  EXPECT_TRUE(q.pending(fresh));
-  for (const EventId id : ids) {
-    EXPECT_FALSE(q.pending(id));
-    EXPECT_FALSE(q.cancel(id));
-  }
-  EXPECT_TRUE(q.pending(fresh));
-  EXPECT_TRUE(q.cancel(fresh));
-}
-
-TEST(EventQueueTest, ShrinkKeepsLiveEventsAndFreeListConsistent) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 16; ++i) {
-    ids.push_back(q.push(TimePoint::origin() + Duration::millis(i), [] {}));
-  }
-  // Free the tail half (and one interior slot, which cannot be released
-  // because the slab is indexed) then shrink.
-  for (int i = 8; i < 16; ++i) ASSERT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
-  ASSERT_TRUE(q.cancel(ids[3]));
-  q.shrink_to_fit();
-  EXPECT_EQ(q.slot_capacity(), 8u);  // slots 0..7 survive (3 is free but interior)
-  EXPECT_EQ(q.size(), 7u);
-
-  // The rebuilt free list must hand out the interior free slot without
-  // corrupting anything; pop order stays by time.
-  q.push(TimePoint::origin() + Duration::millis(100), [] {});
-  EXPECT_EQ(q.slot_capacity(), 8u);  // reused slot 3, no slab growth
-  std::int64_t last = -1;
-  while (!q.empty()) {
-    const auto popped = q.pop();
-    EXPECT_GT(popped.at.ns(), last);
-    last = popped.at.ns();
-  }
-}
-
-TEST(EventQueueTest, ShrinkOnBurstySimulatorBoundsRetainedCapacity) {
-  // The long-lived-simulator pattern: a burst schedules thousands of
-  // events, then steady state needs a handful. Without shrink the slab
-  // retains the burst high-water mark forever; with the clear-with-shrink
-  // policy it tracks the live set.
-  EventQueue q;
-  for (int i = 0; i < 4096; ++i) q.push(TimePoint::origin() + Duration::millis(i), [] {});
-  EXPECT_EQ(q.slot_capacity(), 4096u);
-  q.clear();
-  EXPECT_EQ(q.slot_capacity(), 4096u);  // clear alone retains the slab
-  q.shrink_to_fit();
-  EXPECT_EQ(q.slot_capacity(), 0u);
-  for (int i = 0; i < 4; ++i) q.push(TimePoint::origin() + Duration::millis(i), [] {});
-  EXPECT_EQ(q.slot_capacity(), 4u);
-}
-
 TEST(EventQueueTest, CancelInMiddleOfHeapPreservesOrder) {
   // True O(log n) removal must keep the remaining pop order intact no
   // matter where in the heap the cancelled entry sits.

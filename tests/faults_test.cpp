@@ -13,7 +13,6 @@
 #include "core/campaign.hpp"
 #include "core/measurement.hpp"
 #include "core/workload.hpp"
-#include "faults/experiments.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
 #include "runtime/cluster.hpp"
@@ -378,8 +377,8 @@ TEST(FaultHarnessTest, Class3RunSurvivesPermanentInitialCrash) {
   // The initially-crashed host never ran on_start, so its detector has no
   // histories; the QoS fold must skip it instead of indexing past the end.
   const FaultPlan plan{{FaultPlan::crash(0, 0)}};
-  const auto run = run_fault_class3(3, net::NetworkParams::defaults(),
-                                    net::TimerModel::ideal(), 10.0, 8, plan, 7);
+  const auto run = core::run_fault_class3(3, net::NetworkParams::defaults(),
+                                          net::TimerModel::ideal(), 10.0, 8, plan, 7);
   EXPECT_EQ(run.executions.size(), 8u);
   for (const auto& exec : run.executions) EXPECT_TRUE(exec.decided());
 }
@@ -395,25 +394,6 @@ TEST(FaultHarnessTest, MrLosesVolatileStateAcrossRecoveryLikeCt) {
   cfg.fault_plan = &plan;
   const auto out = core::run_one_shot(cfg, 0, 123);
   EXPECT_TRUE(out.latency_ms.has_value());
-}
-
-TEST(FaultHarnessTest, SplitByWindowBucketsByOverlap) {
-  std::vector<consensus::ExecutionResult> execs(4);
-  const auto at = [](double ms) {
-    return des::TimePoint::origin() + des::Duration::from_ms(ms);
-  };
-  execs[0].t0 = at(1);   // decided before the window
-  execs[0].t_decide = at(2);
-  execs[1].t0 = at(8);   // in flight when the window opens at 10
-  execs[1].t_decide = at(12);
-  execs[2].t0 = at(15);  // undecided inside the window
-  execs[3].t0 = at(30);  // after
-  execs[3].t_decide = at(31);
-  const auto phased = split_by_window(execs, 10, 20);
-  EXPECT_EQ(phased.before.latencies_ms.size(), 1u);
-  EXPECT_EQ(phased.during.latencies_ms.size(), 1u);
-  EXPECT_EQ(phased.during.undecided, 1u);
-  EXPECT_EQ(phased.after.latencies_ms.size(), 1u);
 }
 
 // --- Registered fault scenarios ----------------------------------------------

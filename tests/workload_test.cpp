@@ -52,8 +52,8 @@ TEST(OneShotTest, MatchesLegacyHarnessBitForBit) {
 // Statistics fold: warm-up truncation and batch means
 // --------------------------------------------------------------------------
 
-core::InstanceRecord record(std::int32_t cid, double start_ms, double latency_ms) {
-  core::InstanceRecord rec;
+consensus::ExecutionResult record(std::int32_t cid, double start_ms, double latency_ms) {
+  consensus::ExecutionResult rec;
   rec.cid = cid;
   rec.start_ms = start_ms;
   if (latency_ms >= 0) rec.latency_ms = latency_ms;
@@ -62,7 +62,7 @@ core::InstanceRecord record(std::int32_t cid, double start_ms, double latency_ms
 
 TEST(WorkloadStatsTest, WarmupInstancesAreTruncated) {
   // 2 warm-up instances with huge latencies must not touch the statistics.
-  std::vector<core::InstanceRecord> recs;
+  std::vector<consensus::ExecutionResult> recs;
   recs.push_back(record(0, 0.0, 500.0));
   recs.push_back(record(1, 1.0, 900.0));
   for (int k = 0; k < 8; ++k) {
@@ -83,7 +83,7 @@ TEST(WorkloadStatsTest, WarmupInstancesAreTruncated) {
 
 TEST(WorkloadStatsTest, BatchMeansMatchManualBatching) {
   // 8 measured instances, 4 batches of 2: batch means 1.5, 3.5, 5.5, 7.5.
-  std::vector<core::InstanceRecord> recs;
+  std::vector<consensus::ExecutionResult> recs;
   for (int k = 0; k < 8; ++k) {
     recs.push_back(record(k, static_cast<double>(k), 1.0 + k));
   }
@@ -94,7 +94,7 @@ TEST(WorkloadStatsTest, BatchMeansMatchManualBatching) {
 }
 
 TEST(WorkloadStatsTest, UndecidedAreCountedNotAveraged) {
-  std::vector<core::InstanceRecord> recs;
+  std::vector<consensus::ExecutionResult> recs;
   recs.push_back(record(0, 0.0, 2.0));
   recs.push_back(record(1, 1.0, -1));  // undecided
   recs.push_back(record(2, 2.0, 4.0));
@@ -107,7 +107,7 @@ TEST(WorkloadStatsTest, UndecidedAreCountedNotAveraged) {
 TEST(WorkloadStatsTest, FallsBackToSummaryCiBelowOneBatch) {
   // Batch size 5, only 3 decided: no completed batch, the CI must fall
   // back to the plain summary instead of reporting mean 0.
-  std::vector<core::InstanceRecord> recs;
+  std::vector<consensus::ExecutionResult> recs;
   for (int k = 0; k < 10; ++k) {
     recs.push_back(record(k, static_cast<double>(k), k < 3 ? 2.0 : -1));
   }
@@ -116,7 +116,21 @@ TEST(WorkloadStatsTest, FallsBackToSummaryCiBelowOneBatch) {
   EXPECT_EQ(stats.undecided, 7u);
 }
 
-TEST(WorkloadStatsTest, SplitByWindowBucketsLikeFaultFold) {
+TEST(PhasedLatencyTest, SplitByWindowBucketsByOverlap) {
+  // A class-3 run against the window [10, 20): "before" decided before it
+  // opened, "during" was in flight when it opened or undecided inside it,
+  // "after" started past its end.
+  const std::vector<consensus::ExecutionResult> execs{
+      record(0, 1.0, 1.0), record(1, 8.0, 4.0), record(2, 15.0, -1), record(3, 30.0, 1.0)};
+  const auto phased = core::split_by_window(execs, 10, 20);
+  EXPECT_EQ(phased.before.latencies_ms, std::vector<double>{1.0});
+  EXPECT_EQ(phased.during.latencies_ms, std::vector<double>{4.0});
+  EXPECT_EQ(phased.during.undecided, 1u);
+  EXPECT_EQ(phased.after.latencies_ms, std::vector<double>{1.0});
+  EXPECT_EQ(phased.undecided(), 1u);
+
+  // A stream against [50, 80): its warm-up instance stays out of every
+  // phase.
   core::WorkloadResult result;
   result.warmup = 1;
   result.instances.push_back(record(0, 0.0, 1.0));    // warm-up: excluded
@@ -124,10 +138,23 @@ TEST(WorkloadStatsTest, SplitByWindowBucketsLikeFaultFold) {
   result.instances.push_back(record(2, 48.0, 10.0));  // in flight when it opened
   result.instances.push_back(record(3, 60.0, 2.0));   // started inside
   result.instances.push_back(record(4, 90.0, 1.0));   // after the window end
-  const auto phases = core::split_workload_by_window(result, 50.0, 80.0);
-  EXPECT_EQ(phases.before.latencies_ms.size(), 1u);
-  EXPECT_EQ(phases.during.latencies_ms.size(), 2u);
-  EXPECT_EQ(phases.after.latencies_ms.size(), 1u);
+  auto phases = core::split_by_window(result.measured(), 50.0, 80.0);
+  EXPECT_EQ(phases.before.latencies_ms, std::vector<double>{1.0});
+  EXPECT_EQ(phases.during.latencies_ms, (std::vector<double>{10.0, 2.0}));
+  EXPECT_EQ(phases.after.latencies_ms, std::vector<double>{1.0});
+  EXPECT_EQ(phases.undecided(), 0u);
+
+  // Runs merge phase by phase, in run order.
+  phases.merge(phased);
+  EXPECT_EQ(phases.during.latencies_ms, (std::vector<double>{10.0, 2.0, 4.0}));
+  EXPECT_EQ(phases.undecided(), 1u);
+
+  // A window that never opens puts everything in "before".
+  const double never = std::numeric_limits<double>::infinity();
+  const auto none = core::split_by_window(execs, never, never);
+  EXPECT_EQ(none.before.latencies_ms.size(), 3u);
+  EXPECT_EQ(none.before.undecided, 1u);
+  EXPECT_TRUE(none.during.latencies_ms.empty());
 }
 
 // --------------------------------------------------------------------------
@@ -143,10 +170,11 @@ core::WorkloadConfig base_config(std::size_t n, std::uint64_t seed) {
   return cfg;
 }
 
-/// run_workload's rejection message for `spec`, or "accepted".
-std::string rejection(const core::WorkloadSpec& spec) {
+/// run_workload's rejection message for `spec` on `cfg`, or "accepted".
+std::string rejection(const core::WorkloadSpec& spec,
+                      const core::WorkloadConfig& cfg = base_config(3, 1)) {
   try {
-    (void)core::run_workload(base_config(3, 1), spec);
+    (void)core::run_workload(cfg, spec);
   } catch (const std::invalid_argument& e) {
     return std::string{e.what()};
   }
@@ -185,6 +213,24 @@ TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteTimings) {
   auto hb = base_config(3, 1);
   hb.heartbeat_timeout_ms = 0.0;
   EXPECT_THROW((void)core::run_workload(hb, spec), std::invalid_argument);
+}
+
+TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteDurableAppend) {
+  // A negative append latency used to run as a free log.
+  core::WorkloadSpec spec;
+  spec.measured = 5;
+  auto cfg = base_config(3, 1);
+  for (const bool durable : {true, false}) {
+    cfg.durable_log = durable;
+    for (const double bad : {-1.0, std::numeric_limits<double>::infinity(), std::nan("")}) {
+      cfg.durable_append_ms = bad;
+      EXPECT_EQ(rejection(spec, cfg),
+                "run_workload: durable_append_ms must be finite and >= 0")
+          << bad;
+    }
+  }
+  cfg.durable_append_ms = 0;  // durable but free
+  EXPECT_EQ(rejection(spec, cfg), "accepted");
 }
 
 TEST(WorkloadEngineTest, RejectsZeroBatchSizeOrClients) {
@@ -564,7 +610,7 @@ TEST(SequencerGcTest, GcDoesNotChangeSequencedResults) {
   for (std::size_t k = 0; k < plain.size(); ++k) {
     ASSERT_EQ(plain[k].decided(), gc[k].decided());
     if (plain[k].decided()) {
-      EXPECT_EQ(plain[k].latency_ms(), gc[k].latency_ms());  // bit-identical
+      EXPECT_EQ(*plain[k].latency_ms, *gc[k].latency_ms);  // bit-identical
     }
   }
 }

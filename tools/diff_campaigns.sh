@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs every registered scenario at quick scale with two sanperf builds and
-# diffs each CSV pair at --tol 0.0; exits 1 if any table differs or the two
-# builds register different scenario sets.
+# diffs each CSV pair at --tol 0.0; exits 1 if any table differs, the two
+# builds register different scenario sets, or their `sanperf list` output
+# (names, descriptions, axes) differs.
 #
 #   tools/diff_campaigns.sh <reference sanperf> <candidate sanperf>
 #
@@ -22,6 +23,10 @@ trap 'rm -rf "$out"' EXIT
 "$candidate" run --all --scale quick --out-dir "$out/candidate" > /dev/null
 
 failed=0
+if ! diff <("$reference" list) <("$candidate" list) >&2; then
+  echo "diff_campaigns: the builds list their scenarios differently" >&2
+  failed=1
+fi
 if ! diff <(ls "$out/reference") <(ls "$out/candidate") >&2; then
   echo "diff_campaigns: the builds register different scenarios" >&2
   failed=1
