@@ -22,6 +22,13 @@
 //
 // `InstanceT` derives from InstanceCore and nests the protocol's Phase enum,
 // whose kDone marks a decided instance.
+//
+// Every write-ahead step (an ack, a logged broadcast, round entry after a
+// proposal, delivery of a decision) goes through durable_apply, a template
+// over the step: with the log off or an append that charges nothing it is
+// a direct inline call, and only a step deferred by a charged append is
+// boxed in a std::function for its timer, since a step that captures a
+// whole Message does not fit an event closure.
 #pragma once
 
 #include <cstdint>
@@ -235,13 +242,17 @@ class ConsensusLayer : public runtime::Layer {
   /// cannot overtake this broadcast.
   void bcast_logged(const Instance& inst, Message m) {
     m.view_epoch = inst.epoch;
-    durable_apply([this, epoch = inst.epoch, m = std::move(m)] { broadcast_in(epoch, m); });
+    durable_apply([this, epoch = inst.epoch, m = std::move(m)]() mutable {
+      broadcast_in(epoch, std::move(m));
+    });
   }
   /// Runs `fn` after one durable append completes: inline when the log is
   /// disabled or the latency is 0, else after the charged delay (the timer
   /// is epoch-guarded, so a crash mid-write kills the step -- replay
-  /// re-drives it).
-  void durable_apply(std::function<void()> fn);
+  /// re-drives it). Only the deferred step is boxed in a std::function: a
+  /// closure that captures a Message does not fit a timer's event closure.
+  template <typename F>
+  void durable_apply(F&& fn);
   /// Folds the instance's replayable state into its log record (no charge;
   /// charges happen at the write-ahead points that defer a visible step).
   void record_state(std::int32_t cid, const Instance& inst);
@@ -341,17 +352,17 @@ void ConsensusLayer<Protocol, InstanceT>::broadcast_in(std::uint32_t epoch, Mess
 }
 
 template <typename Protocol, typename InstanceT>
-void ConsensusLayer<Protocol, InstanceT>::durable_apply(std::function<void()> fn) {
-  if (!log_.enabled()) {
-    fn();
-    return;
+template <typename F>
+void ConsensusLayer<Protocol, InstanceT>::durable_apply(F&& fn) {
+  if (log_.enabled()) {
+    const double delay = log_.charge_ms(process().now().to_ms());
+    if (delay > 0) {
+      process().set_timer(des::Duration::from_ms(delay),
+                          std::function<void()>{std::forward<F>(fn)});
+      return;
+    }
   }
-  const double delay = log_.charge_ms(process().now().to_ms());
-  if (!(delay > 0)) {
-    fn();
-    return;
-  }
-  process().set_timer(des::Duration::from_ms(delay), std::move(fn));
+  fn();
 }
 
 template <typename Protocol, typename InstanceT>

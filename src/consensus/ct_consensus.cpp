@@ -101,7 +101,8 @@ void CtConsensus::handle_proposal(std::int32_t cid, Instance& inst, const Messag
   const HostId coord = coordinator_of(cid, inst, m.round);
   ++stats_.acks_sent;
   // Write-ahead: the adopted estimate persists before the ack commits us.
-  durable_apply([this, ack = std::move(ack), coord] { process().send(ack, coord); });
+  durable_apply(
+      [this, ack = std::move(ack), coord]() mutable { process().send(std::move(ack), coord); });
   advance_round(cid, inst);
 }
 

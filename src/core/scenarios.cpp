@@ -33,6 +33,19 @@ Algorithm algorithm_of(const std::string& name) {
   throw std::invalid_argument{"unknown algorithm '" + name + "' (ct|mr)"};
 }
 
+/// The value of a fault axis that must be > 0 (or >= 0 with
+/// `zero_ok`), rejected up front by scenario and axis name: the FaultPlan
+/// built from it would report only its own field.
+double fault_axis(const std::string& scenario, const ParamPoint& point, const char* axis,
+                  bool zero_ok = false) {
+  const double v = point.get_real(axis);
+  if (!(zero_ok ? v >= 0 : v > 0)) {
+    throw std::invalid_argument{scenario + ": " + axis + " must be " + (zero_ok ? ">= 0" : "> 0") +
+                                ", got " + to_string(AxisValue{v})};
+  }
+  return v;
+}
+
 // --- Phased folds ------------------------------------------------------------
 
 /// The recovery scenarios fix the FD timeout at the paper's 10 ms operating
@@ -119,7 +132,7 @@ ScenarioSpec phased_fault_spec(bool partition_view) {
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
       const auto point = run.grid.point(p);
       const std::size_t n = point.get_size("n");
-      const double window_ms = point.get_real(axis);
+      const double window_ms = fault_axis(name, point, axis);
       if (run.fault_plan != nullptr) {
         plans.push_back(*run.fault_plan);
       } else if (partition_view) {
@@ -279,7 +292,7 @@ ScenarioSpec slowdown_sweep_spec() {
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
       const auto point = run.grid.point(p);
       const std::size_t n = point.get_size("n");
-      const double factor = point.get_real("factor");
+      const double factor = fault_axis("slowdown_sweep", point, "factor");
       const bool pipeline = point.get_string("resource") == "pipeline";
       faults::FaultPlan plan;
       if (run.fault_plan != nullptr) {
@@ -666,12 +679,12 @@ ScenarioSpec crash_under_load_spec() {
                   {"during_execs", ColumnType::kInt},
                   {"undecided", ColumnType::kInt}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
-    const auto points = run_stream_points(run, name, run.ctx.timers, [](StreamPoint& sp) {
+    const auto points = run_stream_points(run, name, run.ctx.timers, [&](StreamPoint& sp) {
       sp.cfg.heartbeat_timeout_ms = kFaultTimeoutMs;
       // Strike 40% into the measured window, where the stream is past its
       // warm-up and still leaves room for the after-phase baseline.
       sp.plan = faults::FaultPlan{}.add(faults::FaultPlan::crash_recover(
-          0, measured_instant_ms(sp.stream, 0.4), sp.point.get_real("downtime_ms")));
+          0, measured_instant_ms(sp.stream, 0.4), fault_axis(name, sp.point, "downtime_ms")));
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
@@ -739,7 +752,7 @@ ScenarioSpec recovery_under_load_spec() {
       // arrivals queue instead of stalling unrescuably.
       sp.stream.pipeline_window = 16;
       sp.plan = faults::FaultPlan{}.add(faults::FaultPlan::crash_recover(
-          0, measured_instant_ms(sp.stream, 0.4), sp.point.get_real("downtime_ms")));
+          0, measured_instant_ms(sp.stream, 0.4), fault_axis(name, sp.point, "downtime_ms")));
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
@@ -801,8 +814,8 @@ ScenarioSpec rolling_restart_spec() {
       sp.stream.instance_timeout_ms = 1000.0;
       sp.stream.resubmit_undecided = true;  // exactly-once across the storm
       sp.plan = faults::FaultPlan{}.add(faults::FaultPlan::rolling_restart(
-          measured_instant_ms(sp.stream, 0.3), sp.point.get_real("downtime_ms"),
-          sp.point.get_real("stagger_ms")));
+          measured_instant_ms(sp.stream, 0.3), fault_axis(name, sp.point, "downtime_ms"),
+          fault_axis(name, sp.point, "stagger_ms", /*zero_ok=*/true)));
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
@@ -927,7 +940,7 @@ ScenarioSpec rack_loss_consensus_spec() {
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     // An explicit --fault-plan replaces every plan, still lowered against
     // the point's topology.
-    const auto points = run_stream_points(run, name, run.ctx.timers, [](StreamPoint& sp) {
+    const auto points = run_stream_points(run, name, run.ctx.timers, [&](StreamPoint& sp) {
       const std::size_t racks = sp.point.get_size("racks");
       sp.cfg.topology = two_rack_topology(sp.cfg.n, racks, /*uplink_latency_ms=*/0.05);
       sp.cfg.heartbeat_timeout_ms = kFaultTimeoutMs;
@@ -936,7 +949,7 @@ ScenarioSpec rack_loss_consensus_spec() {
       // with it the round-1 coordinator -- in rack 0.
       sp.plan = faults::FaultPlan{}.add(faults::FaultPlan::kill_rack(
           static_cast<int>(racks) - 1, measured_instant_ms(sp.stream, 0.4),
-          sp.point.get_real("downtime_ms")));
+          fault_axis(name, sp.point, "downtime_ms")));
     });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {

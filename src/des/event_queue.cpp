@@ -69,12 +69,10 @@ void EventQueue::heap_remove(std::size_t pos) {
   }
 }
 
-EventId EventQueue::push(TimePoint at, Action action) {
-  const std::uint32_t slot = acquire_slot();
+EventId EventQueue::link(std::uint32_t slot, TimePoint at) {
   Slot& s = slots_[slot];
   s.at = at;
   s.seq = next_seq_++;
-  s.action = std::move(action);
   SANPERF_AUDIT_ONLY(s.audit_live_gen = s.gen;)
   heap_.push_back(slot);
   s.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);

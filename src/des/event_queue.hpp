@@ -13,7 +13,12 @@
 //     removal (no lazy-deletion churn of dead entries);
 //   * callables are stored in-place inside the slot (EventAction's inline
 //     buffer); a callable that does not fit is a compile error, never a
-//     heap allocation.
+//     heap allocation;
+//   * push() is a template over the callable and constructs it straight
+//     into its slot (EventAction::emplace), so a closure handed to
+//     Simulator::schedule is built once where it waits and moved once more,
+//     into pop()'s Popped, before it runs. Slots move only when the slab
+//     grows, which stops at the run's high-water mark.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +44,11 @@ inline constexpr EventId kInvalidEventId = 0;
 
 /// Move-only callable with inline storage sized for the simulator's event
 /// closures (a this-pointer plus a couple of words, or a captured
-/// std::function). Construction never allocates: a callable converts only
-/// if it fits the inline buffer and is nothrow-movable, so a closure that
-/// would need a heap-held copy does not compile. The usual culprit is a
-/// by-copy capture of a `const T&`, which stores a `const T` whose move is
-/// a copy; capture `x = T{x}` instead.
+/// std::function). Construction never allocates: a callable converts (or
+/// emplaces) only if it fits the inline buffer and is nothrow-movable, so a
+/// closure that would need a heap-held copy does not compile. The usual
+/// culprit is a by-copy capture of a `const T&`, which stores a `const T`
+/// whose move is a copy; capture `x = T{x}` instead.
 class EventAction {
  public:
   /// Covers [this + id], [ptr, packet-by-value] and [this, std::function]
@@ -64,9 +69,26 @@ class EventAction {
                                         std::is_invocable_r_v<void, std::decay_t<F>&> &&
                                         fits_inline_v<std::decay_t<F>>>>
   EventAction(F&& f) {  // NOLINT(google-explicit-constructor): callable adaptor
+    emplace(std::forward<F>(f));
+  }
+
+  /// Replaces the held callable with `f`, constructed in the buffer: one
+  /// move (or copy) of `f`, none of an EventAction around it. Another
+  /// EventAction is moved in instead of wrapped.
+  template <typename F>
+  void emplace(F&& f) {
     using D = std::decay_t<F>;
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    vtable_ = vtable_for<D>();
+    if constexpr (std::is_same_v<D, EventAction>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>, "EventAction::emplace: not a void() callable");
+      static_assert(fits_inline_v<D>,
+                    "EventAction::emplace: the callable fails fits_inline_v (larger than "
+                    "kInlineBytes, over-aligned, or its move may throw)");
+      reset();
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vtable_ = vtable_for<D>();
+    }
   }
 
   EventAction(EventAction&& other) noexcept { move_from(other); }
@@ -134,8 +156,19 @@ class EventQueue {
  public:
   using Action = EventAction;
 
-  /// Adds an event firing at `at`. Returns a handle for cancellation.
-  EventId push(TimePoint at, Action action);
+  /// Adds an event firing at `at`, constructing `action` in its slot (an
+  /// EventAction is moved in). Returns a handle for cancellation.
+  template <typename F>
+  EventId push(TimePoint at, F&& action) {
+    const std::uint32_t slot = acquire_slot();
+    try {
+      slots_[slot].action.emplace(std::forward<F>(action));
+    } catch (...) {
+      release_slot(slot);  // a throwing copy leaves the slab as it was
+      throw;
+    }
+    return link(slot, at);
+  }
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed. True O(log n) removal: the
@@ -227,6 +260,9 @@ class EventQueue {
   /// Detaches the heap entry at `pos` and restores the heap invariant.
   void heap_remove(std::size_t pos);
   std::uint32_t acquire_slot();
+  /// Stamps a slot holding its action with (at, seq) and sifts it into the
+  /// heap.
+  EventId link(std::uint32_t slot, TimePoint at);
   /// Destroys the slot's action, bumps its generation and free-lists it.
   void release_slot(std::uint32_t slot);
 

@@ -1,20 +1,8 @@
 #include "des/simulator.hpp"
 
-#include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace sanperf::des {
-
-EventId Simulator::schedule(Duration delay, Action action) {
-  if (delay < Duration::zero()) throw std::invalid_argument{"Simulator::schedule: negative delay"};
-  return queue_.push(now_ + delay, std::move(action));
-}
-
-EventId Simulator::schedule_at(TimePoint at, Action action) {
-  if (at < now_) throw std::invalid_argument{"Simulator::schedule_at: time in the past"};
-  return queue_.push(at, std::move(action));
-}
 
 bool Simulator::step() {
   if (queue_.empty()) return false;

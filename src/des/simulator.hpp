@@ -3,11 +3,13 @@
 // The pending set is the indexed binary heap of event_queue.hpp. It pops
 // events in (time, insertion-seq) order, so equal-time events run in the
 // order they were scheduled and a simulation is a pure function of its
-// seed.
+// seed. schedule() and schedule_at() forward the callable into its queue
+// slot, where it is built once.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
+#include <utility>
 
 #include "des/event_queue.hpp"
 #include "des/time.hpp"
@@ -16,16 +18,25 @@ namespace sanperf::des {
 
 class Simulator {
  public:
-  using Action = EventQueue::Action;
-
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedules `action` to run `delay` from now. Negative delays are an error.
-  EventId schedule(Duration delay, Action action);
+  /// Schedules `action` (any callable EventAction holds, or an
+  /// EventAction) to run `delay` from now. Negative delays are an error.
+  template <typename F>
+  EventId schedule(Duration delay, F&& action) {
+    if (delay < Duration::zero()) {
+      throw std::invalid_argument{"Simulator::schedule: negative delay"};
+    }
+    return queue_.push(now_ + delay, std::forward<F>(action));
+  }
 
   /// Schedules `action` at an absolute time not earlier than now.
-  EventId schedule_at(TimePoint at, Action action);
+  template <typename F>
+  EventId schedule_at(TimePoint at, F&& action) {
+    if (at < now_) throw std::invalid_argument{"Simulator::schedule_at: time in the past"};
+    return queue_.push(at, std::forward<F>(action));
+  }
 
   /// Cancels a previously scheduled event; false if it already ran.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -47,6 +58,8 @@ class Simulator {
 
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+  /// Firing time of the next pending event. Requires !queue_empty().
+  [[nodiscard]] TimePoint next_time() const { return queue_.next_time(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   /// Clears all pending events and resets the clock to the origin.

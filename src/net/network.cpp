@@ -8,22 +8,12 @@
 
 namespace sanperf::net {
 
-void FifoServer::submit(des::Duration service, des::EventAction on_done, std::size_t weight) {
-  Job job{service, std::move(on_done), weight};
-  if (busy_) {
-    waiting_.push_back(std::move(job));
-  } else {
-    start(std::move(job));
-  }
-}
-
-void FifoServer::start(Job job) {
+void FifoServer::start(des::Duration service, std::size_t weight) {
   busy_ = true;
   drop_current_ = false;
-  current_done_ = std::move(job.on_done);
-  current_weight_ = job.weight;
+  current_weight_ = weight;
   service_start_ = sim_->now();
-  sim_->schedule(job.service, [this] { complete(); });
+  sim_->schedule(service, [this] { complete(); });
 }
 
 void FifoServer::complete() {
@@ -34,9 +24,12 @@ void FifoServer::complete() {
   busy_ = false;
   drop_current_ = false;
   if (!waiting_.empty()) {
-    Job next = std::move(waiting_.front());
+    Job& next = waiting_.front();
+    current_done_ = std::move(next.on_done);
+    const des::Duration service = next.service;
+    const std::size_t weight = next.weight;
     waiting_.pop_front();
-    start(std::move(next));
+    start(service, weight);
   }
   if (!dropped && done) done();
 }
@@ -57,12 +50,8 @@ HubMedium::HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hos
   ready_.reserve(hosts);
 }
 
-void HubMedium::submit(HostId src, des::Duration service, des::EventAction on_done) {
-  std::deque<Frame>& queue = queues_.at(src);
-  if (queue.empty()) ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), src), src);
-  queue.push_back({service, std::move(on_done)});
-  ++backlog_;
-  if (!busy_) start_next();
+void HubMedium::mark_ready(HostId src) {
+  ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), src), src);
 }
 
 void HubMedium::start_next() {
@@ -71,14 +60,14 @@ void HubMedium::start_next() {
   const auto pick =
       static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(ready_.size()) - 1));
   std::deque<Frame>& queue = queues_[ready_[pick]];
-  Frame frame = std::move(queue.front());
+  current_done_ = std::move(queue.front().on_done);
+  const des::Duration service = queue.front().service;
   queue.pop_front();
   if (queue.empty()) ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
   --backlog_;
   busy_ = true;
-  current_done_ = std::move(frame.on_done);
   service_start_ = sim_->now();
-  sim_->schedule(frame.service, [this] { complete(); });
+  sim_->schedule(service, [this] { complete(); });
 }
 
 void HubMedium::complete() {

@@ -20,6 +20,15 @@
 // queues of the CPUs and the hub take and free a chunk whenever they grow
 // or drain across a chunk boundary.
 //
+// Job storage: FifoServer::submit and HubMedium::submit are templates over
+// the completion callable and build it once, in the EventAction where it
+// waits: a FIFO server's current_done_ when the server is idle, else the
+// queued Job; always the host's queued Frame on the hub. Starting a job
+// moves only that action into current_done_, and completion moves it out
+// once more before it runs (a completion may submit to the same server).
+// So a completion moves twice on an idle FIFO server and three times
+// through a FIFO queue or the hub.
+//
 // Routed mode: constructed with a multi-rack topo::Topology, step 4 is no
 // longer one shared hub but the frame's compiled route -- each link on the
 // path (src access edge, the two rack uplinks when crossing racks, dst
@@ -37,6 +46,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -55,10 +65,19 @@ class FifoServer {
  public:
   explicit FifoServer(des::Simulator& sim) : sim_{&sim} {}
 
-  /// Enqueues a job with the given service time and completion action.
+  /// Enqueues a job with the given service time and completion action (a
+  /// callable EventAction holds, built in place, or an EventAction).
   /// `weight` is the number of frames the job stands for in conservation
   /// accounting (a batched broadcast submits one job for n-1 frames).
-  void submit(des::Duration service, des::EventAction on_done, std::size_t weight = 1);
+  template <typename F>
+  void submit(des::Duration service, F&& on_done, std::size_t weight = 1) {
+    if (busy_) {
+      waiting_.emplace_back(service, std::forward<F>(on_done), weight);
+    } else {
+      current_done_.emplace(std::forward<F>(on_done));
+      start(service, weight);
+    }
+  }
 
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::size_t queue_length() const { return waiting_.size(); }
@@ -76,12 +95,17 @@ class FifoServer {
 
  private:
   struct Job {
+    template <typename F>
+    Job(des::Duration s, F&& f, std::size_t w) : service{s}, weight{w} {
+      on_done.emplace(std::forward<F>(f));
+    }
     des::Duration service;
     des::EventAction on_done;
     std::size_t weight;
   };
 
-  void start(Job job);
+  /// Serves the job whose completion action is already in current_done_.
+  void start(des::Duration service, std::size_t weight);
   void complete();
 
   des::Simulator* sim_;
@@ -106,9 +130,17 @@ class HubMedium {
  public:
   HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts);
 
-  /// Enqueues a frame from `src`; `on_done` fires when its transmission
-  /// (with the given occupancy) completes.
-  void submit(HostId src, des::Duration service, des::EventAction on_done);
+  /// Enqueues a frame from `src`; `on_done` (built in the queued frame, like
+  /// FifoServer::submit's action) fires when its transmission (with the
+  /// given occupancy) completes.
+  template <typename F>
+  void submit(HostId src, des::Duration service, F&& on_done) {
+    std::deque<Frame>& queue = queues_.at(src);
+    queue.emplace_back(service, std::forward<F>(on_done));
+    if (queue.size() == 1) mark_ready(src);
+    ++backlog_;
+    if (!busy_) start_next();
+  }
 
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::size_t backlog() const { return backlog_; }
@@ -117,10 +149,16 @@ class HubMedium {
 
  private:
   struct Frame {
+    template <typename F>
+    Frame(des::Duration s, F&& f) : service{s} {
+      on_done.emplace(std::forward<F>(f));
+    }
     des::Duration service;
     des::EventAction on_done;
   };
 
+  /// Inserts `src` into ready_ at its ascending position.
+  void mark_ready(HostId src);
   void start_next();
   void complete();
 

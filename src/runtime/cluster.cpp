@@ -42,14 +42,6 @@ void Cluster::run_until(des::TimePoint deadline) {
   SANPERF_AUDIT_ONLY(net_.audit_check_frame_conservation(sim_.queue_empty());)
 }
 
-void Cluster::run_until(const std::function<bool()>& stop, des::TimePoint deadline) {
-  start_processes();
-  while (!stop() && !sim_.queue_empty() && sim_.now() <= deadline) {
-    sim_.step();
-  }
-  SANPERF_AUDIT_ONLY(net_.audit_check_frame_conservation(sim_.queue_empty());)
-}
-
 des::RandomEngine Cluster::rng_stream(std::string_view label, std::uint64_t index) const {
   return master_.substream(label, index);
 }

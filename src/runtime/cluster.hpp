@@ -2,10 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "des/random.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
@@ -46,9 +47,17 @@ class Cluster {
   void recover_at(HostId id, des::TimePoint at);
 
   /// Calls every process's on_start layers (idempotent) and runs events
-  /// until `deadline`, the given predicate, or queue exhaustion.
+  /// until `deadline` or queue exhaustion; the clock ends at `deadline`.
   void run_until(des::TimePoint deadline);
-  void run_until(const std::function<bool()>& stop, des::TimePoint deadline);
+  /// Same, but also stops as soon as `stop()` holds, checked before each
+  /// event. Runs no event later than `deadline` and leaves the clock at
+  /// the last event run.
+  template <typename Stop>
+  void run_until(Stop&& stop, des::TimePoint deadline) {
+    start_processes();
+    while (!stop() && !sim_.queue_empty() && sim_.next_time() <= deadline) sim_.step();
+    SANPERF_AUDIT_ONLY(net_.audit_check_frame_conservation(sim_.queue_empty());)
+  }
 
   /// Derives a fresh RNG substream tied to this cluster's seed.
   [[nodiscard]] des::RandomEngine rng_stream(std::string_view label, std::uint64_t index = 0) const;

@@ -36,29 +36,8 @@ void Process::broadcast(Message m) {
   net_->broadcast(id_, std::move(m), cls);
 }
 
-TimerId Process::set_timer(des::Duration delay, std::function<void()> fn) {
-  return sim_->schedule(delay, [this, epoch = epoch_, fn = std::move(fn)] {
-    if (!crashed_ && epoch == epoch_) {
-      // A timer body must only ever run in the epoch it was armed in, on a
-      // live process -- the guard just established both.
-      SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
-      fn();
-    } else {
-      SANPERF_AUDIT_ONLY(++audit_suppressed_;)
-    }
-  });
-}
-
-TimerId Process::set_os_timer(des::Duration delay, std::function<void()> fn) {
-  const des::TimePoint actual = net::quantize_timer(timers_, sim_->now() + delay, rng_);
-  return sim_->schedule_at(actual, [this, epoch = epoch_, fn = std::move(fn)] {
-    if (!crashed_ && epoch == epoch_) {
-      SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
-      fn();
-    } else {
-      SANPERF_AUDIT_ONLY(++audit_suppressed_;)
-    }
-  });
+des::TimePoint Process::os_timer_expiry(des::Duration delay) {
+  return net::quantize_timer(timers_, sim_->now() + delay, rng_);
 }
 
 #if SANPERF_AUDIT_ENABLED

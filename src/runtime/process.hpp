@@ -4,13 +4,21 @@
 // set timers and crash the process. The failure-detector layer sits below
 // the consensus layer so that it observes all traffic ("the reception of
 // any message from q resets the timer", Section 2.2).
+//
+// Timers are templates over the callable: set_timer and set_os_timer build
+// one event closure that holds the epoch guard and the callable itself, so
+// a timer firing makes one indirect call, and the callable, which may be
+// move-only, must fit that closure's 64-byte buffer next to the guard's 16
+// bytes (see des::EventAction).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "des/random.hpp"
 #include "des/simulator.hpp"
 #include "net/jitter.hpp"
@@ -86,10 +94,18 @@ class Process {
   void broadcast(Message m);
 
   /// Event-driven timer with exact expiry (message-handler work).
-  TimerId set_timer(des::Duration delay, std::function<void()> fn);
+  template <typename F>
+  TimerId set_timer(des::Duration delay, F&& fn) {
+    return sim_->schedule(delay, epoch_guarded(std::forward<F>(fn)));
+  }
   /// Thread-style timer subject to the OS timer model (tick quantisation +
-  /// stalls); used by the heartbeat sender.
-  TimerId set_os_timer(des::Duration delay, std::function<void()> fn);
+  /// stalls); used by the heartbeat sender. The expiry is drawn when the
+  /// timer is armed.
+  template <typename F>
+  TimerId set_os_timer(des::Duration delay, F&& fn) {
+    const des::TimePoint at = os_timer_expiry(delay);
+    return sim_->schedule_at(at, epoch_guarded(std::forward<F>(fn)));
+  }
   bool cancel_timer(TimerId id) { return sim_->cancel(id); }
 
   /// Crash-stop: the process stops sending, receiving and firing timers.
@@ -124,6 +140,25 @@ class Process {
 #endif
 
  private:
+  /// `fn` behind the epoch guard: it runs only on a live process in the
+  /// epoch it was armed in; otherwise the firing is dropped (and counted in
+  /// audit builds).
+  template <typename F>
+  auto epoch_guarded(F&& fn) {
+    return [this, epoch = epoch_, fn = std::forward<F>(fn)]() mutable {
+      if (!crashed_ && epoch == epoch_) {
+        // A timer body must only ever run in the epoch it was armed in, on
+        // a live process -- the guard just established both.
+        SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
+        fn();
+      } else {
+        SANPERF_AUDIT_ONLY(++audit_suppressed_;)
+      }
+    };
+  }
+  /// The OS timer model's expiry for a timer armed now with `delay`.
+  des::TimePoint os_timer_expiry(des::Duration delay);
+
   HostId id_;
   std::size_t n_;
   des::Simulator* sim_;

@@ -17,6 +17,7 @@
 #include "des/random.hpp"
 #include "des/simulator.hpp"
 #include "des/time.hpp"
+#include "move_counter.hpp"
 
 namespace sanperf::des {
 namespace {
@@ -278,6 +279,49 @@ TEST(EventActionTest, OnlyInlineNothrowMovableClosuresConvert) {
   EventAction second{std::move(first)};
   second();
   EXPECT_EQ(sum, 3 * 56);
+}
+
+// emplace() builds a callable in the buffer with one move and no
+// EventAction around it; an EventAction is moved in, not wrapped.
+TEST(EventActionTest, EmplaceBuildsTheCallableInTheBuffer) {
+  int moves = 0;
+  int runs = 0;
+  EventAction action;
+  action.emplace(testutil::MoveCounter{moves, runs});
+  EXPECT_EQ(moves, 1);
+  EventAction other;
+  other.emplace(std::move(action));
+  EXPECT_EQ(moves, 2);
+  other();
+  EXPECT_EQ(runs, 1);
+  int replaced = 0;
+  other.emplace([&replaced] { ++replaced; });
+  other();
+  EXPECT_EQ(replaced, 1);
+  EXPECT_EQ(runs, 1);
+}
+
+// A closure handed to schedule() or schedule_at() is built in its queue
+// slot and moves once more, into the popped event, before it runs.
+TEST(SimulatorTest, ScheduleMovesAClosureAtMostTwice) {
+  Simulator sim;
+  int moves = 0;
+  int runs = 0;
+  sim.schedule(Duration::millis(1), testutil::MoveCounter{moves, runs});
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 2);
+
+  moves = 0;
+  sim.schedule_at(sim.now() + Duration::millis(1), testutil::MoveCounter{moves, runs});
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_LE(moves, 2);
+
+  // A ready-made EventAction is still accepted and moved in.
+  sim.schedule(Duration::millis(1), EventAction{testutil::MoveCounter{moves, runs}});
+  sim.run();
+  EXPECT_EQ(runs, 3);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "des/simulator.hpp"
+#include "move_counter.hpp"
 #include "net/jitter.hpp"
 #include "net/network.hpp"
 #include "net/params.hpp"
@@ -70,6 +71,28 @@ TEST(FifoServerTest, DrainCanSuppressInServiceJob) {
   sim.run();
   EXPECT_EQ(completions, 0);
   EXPECT_FALSE(server.busy());
+}
+
+// A completion is built where it waits and moves only to start and to run:
+// at most twice on an idle server (into service, then out to run) and three
+// times through the queue.
+TEST(FifoServerTest, CompletionMovesTwiceIdleAndThriceQueued) {
+  des::Simulator sim;
+  FifoServer server{sim};
+  int moves = 0;
+  int runs = 0;
+  server.submit(des::Duration::from_ms(1), testutil::MoveCounter{moves, runs});
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 2);
+
+  int queued_moves = 0;
+  server.submit(des::Duration::from_ms(1), [] {});  // occupies the server
+  server.submit(des::Duration::from_ms(1), testutil::MoveCounter{queued_moves, runs});
+  EXPECT_EQ(server.queue_length(), 1u);
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_LE(queued_moves, 3);
 }
 
 NetworkParams fixed_delay_params() {
@@ -308,6 +331,27 @@ TEST(HubMediumTest, IdleHubStartsImmediately) {
   EXPECT_DOUBLE_EQ(when, 5.0);
   EXPECT_FALSE(hub.busy());
   EXPECT_EQ(hub.backlog(), 0u);
+}
+
+// A frame's completion moves at most three times, idle hub or not: into its
+// host queue, into service, and out to run.
+TEST(HubMediumTest, CompletionMovesAtMostThrice) {
+  des::Simulator sim;
+  HubMedium hub{sim, des::RandomEngine{23}, 2};
+  int moves = 0;
+  int runs = 0;
+  hub.submit(0, des::Duration::from_ms(1), testutil::MoveCounter{moves, runs});
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 3);
+
+  int queued_moves = 0;
+  hub.submit(1, des::Duration::from_ms(1), [] {});  // occupies the hub
+  hub.submit(0, des::Duration::from_ms(1), testutil::MoveCounter{queued_moves, runs});
+  EXPECT_EQ(hub.backlog(), 1u);
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_LE(queued_moves, 3);
 }
 
 // The hub as it arbitrated before it kept a list of backlogged hosts: per

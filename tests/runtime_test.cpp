@@ -2,6 +2,8 @@
 // crash-stop semantics and cluster wiring.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/cluster.hpp"
@@ -236,6 +238,31 @@ TEST(ProcessTest, PreCrashTimersStayDeadAcrossRestart) {
   EXPECT_EQ(fresh_fired, 1);
 }
 
+// Timers take any callable, move-only ones too, and still drop a firing
+// whose epoch a crash ended.
+TEST(ProcessTest, TimersTakeMoveOnlyCallablesBehindTheEpochGuard) {
+  Cluster cluster{test_config(2)};
+  cluster.process(0).add_layer<RecorderLayer>();
+  cluster.process(1).add_layer<RecorderLayer>();
+  cluster.run_until(des::TimePoint::origin());
+
+  int fired = 0;
+  auto arm = [&](Process& p, double ms) {
+    p.set_timer(des::Duration::from_ms(ms),
+                [&fired, token = std::make_unique<int>(1)] { fired += *token; });
+    p.set_os_timer(des::Duration::from_ms(ms),
+                   [&fired, token = std::make_unique<int>(10)] { fired += *token; });
+  };
+  arm(cluster.process(0), 5);
+  arm(cluster.process(1), 5);
+  cluster.crash_at(1, des::TimePoint::origin() + des::Duration::from_ms(2));
+  cluster.run_until(des::TimePoint::origin() + des::Duration::from_ms(10));
+  EXPECT_EQ(fired, 11);  // host 0's pair ran; host 1's died with its epoch
+#if SANPERF_AUDIT_ENABLED
+  EXPECT_EQ(cluster.process(1).audit_timers_suppressed(), 2u);
+#endif
+}
+
 TEST(ProcessTest, LayerLookupByType) {
   Cluster cluster{test_config(2)};
   auto& rec = cluster.process(0).add_layer<RecorderLayer>();
@@ -278,6 +305,23 @@ TEST(ClusterTest, RunUntilPredicateStopsEarly) {
                     des::TimePoint::origin() + des::Duration::from_ms(100));
   EXPECT_EQ(r1.received.size(), 2u);
   EXPECT_LT(cluster.now().to_ms(), 3.0);
+}
+
+// The predicate form runs no event later than its deadline and leaves the
+// clock at the last event it ran, like Simulator::run_until checks the next
+// event's time.
+TEST(ClusterTest, RunUntilPredicateRunsNothingPastTheDeadline) {
+  Cluster cluster{test_config(2)};
+  int fired = 0;
+  cluster.sim().schedule(des::Duration::from_ms(5), [&fired] { ++fired; });
+  cluster.run_until([] { return false; }, des::TimePoint::origin() + des::Duration::from_ms(1));
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(cluster.now(), des::TimePoint::origin());
+  EXPECT_EQ(cluster.sim().queue_size(), 1u);
+  // An event at exactly the deadline runs.
+  cluster.run_until([] { return false; }, des::TimePoint::origin() + des::Duration::from_ms(5));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(cluster.now(), des::TimePoint::origin() + des::Duration::from_ms(5));
 }
 
 TEST(ClusterTest, DeterministicAcrossIdenticalSeeds) {
