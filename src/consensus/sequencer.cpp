@@ -11,8 +11,6 @@ namespace {
 
 /// Between the beginnings of consecutive executions.
 constexpr des::Duration kSeparation = des::Duration::millis(10);
-/// Half-width of the NTP start-time window.
-constexpr des::Duration kNtpHalfWidth = des::Duration::micros(50);
 /// Give up on an execution after this long (counts as undecided).
 constexpr des::Duration kGiveUp = des::Duration::millis(5000);
 /// Quiet time after a late decision before the next start.
@@ -55,7 +53,7 @@ std::vector<ExecutionResult> ConsensusSequencer::run() {
     const auto cid = static_cast<std::int32_t>(k);
     for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cluster_->n()); ++pid) {
       auto& proc = cluster_->process(pid);
-      const des::TimePoint start = t0 + draw_ntp_start_offset(skew_rng, kNtpHalfWidth.to_ms());
+      const des::TimePoint start = t0 + draw_ntp_start_offset(skew_rng);
       cluster_->sim().schedule_at(start, [&proc, cid] {
         if (!proc.crashed()) proc.layer<CtConsensus>().propose(cid, 1000 + proc.id());
       });

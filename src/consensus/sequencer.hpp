@@ -5,7 +5,8 @@
 // each execution in the harnesses' one record, ExecutionResult.
 //
 // All processes propose at the same instant t0 (up to an emulated NTP
-// synchronisation skew of +-50 us); latency is t1 - t0 where t1 is the time
+// synchronisation skew of +-50 us, kNtpHalfWidthMs, the one window all
+// three drivers draw from); latency is t1 - t0 where t1 is the time
 // the *first* process decides. Consecutive executions start 10 ms apart;
 // when an execution decides late, the next start is pushed back to 2 ms
 // after its decision so executions stay isolated (the paper's footnote 2).
@@ -29,15 +30,18 @@ struct SequencerConfig {
   std::size_t executions = 100;
 };
 
-/// The per-process NTP start offset: a symmetric window of half-width `w`
-/// realised as `w + uniform(-w, +w)`, i.e. every process starts inside
-/// [t0, t0 + 2w) with mean exactly w. Replaces the historic
-/// `max(0, uniform(-w, +w))` draw, which collapsed half the probability
-/// mass onto a point atom at zero and biased the realised skew spread.
-[[nodiscard]] inline des::Duration draw_ntp_start_offset(des::RandomEngine& rng,
-                                                         double half_width_ms) {
-  return des::Duration::from_ms(half_width_ms +
-                                rng.uniform(-half_width_ms, half_width_ms));
+/// Half-width `w` of the emulated NTP start-time window, in ms: the paper's
+/// testbed clocks were synchronised within 50 us.
+inline constexpr double kNtpHalfWidthMs = 0.05;
+
+/// The per-process NTP start offset of the sequencer and the stream: a
+/// symmetric window of half-width `w` realised as `w + uniform(-w, +w)`,
+/// i.e. every process starts inside [t0, t0 + 2w) with mean exactly w.
+/// Replaces the historic `max(0, uniform(-w, +w))` draw, which collapsed
+/// half the probability mass onto a point atom at zero and biased the
+/// realised skew spread. (The one-shot draws uniform(0, w) instead.)
+[[nodiscard]] inline des::Duration draw_ntp_start_offset(des::RandomEngine& rng) {
+  return des::Duration::from_ms(kNtpHalfWidthMs + rng.uniform(-kNtpHalfWidthMs, kNtpHalfWidthMs));
 }
 
 class ConsensusSequencer {

@@ -48,19 +48,16 @@ DelaySamples run_calibration_probes(const net::NetworkParams& network, std::size
   space.add_group(shard_count, seed + 1, "probe");
   for (const std::size_t n : ns) space.add_group(shard_count, seed + 2 + n, "probe");
 
-  auto shards = runner.run_flat(space, [&](const ShardSpace::Task& t) {
+  const auto shards = runner.run_flat(space, [&](const ShardSpace::Task& t) {
     const std::size_t count = delay_probe_shard_size(probes, t.index);
     if (t.group == 0) return unicast_probe_shard(network, count, t.seed);
     return broadcast_probe_shard(network, ns[t.group - 1], count, t.seed);
   });
 
-  const auto concat = [](std::vector<double>& a, std::vector<double>& b) {
-    a.insert(a.end(), b.begin(), b.end());
-  };
   DelaySamples out;
-  out.unicast_ms = tree_merge(std::move(shards[0]), concat, &runner);
+  out.unicast_ms = pool_probe_shards(shards[0]);
   for (std::size_t g = 0; g < ns.size(); ++g) {
-    out.broadcast_ms[ns[g]] = tree_merge(std::move(shards[g + 1]), concat, &runner);
+    out.broadcast_ms[ns[g]] = pool_probe_shards(shards[g + 1]);
   }
   return out;
 }
@@ -196,7 +193,7 @@ std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx, const 
   });
 
   for (std::size_t g = 0; g < points.size(); ++g) {
-    points[g].meas = fold_class3_runs(std::move(runs[g]));
+    points[g].meas = fold_class3_runs(runs[g]);
   }
   return points;
 }

@@ -73,22 +73,11 @@ std::vector<double> broadcast_probe_shard(const net::NetworkParams& params, std:
   return delays;
 }
 
-namespace {
-
-/// Concatenates probe shards in shard order (tree merge; associative, so
-/// identical to sequential appends) into the pooled delay sample.
-std::vector<double> pool_probe_shards(std::vector<std::vector<double>> shards,
-                                      const ReplicationRunner& runner) {
-  return tree_merge(
-      std::move(shards),
-      [](std::vector<double>& a, std::vector<double>& b) {
-        a.insert(a.end(), b.begin(), b.end());
-        std::vector<double>{}.swap(b);
-      },
-      &runner);
+std::vector<double> pool_probe_shards(std::span<const std::vector<double>> shards) {
+  std::vector<double> pooled;
+  for (const auto& shard : shards) pooled.insert(pooled.end(), shard.begin(), shard.end());
+  return pooled;
 }
-
-}  // namespace
 
 std::vector<double> measure_unicast_delays(const net::NetworkParams& params, std::size_t probes,
                                            std::uint64_t seed, const ReplicationRunner& runner) {
@@ -96,7 +85,7 @@ std::vector<double> measure_unicast_delays(const net::NetworkParams& params, std
   auto shards = runner.map(delay_probe_shards(probes), [&](std::size_t s) {
     return unicast_probe_shard(params, delay_probe_shard_size(probes, s), seeds.stream_seed(s));
   });
-  return pool_probe_shards(std::move(shards), runner);
+  return pool_probe_shards(shards);
 }
 
 std::vector<double> measure_broadcast_delays(const net::NetworkParams& params, std::size_t n,
@@ -108,7 +97,7 @@ std::vector<double> measure_broadcast_delays(const net::NetworkParams& params, s
     return broadcast_probe_shard(params, n, delay_probe_shard_size(probes, s),
                                  seeds.stream_seed(s));
   });
-  return pool_probe_shards(std::move(shards), runner);
+  return pool_probe_shards(shards);
 }
 
 void MeasuredLatency::add(const consensus::ExecutionResult& exec) {
@@ -244,30 +233,22 @@ PhasedLatency split_by_window(std::span<const consensus::ExecutionResult> execs,
   return out;
 }
 
-Class3Aggregate fold_class3_runs(std::vector<Class3Run> runs) {
+Class3Aggregate fold_class3_runs(std::span<const Class3Run> runs) {
   stats::SummaryStats lat_means, tmr_means, tm_means;
+  MeasuredLatency pooled;
   Class3Aggregate agg;
 
-  // Aggregate scalar summaries in run order: identical to the sequential
-  // loop (SummaryStats folds are order-sensitive in the last bits).
-  std::vector<MeasuredLatency> latency_shards;
-  latency_shards.reserve(runs.size());
-  for (Class3Run& run : runs) {
+  // Aggregate in run order: identical to the sequential loop (SummaryStats
+  // folds are order-sensitive in the last bits).
+  for (const Class3Run& run : runs) {
     const auto lat = run.latency.summary();
     if (lat.count() > 0) lat_means.add(lat.mean());
     if (run.qos.pairs_used > 0) {
       tmr_means.add(run.qos.t_mr_ms);
       tm_means.add(run.qos.t_m_ms);
     }
-    latency_shards.push_back(std::move(run.latency));
+    pooled.merge(run.latency);
   }
-
-  // Pool per-run latency shards pairwise: concatenation is associative, so
-  // the tree merge reproduces the sequential appends exactly while scaling
-  // to high run counts.
-  MeasuredLatency pooled = tree_merge(
-      std::move(latency_shards),
-      [](MeasuredLatency& a, MeasuredLatency& b) { a.merge(b); });
   agg.all_latencies_ms = std::move(pooled.latencies_ms);
   agg.undecided = pooled.undecided;
 

@@ -53,6 +53,9 @@ inline constexpr std::size_t kDelayProbeShard = 64;
                                                         std::size_t n, std::size_t count,
                                                         std::uint64_t seed);
 
+/// Concatenates probe shards in shard order into the pooled delay sample.
+[[nodiscard]] std::vector<double> pool_probe_shards(std::span<const std::vector<double>> shards);
+
 /// End-to-end delay of isolated unicast messages (Fig 6, "unicast"), in ms.
 /// Shards fan out over `runner`; the pooled sample is identical for any
 /// thread count.
@@ -79,7 +82,7 @@ struct MeasuredLatency {
   /// Counts one execution: its latency and rounds if it decided, else one
   /// undecided.
   void add(const consensus::ExecutionResult& exec);
-  /// Appends another campaign's executions (shard merging).
+  /// Appends another campaign's executions (run-order pooling).
   void merge(const MeasuredLatency& other);
 
   [[nodiscard]] stats::SummaryStats summary() const;
@@ -166,9 +169,8 @@ struct Class3Aggregate {
 };
 
 /// Folds independent class-3 runs in run order (the flat sharding fold for
-/// the Fig 8 / Fig 9a campaigns). Pooled latencies concatenate by pairwise
-/// tree merge -- associative, so still bit-identical to the left fold.
-[[nodiscard]] Class3Aggregate fold_class3_runs(std::vector<Class3Run> runs);
+/// the Fig 8 / Fig 9a campaigns); pooled latencies concatenate in run order.
+[[nodiscard]] Class3Aggregate fold_class3_runs(std::span<const Class3Run> runs);
 
 [[nodiscard]] Class3Aggregate measure_class3(std::size_t n, const net::NetworkParams& params,
                                              const net::TimerModel& timers, double timeout_ms,

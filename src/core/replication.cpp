@@ -114,8 +114,7 @@ const ReplicationRunner& default_runner() {
   return runner;
 }
 
-san::StudyResult fold_study_rewards(const std::vector<std::optional<double>>& rewards,
-                                    double confidence) {
+san::StudyResult fold_study_rewards(const std::vector<std::optional<double>>& rewards) {
   san::StudyResult out;
   out.rewards.reserve(rewards.size());
   for (const auto& reward : rewards) {
@@ -126,18 +125,18 @@ san::StudyResult fold_study_rewards(const std::vector<std::optional<double>>& re
     out.rewards.push_back(*reward);
     out.summary.add(*reward);
   }
-  out.ci = out.summary.mean_ci(confidence);
+  out.ci = out.summary.mean_ci(0.90);
   return out;
 }
 
 san::StudyResult run_study(const ReplicationRunner& runner, const san::TransientStudy& study,
-                           std::size_t replications, std::uint64_t seed, double confidence) {
+                           std::size_t replications, std::uint64_t seed) {
   const des::SeedSplitter seeds{seed};
   const auto rewards = runner.map(
       replications, [&](std::size_t r) { return study.run_one(seeds.stream(r)); });
   // Deterministic fold in replication order: the exact sequence of add()
   // calls the sequential loop would make.
-  return fold_study_rewards(rewards, confidence);
+  return fold_study_rewards(rewards);
 }
 
 }  // namespace sanperf::core

@@ -16,7 +16,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -165,54 +164,17 @@ class ReplicationRunner {
 /// value other than an integer >= 1 throws std::invalid_argument.
 [[nodiscard]] const ReplicationRunner& default_runner();
 
-/// Pairwise (tree) reduction of mergeable shards: merge(a, b) folds shard b
-/// into shard a. Each level merges adjacent pairs -- through `runner` when
-/// given, since pairs are independent -- so high replication counts reduce
-/// in O(log n) sequential depth instead of one long caller-thread fold.
-/// The tree shape is fixed by the shard count alone, so the result is
-/// deterministic for any thread count; for associative merges (Ecdf sample
-/// pooling, Histogram counts, vector concatenation, MeasuredLatency
-/// appends) it is bit-identical to the sequential left fold.
-template <typename T, typename Merge>
-[[nodiscard]] T tree_merge(std::vector<T> shards, Merge&& merge,
-                           const ReplicationRunner* runner = nullptr) {
-  if (shards.empty()) {
-    if constexpr (std::is_default_constructible_v<T>) {
-      return T{};
-    } else {
-      throw std::invalid_argument{"tree_merge: no shards"};
-    }
-  }
-  std::size_t live = shards.size();
-  while (live > 1) {
-    const std::size_t pairs = live / 2;
-    if (runner != nullptr && pairs > 1) {
-      runner->for_each(pairs, [&](std::size_t p) { merge(shards[2 * p], shards[2 * p + 1]); });
-    } else {
-      for (std::size_t p = 0; p < pairs; ++p) merge(shards[2 * p], shards[2 * p + 1]);
-    }
-    // Survivors sit at even indices; a trailing odd shard rides along.
-    // (Guard against self-move: shards[0] always survives in place.)
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < live; r += 2, ++w) {
-      if (w != r) shards[w] = std::move(shards[r]);
-    }
-    live = w;
-  }
-  return std::move(shards.front());
-}
-
 /// Folds per-replication rewards (nullopt = dropped) in index order into a
-/// StudyResult: the exact sequence of add() calls the sequential loop makes.
+/// StudyResult with its 90% interval: the exact sequence of add() calls the
+/// sequential loop makes.
 [[nodiscard]] san::StudyResult fold_study_rewards(
-    const std::vector<std::optional<double>>& rewards, double confidence = 0.90);
+    const std::vector<std::optional<double>>& rewards);
 
 /// Runs a transient study's replications through `runner` and merges the
 /// per-replication rewards in index order: the result is bit-identical to
 /// san::TransientStudy::run for every thread count.
 [[nodiscard]] san::StudyResult run_study(const ReplicationRunner& runner,
                                          const san::TransientStudy& study,
-                                         std::size_t replications, std::uint64_t seed,
-                                         double confidence = 0.90);
+                                         std::size_t replications, std::uint64_t seed);
 
 }  // namespace sanperf::core

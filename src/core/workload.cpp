@@ -13,7 +13,7 @@
 #include "consensus/batcher.hpp"
 #include "consensus/ct_consensus.hpp"
 #include "consensus/mr_consensus.hpp"
-#include "consensus/sequencer.hpp"  // draw_ntp_start_offset
+#include "consensus/sequencer.hpp"  // draw_ntp_start_offset, kNtpHalfWidthMs
 #include "core/workload_cluster.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
@@ -184,7 +184,6 @@ void validate(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
                                      std::pair{spec.separation_ms, "separation_ms"},
                                      std::pair{spec.think_ms, "think_ms"},
                                      std::pair{spec.batch_linger_ms, "batch_linger_ms"},
-                                     std::pair{spec.ntp_skew_ms, "ntp_skew_ms"},
                                      std::pair{cfg.durable_append_ms, "durable_append_ms"}}) {
     if (!(std::isfinite(value) && value >= 0)) {
       throw std::invalid_argument{std::string{"run_workload: "} + field +
@@ -311,8 +310,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     slots.emplace_back().start = start;
     const auto schedule_propose = [&](runtime::HostId pid) {
       auto& proc = cluster.process(pid);
-      const des::TimePoint at =
-          start + consensus::draw_ntp_start_offset(skew_rng, spec.ntp_skew_ms);
+      const des::TimePoint at = start + consensus::draw_ntp_start_offset(skew_rng);
       sim.schedule_at(at, [&proc, cid, payload = std::vector<std::int64_t>{payload}] {
         if (!proc.crashed()) {
           proc.layer<ConsensusLayer>().propose(cid, payload);
@@ -471,10 +469,10 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
       fire = [&] {
         submit_value();
         if (next_vid < total) {
-          sim.schedule(des::Duration::from_ms(spec.separation_ms), fire);
+          sim.schedule(des::Duration::from_ms(spec.separation_ms), [&fire] { fire(); });
         }
       };
-      sim.schedule_at(stream_start, fire);
+      sim.schedule_at(stream_start, [&fire] { fire(); });
       break;
 
     case ArrivalProcess::kOpenLoop: {
@@ -483,11 +481,12 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
       fire = [&, mean_ms] {
         submit_value();
         if (next_vid < total) {
-          sim.schedule(des::Duration::from_ms(arrival_rng.exponential_mean(mean_ms)), fire);
+          sim.schedule(des::Duration::from_ms(arrival_rng.exponential_mean(mean_ms)),
+                       [&fire] { fire(); });
         }
       };
       sim.schedule_at(stream_start + des::Duration::from_ms(arrival_rng.exponential_mean(mean_ms)),
-                      fire);
+                      [&fire] { fire(); });
       break;
     }
 
@@ -580,7 +579,8 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
 
 /// One instance `k` on a fresh cluster: the class-1/2 harness behind every
 /// isolated-execution campaign, with the static detector and the
-/// one-shot's own NTP draw (live hosts only, uniform in [0, 50 us)).
+/// one-shot's own NTP draw (live hosts only, uniform in [0, w) of the
+/// shared half-width consensus::kNtpHalfWidthMs).
 template <typename ConsensusLayer>
 consensus::ExecutionResult run_one_shot_as(const WorkloadConfig& cfg, std::size_t k,
                                            std::uint64_t exec_seed) {
@@ -606,7 +606,8 @@ consensus::ExecutionResult run_one_shot_as(const WorkloadConfig& cfg, std::size_
   for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
     auto& proc = cluster.process(pid);
     if (proc.crashed()) continue;
-    const des::TimePoint start = t0 + des::Duration::from_ms(skew_rng.uniform(0.0, 0.05));
+    const des::TimePoint start =
+        t0 + des::Duration::from_ms(skew_rng.uniform(0.0, consensus::kNtpHalfWidthMs));
     cluster.sim().schedule_at(start, [&proc, k] {
       proc.template layer<ConsensusLayer>().propose(static_cast<std::int32_t>(k),
                                                     1 + proc.id());

@@ -112,8 +112,6 @@ struct WorkloadSpec {
   double separation_ms = 0.0;    ///< burst inter-start gap (0 = one simultaneous burst)
   /// Stream start (leaves heartbeat detectors time to settle).
   double start_ms = 10.0;
-  /// Half-width of the per-process NTP start-time window (paper: +-50 us).
-  double ntp_skew_ms = 0.05;
   /// Give-up deadline per instance; an instance that cannot decide (e.g. a
   /// majority lost to faults) closes as undecided and, in closed loop,
   /// releases its client.

@@ -25,9 +25,11 @@ class Duration {
   [[nodiscard]] static constexpr Duration seconds(std::int64_t s) { return Duration{s * 1'000'000'000}; }
 
   /// Converts from fractional milliseconds (the paper's natural unit),
-  /// rounding to the nearest nanosecond.
+  /// rounding to the nearest nanosecond. Throws std::out_of_range, naming
+  /// the value and its unit, on NaN or a span int64 nanoseconds cannot hold.
   [[nodiscard]] static Duration from_ms(double ms);
-  /// Converts from fractional seconds, rounding to the nearest nanosecond.
+  /// Converts from fractional seconds, rounding to the nearest nanosecond;
+  /// throws like from_ms.
   [[nodiscard]] static Duration from_seconds(double s);
 
   [[nodiscard]] constexpr std::int64_t ns() const { return ns_; }

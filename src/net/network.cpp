@@ -34,11 +34,11 @@ void FifoServer::complete() {
   if (!dropped && done) done();
 }
 
-std::size_t FifoServer::drain(bool drop_in_service) {
+std::size_t FifoServer::drain() {
   std::size_t dropped = 0;
   for (const Job& job : waiting_) dropped += job.weight;
   waiting_.clear();
-  if (drop_in_service && busy_ && !drop_current_) {
+  if (busy_ && !drop_current_) {
     drop_current_ = true;
     dropped += current_weight_;
   }
@@ -153,7 +153,7 @@ void ContentionNetwork::send(HostId src, HostId dst, FrameBody body, FrameClass 
   // later sends cost the sender CPU but are absorbed by the socket buffer.
   // Small datagrams (heartbeats) are UDP: connectionless, always emitted.
   bool wire = true;
-  if (params_.dead_peer_absorption && cls == FrameClass::kProtocol && down_[dst]) {
+  if (cls == FrameClass::kProtocol && down_[dst]) {
     wire = !test_and_set_dead_pair(src, dst);
   }
   submit_unicast(std::move(frame), dst, wire, cls);
@@ -202,7 +202,7 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
       ++frames_sent_;
       SANPERF_AUDIT_ONLY(++audit_in_flight_;)
       bool wire = true;
-      if (params_.dead_peer_absorption && cls == FrameClass::kProtocol && down_[dst]) {
+      if (cls == FrameClass::kProtocol && down_[dst]) {
         wire = !test_and_set_dead_pair(src, dst);
       }
       submit_unicast(frame, dst, wire, cls);
@@ -219,8 +219,7 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
     if (dst == src) continue;
     ++frames_sent_;
     SANPERF_AUDIT_ONLY(++audit_in_flight_;)
-    if (params_.dead_peer_absorption && cls == FrameClass::kProtocol && down_[dst] &&
-        test_and_set_dead_pair(src, dst)) {
+    if (cls == FrameClass::kProtocol && down_[dst] && test_and_set_dead_pair(src, dst)) {
       ++absorbed;  // costs the sender CPU below, then drops
     } else {
       dsts.push_back(dst);
@@ -378,7 +377,7 @@ void ContentionNetwork::host_down(HostId h) {
   // resource but its completion is suppressed. Every vaporised frame is one
   // that reaches no other terminal -- account it as crash loss so the
   // conservation audit stays balanced across crashes.
-  const std::size_t lost = cpus_[h].drain(/*drop_in_service=*/true);
+  const std::size_t lost = cpus_[h].drain();
   static_cast<void>(lost);
   SANPERF_AUDIT_ONLY(audit_crash_lost_ += lost; audit_in_flight_ -= lost;)
 }

@@ -85,13 +85,13 @@ class FifoServer {
   [[nodiscard]] des::Duration busy_time() const { return busy_time_; }
   [[nodiscard]] std::uint64_t jobs_served() const { return served_; }
 
-  /// Discards queued jobs (used when a host crashes). The in-service job,
-  /// if any, still completes unless `drop_in_service`. Returns how many
-  /// frames will never see their completion run (the summed weights of
-  /// queued jobs discarded here plus an in-service one whose completion
-  /// was suppressed), so callers can keep conservation accounting over the
+  /// Discards queued jobs and suppresses the in-service job's completion
+  /// (used when a host crashes); the job in service still occupies the
+  /// server until its service time ends. Returns how many frames will never
+  /// see their completion run (the summed weights of the queued jobs and the
+  /// in-service one), so callers can keep conservation accounting over the
   /// submitted work.
-  std::size_t drain(bool drop_in_service);
+  std::size_t drain();
 
  private:
   struct Job {

@@ -7,6 +7,12 @@
 // Defaults are chosen so that the measured unicast end-to-end delay matches
 // the paper's bi-modal fit (U[0.10,0.13] w.p. 0.8, U[0.145,0.35] w.p. 0.2,
 // in ms) with t_send = t_receive = 0.025 ms.
+//
+// TCP towards a crashed host is not a parameter: the first protocol frame a
+// sender emits to it reaches the wire (data segment or SYN), after which the
+// sender's kernel is in retransmission backoff and further application sends
+// are absorbed by the socket buffer at CPU cost only. ContentionNetwork
+// models this per (sender, dead destination) pair, always.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +43,6 @@ struct NetworkParams {
   /// traffic from congesting the medium, matching the paper's observation
   /// (Section 3.4) that the extra FD load did not affect latency.
   stats::BimodalUniform small_wire_service{1.0, 0.008, 0.012, 0.0, 0.0};
-
-  /// TCP behaviour towards a crashed host: the first frame a sender emits
-  /// to it reaches the wire (data segment or SYN), after which the sender's
-  /// kernel is in retransmission backoff and further application sends are
-  /// absorbed by the socket buffer at CPU cost only. Modelled per
-  /// (sender, dead destination) pair.
-  bool dead_peer_absorption = true;
 
   /// Coalesce a hub-mode broadcast into one sender-CPU job and one medium
   /// burst (total resource occupancy unchanged), cutting the scheduled

@@ -23,34 +23,7 @@ void SanSimulator::reset(des::RandomEngine rng) {
   scheduled_.assign(model_->activity_count(), des::kInvalidEventId);
   fire_counts_.assign(model_->activity_count(), 0);
   total_firings_ = 0;
-  for (auto& r : rate_rewards_) r.integral_ms = 0;
-  last_accrual_ = des::TimePoint::origin();
   refresh_all();
-}
-
-std::size_t SanSimulator::add_rate_reward(RateFn rate) {
-  if (!rate) throw std::invalid_argument{"add_rate_reward: null function"};
-  rate_rewards_.push_back({std::move(rate), 0});
-  return rate_rewards_.size() - 1;
-}
-
-double SanSimulator::rate_reward(std::size_t index) const {
-  return rate_rewards_.at(index).integral_ms;
-}
-
-double SanSimulator::rate_reward_average(std::size_t index) const {
-  const double elapsed = now_.to_ms();
-  return elapsed > 0 ? rate_rewards_.at(index).integral_ms / elapsed : 0.0;
-}
-
-void SanSimulator::accrue_rewards(des::TimePoint to) {
-  if (rate_rewards_.empty() || to <= last_accrual_) {
-    last_accrual_ = to;
-    return;
-  }
-  const double dt = (to - last_accrual_).to_ms();
-  for (auto& r : rate_rewards_) r.integral_ms += r.rate(marking_) * dt;
-  last_accrual_ = to;
 }
 
 void SanSimulator::refresh_activity(ActivityId a) {
@@ -73,7 +46,6 @@ void SanSimulator::refresh_all() {
 }
 
 void SanSimulator::fire(ActivityId a) {
-  accrue_rewards(now_);  // integrate over the marking that held until now
   const Activity& act = model_->activity(a);
   {
     // The journal records every place the firing touches.
@@ -167,7 +139,6 @@ RunResult SanSimulator::run(des::Duration time_limit) {
     if (queue_.empty()) return {StopReason::kDeadlock, now_, total_firings_};
     if (queue_.next_time() > deadline) {
       now_ = deadline;
-      accrue_rewards(now_);
       return {StopReason::kTimeLimit, now_, total_firings_};
     }
     auto ev = queue_.pop();

@@ -57,24 +57,13 @@ class SanSimulator {
     stop_pred_ = std::move(pred);
   }
 
-  /// Optional per-firing hook (tracing, reward collection).
+  /// Optional per-firing hook (tracing).
   void set_fire_hook(std::function<void(ActivityId, des::TimePoint)> hook) {
     fire_hook_ = std::move(hook);
   }
 
-  /// Registers a rate reward: the time integral of `rate(marking)` over the
-  /// run, accumulated across marking changes (UltraSAN's rate rewards).
-  /// Returns an index for rate_reward(). Must be called before run().
-  using RateFn = std::function<double(const Marking&)>;
-  std::size_t add_rate_reward(RateFn rate);
-
-  /// Accumulated integral of reward `index` up to now().
-  [[nodiscard]] double rate_reward(std::size_t index) const;
-  /// Time-average of reward `index` (integral / elapsed time); 0 at t = 0.
-  [[nodiscard]] double rate_reward_average(std::size_t index) const;
-
   /// Runs from the initial marking until the stop predicate, deadlock or
-  /// the time limit.
+  /// the time limit; a time-limit stop leaves now() at the limit.
   RunResult run(des::Duration time_limit = des::Duration::max());
 
   /// Resets state so run() can be called again; `rng` reseeds the run.
@@ -99,8 +88,6 @@ class SanSimulator {
   }
   void refresh_activity(ActivityId a);
   void refresh_all();
-  /// Integrates rate rewards from the last accrual point to `to`.
-  void accrue_rewards(des::TimePoint to);
   void fire(ActivityId a);
   /// Fires enabled instantaneous activities until none remains.
   void settle_instantaneous();
@@ -119,13 +106,6 @@ class SanSimulator {
 
   std::function<bool(const Marking&)> stop_pred_;
   std::function<void(ActivityId, des::TimePoint)> fire_hook_;
-
-  struct RateReward {
-    RateFn rate;
-    double integral_ms = 0;  ///< integral of rate over simulated ms
-  };
-  std::vector<RateReward> rate_rewards_;
-  des::TimePoint last_accrual_;
 
   // scratch buffers reused across firings (the firing loop allocates
   // nothing in steady state)

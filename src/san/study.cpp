@@ -4,16 +4,8 @@
 
 namespace sanperf::san {
 
-TransientStudy::Reward TransientStudy::time_to_stop_ms() {
-  return [](const SanSimulator& sim, const RunResult& r) {
-    (void)sim;
-    return r.end_time.to_ms();
-  };
-}
-
-TransientStudy::TransientStudy(const SanModel& model, std::function<bool(const Marking&)> stop,
-                               Reward reward)
-    : model_{&model}, stop_{std::move(stop)}, reward_{std::move(reward)} {
+TransientStudy::TransientStudy(const SanModel& model, std::function<bool(const Marking&)> stop)
+    : model_{&model}, stop_{std::move(stop)} {
   // Warm the model's lazily-built caches (validation, dependents) while we
   // are still single-threaded, so concurrent run_one calls only read.
   model.prepare();
@@ -23,12 +15,11 @@ std::optional<double> TransientStudy::run_one(des::RandomEngine rng) const {
   SanSimulator sim{*model_, rng};
   sim.set_stop_predicate(stop_);
   const RunResult res = sim.run(time_limit_);
-  if (res.reason != StopReason::kPredicate && !keep_incomplete_) return std::nullopt;
-  return reward_(sim, res);
+  if (res.reason != StopReason::kPredicate) return std::nullopt;
+  return res.end_time.to_ms();
 }
 
-StudyResult TransientStudy::run(std::size_t replications, std::uint64_t seed,
-                                double confidence) const {
+StudyResult TransientStudy::run(std::size_t replications, std::uint64_t seed) const {
   const des::RandomEngine master{seed};
   StudyResult out;
   out.rewards.reserve(replications);
@@ -41,7 +32,7 @@ StudyResult TransientStudy::run(std::size_t replications, std::uint64_t seed,
     out.rewards.push_back(*reward);
     out.summary.add(*reward);
   }
-  out.ci = out.summary.mean_ci(confidence);
+  out.ci = out.summary.mean_ci(0.90);
   return out;
 }
 

@@ -12,14 +12,6 @@ Ecdf::Ecdf(std::vector<double> samples) : sorted_{std::move(samples)} {
   std::sort(sorted_.begin(), sorted_.end());
 }
 
-void Ecdf::merge(const Ecdf& other) {
-  if (other.sorted_.empty()) return;
-  const std::size_t mid = sorted_.size();
-  sorted_.insert(sorted_.end(), other.sorted_.begin(), other.sorted_.end());
-  std::inplace_merge(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(mid),
-                     sorted_.end());
-}
-
 double Ecdf::eval(double x) const {
   if (sorted_.empty()) throw std::logic_error{"Ecdf::eval on empty ECDF"};
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);

@@ -12,10 +12,6 @@ class Ecdf {
   /// Builds the ECDF; the sample may be in any order. Requires non-empty.
   explicit Ecdf(std::vector<double> samples);
 
-  /// Pools another ECDF's sample into this one (for combining replication
-  /// shards). Equivalent to rebuilding from the concatenated samples.
-  void merge(const Ecdf& other);
-
   /// F(x) = fraction of samples <= x.
   [[nodiscard]] double eval(double x) const;
 

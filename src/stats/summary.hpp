@@ -24,8 +24,6 @@ struct MeanCI {
 class SummaryStats {
  public:
   void add(double x);
-  /// Merges another summary into this one (parallel Welford combine).
-  void merge(const SummaryStats& other);
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const { return mean_; }

@@ -158,13 +158,14 @@ TEST(NtpSkewTest, OffsetsFillASymmetricWindowWithNoAtomAtZero) {
   // +-w window as w + uniform(-w, +w): support [0, 2w), mean w, and the
   // atom is gone.
   des::RandomEngine rng{12345};
-  const double w = 0.05;
+  const double w = consensus::kNtpHalfWidthMs;
+  EXPECT_EQ(w, 0.05);  // the paper's +-50 us synchronisation
   const int kDraws = 4000;
   double sum = 0;
   int below_mid = 0;
   int exactly_zero = 0;
   for (int k = 0; k < kDraws; ++k) {
-    const double off = consensus::draw_ntp_start_offset(rng, w).to_ms();
+    const double off = consensus::draw_ntp_start_offset(rng).to_ms();
     ASSERT_GE(off, 0.0);
     ASSERT_LT(off, 2 * w);
     sum += off;

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -43,6 +44,25 @@ TEST(DurationTest, ArithmeticAndOrdering) {
 TEST(DurationTest, FromMsRoundsToNearestNanosecond) {
   EXPECT_EQ(Duration::from_ms(0.0000001).ns(), 0);   // 0.1 ns rounds down
   EXPECT_EQ(Duration::from_ms(0.0000006).ns(), 1);   // 0.6 ns rounds up
+}
+
+// int64 nanoseconds hold about +-292 years; llround of a count outside that
+// is unspecified (x86 gives INT64_MIN, a huge negative span).
+TEST(DurationTest, FromMsAndFromSecondsRejectWhatInt64NanosecondsCannotHold) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double ms : {1e300, -1e300, std::nan(""), inf, -inf}) {
+    EXPECT_THROW(static_cast<void>(Duration::from_ms(ms)), std::out_of_range) << ms;
+    EXPECT_THROW(static_cast<void>(Duration::from_seconds(ms)), std::out_of_range) << ms;
+  }
+  EXPECT_THROW(static_cast<void>(Duration::from_seconds(1e10)), std::out_of_range);
+  EXPECT_EQ(Duration::from_seconds(9e9).ns(), 9'000'000'000'000'000'000);
+  EXPECT_EQ(Duration::from_ms(-0x1p63 / 1e6).ns(), std::numeric_limits<std::int64_t>::min());
+  try {
+    static_cast<void>(Duration::from_ms(1e300));
+    FAIL() << "no throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string{e.what()}.find("1e+300 ms"), std::string::npos) << e.what();
+  }
 }
 
 TEST(TimePointTest, ArithmeticWithDurations) {

@@ -1,5 +1,5 @@
 // Tests for the parallel replication engine: RNG seed-splitting, the
-// ReplicationRunner thread pool, mergeable accumulators, and the
+// ReplicationRunner thread pool, run-order pooling of latencies, and the
 // determinism contract (same master seed => bit-identical merged results
 // at any thread count).
 #include <gtest/gtest.h>
@@ -13,9 +13,6 @@
 #include "core/simulation.hpp"
 #include "des/random.hpp"
 #include "net/params.hpp"
-#include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
-#include "stats/summary.hpp"
 
 namespace {
 
@@ -93,56 +90,7 @@ TEST(ReplicationRunner, HandlesEmptyAndSingleBatches) {
   EXPECT_EQ(one[0], 41u);
 }
 
-// --- Mergeable accumulators -------------------------------------------------
-
-TEST(MergeableStats, SummaryMergeMatchesPooledStream) {
-  des::RandomEngine rng{7};
-  std::vector<double> xs(500);
-  for (auto& x : xs) x = rng.normal(3.0, 2.0);
-
-  stats::SummaryStats pooled;
-  for (const double x : xs) pooled.add(x);
-
-  stats::SummaryStats a, b, merged;
-  for (std::size_t i = 0; i < xs.size(); ++i) (i < 200 ? a : b).add(xs[i]);
-  merged.merge(a);
-  merged.merge(b);
-
-  EXPECT_EQ(merged.count(), pooled.count());
-  EXPECT_EQ(merged.min(), pooled.min());
-  EXPECT_EQ(merged.max(), pooled.max());
-  EXPECT_NEAR(merged.mean(), pooled.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), pooled.variance(), 1e-10);
-}
-
-TEST(MergeableStats, EcdfMergeEqualsPooledSample) {
-  const stats::Ecdf pooled{{5, 1, 4, 2, 3, 2.5}};
-  stats::Ecdf merged{{5, 1, 4}};
-  merged.merge(stats::Ecdf{{2, 3, 2.5}});
-  EXPECT_EQ(merged.sorted_samples(), pooled.sorted_samples());
-  EXPECT_DOUBLE_EQ(merged.eval(2.75), pooled.eval(2.75));
-
-  // Merging into a default-constructed (empty) ECDF adopts the sample.
-  stats::Ecdf empty;
-  empty.merge(pooled);
-  EXPECT_EQ(empty.sorted_samples(), pooled.sorted_samples());
-}
-
-TEST(MergeableStats, HistogramMergeAddsCounts) {
-  stats::Histogram a{0, 10, 5};
-  stats::Histogram b{0, 10, 5};
-  for (double x : {-1.0, 1.0, 3.0, 9.0}) a.add(x);
-  for (double x : {1.5, 11.0, 9.5}) b.add(x);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 7u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_EQ(a.count(0), 2u);  // 1.0 and 1.5
-  EXPECT_EQ(a.count(4), 2u);  // 9.0 and 9.5
-
-  stats::Histogram wrong{0, 10, 6};
-  EXPECT_THROW(a.merge(wrong), std::invalid_argument);
-}
+// --- Run-order pooling ------------------------------------------------------
 
 TEST(MergeableStats, MeasuredLatencyMergeAppendsShards) {
   core::MeasuredLatency a, b;
@@ -156,6 +104,19 @@ TEST(MergeableStats, MeasuredLatencyMergeAppendsShards) {
   EXPECT_EQ(a.latencies_ms, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(a.rounds, (std::vector<std::int32_t>{1, 1, 2}));
   EXPECT_EQ(a.undecided, 3u);
+}
+
+TEST(MergeableStats, Class3RunsPoolLatenciesInRunOrder) {
+  std::vector<core::Class3Run> runs(3);
+  runs[0].latency.latencies_ms = {1.0, 2.0};
+  runs[0].latency.undecided = 1;
+  runs[1].latency.undecided = 2;  // no execution decided: no run mean
+  runs[2].latency.latencies_ms = {3.0};
+  const auto agg = core::fold_class3_runs(runs);
+  EXPECT_EQ(agg.all_latencies_ms, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(agg.undecided, 3u);
+  EXPECT_EQ(agg.latency_ms.count, 2u);
+  EXPECT_DOUBLE_EQ(agg.latency_ms.mean, (1.5 + 3.0) / 2);
 }
 
 // --- Determinism across thread counts ---------------------------------------

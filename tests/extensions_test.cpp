@@ -1,13 +1,11 @@
-// Tests of the future-work extensions: batch means, SAN rate rewards,
-// throughput measurement and failure-detector detection time.
+// Tests of the future-work extensions: batch means, throughput
+// measurement and failure-detector detection time.
 #include <gtest/gtest.h>
 
 #include "core/extensions.hpp"
 #include "core/measurement.hpp"
 #include "core/workload.hpp"
 #include "des/random.hpp"
-#include "san/model.hpp"
-#include "san/simulator.hpp"
 #include "stats/batch_means.hpp"
 #include "stats/ecdf.hpp"
 
@@ -54,73 +52,6 @@ TEST(BatchMeansTest, CorrelatedStreamWiderCiThanNaive) {
 
 TEST(BatchMeansTest, RejectsZeroBatch) {
   EXPECT_THROW(stats::BatchMeans{0}, std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
-// SAN rate rewards
-// --------------------------------------------------------------------------
-
-TEST(RateRewardTest, IntegratesTokenTime) {
-  san::SanModel m;
-  const auto a = m.place("a", 1);
-  const auto b = m.place("b");
-  const auto c = m.place("c");
-  m.timed_activity("t1", san::Distribution::deterministic_ms(2)).in(a).out(b);
-  m.timed_activity("t2", san::Distribution::deterministic_ms(3)).in(b).out(c);
-
-  san::SanSimulator sim{m, des::RandomEngine{1}};
-  const auto tokens_in_b =
-      sim.add_rate_reward([b](const san::Marking& mk) { return static_cast<double>(mk.get(b)); });
-  sim.reset(des::RandomEngine{1});  // rewards must survive reset wiring
-  sim.run();
-  // b holds one token from t=2 to t=5.
-  EXPECT_DOUBLE_EQ(sim.rate_reward(tokens_in_b), 3.0);
-  EXPECT_DOUBLE_EQ(sim.rate_reward_average(tokens_in_b), 3.0 / 5.0);
-}
-
-TEST(RateRewardTest, UtilisationOfAResource) {
-  // Single server, 3 jobs of 2 ms arriving instantly: busy 6 of 6 ms.
-  san::SanModel m;
-  const auto jobs = m.place("jobs", 3);
-  const auto server = m.place("server", 1);
-  const auto busy = m.place("busy");
-  const auto done = m.place("done");
-  m.instant_activity("grab").in(jobs).in(server).out(busy);
-  m.timed_activity("serve", san::Distribution::deterministic_ms(2)).in(busy).out(done).out(server);
-
-  san::SanSimulator sim{m, des::RandomEngine{2}};
-  const auto util =
-      sim.add_rate_reward([busy](const san::Marking& mk) { return mk.get(busy) > 0 ? 1.0 : 0.0; });
-  sim.reset(des::RandomEngine{2});
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.rate_reward(util), 6.0);
-  EXPECT_DOUBLE_EQ(sim.rate_reward_average(util), 1.0);
-}
-
-TEST(RateRewardTest, AccruesUpToTimeLimit) {
-  san::SanModel m;
-  const auto a = m.place("a", 1);
-  m.timed_activity("loop", san::Distribution::deterministic_ms(100)).in(a).out(a);
-  san::SanSimulator sim{m, des::RandomEngine{3}};
-  const auto ones = sim.add_rate_reward([](const san::Marking&) { return 1.0; });
-  sim.reset(des::RandomEngine{3});
-  const auto res = sim.run(des::Duration::from_ms(42));
-  EXPECT_EQ(res.reason, san::StopReason::kTimeLimit);
-  EXPECT_DOUBLE_EQ(sim.rate_reward(ones), 42.0);
-}
-
-TEST(RateRewardTest, ResetClearsIntegrals) {
-  san::SanModel m;
-  const auto a = m.place("a", 1);
-  const auto b = m.place("b");
-  m.timed_activity("t", san::Distribution::deterministic_ms(5)).in(a).out(b);
-  san::SanSimulator sim{m, des::RandomEngine{4}};
-  const auto r = sim.add_rate_reward([](const san::Marking&) { return 2.0; });
-  sim.reset(des::RandomEngine{4});
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.rate_reward(r), 10.0);
-  sim.reset(des::RandomEngine{5});
-  EXPECT_DOUBLE_EQ(sim.rate_reward(r), 0.0);
 }
 
 // --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for the flattened campaign fan-out: ShardSpace enumeration,
-// ReplicationRunner::run_flat, pairwise tree merging of shards, and the
+// ReplicationRunner::run_flat, in-order pooling of probe shards, and the
 // determinism contract of the flattened paper campaigns (bit-identical
 // registered tables at any thread count, equal to the nested campaigns
 // they replaced).
@@ -21,7 +21,6 @@
 #include "des/random.hpp"
 #include "net/params.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
 
 namespace {
 
@@ -95,71 +94,19 @@ TEST(ShardSpace, RunFlatMatchesSequentialGroupLoops) {
   }
 }
 
-// --- Tree merge -------------------------------------------------------------
+// --- Probe pooling ----------------------------------------------------------
 
-TEST(TreeMerge, EcdfShardsEqualPooledSample) {
-  des::RandomEngine rng{5};
-  std::vector<double> all;
-  std::vector<stats::Ecdf> shards;
-  for (int s = 0; s < 9; ++s) {  // odd shard count exercises the ride-along
-    std::vector<double> xs(17);
-    for (auto& x : xs) x = rng.normal(2.0, 1.0);
-    all.insert(all.end(), xs.begin(), xs.end());
-    shards.emplace_back(xs);
-  }
-  const auto merged = core::tree_merge(
-      std::move(shards), [](stats::Ecdf& a, stats::Ecdf& b) { a.merge(b); });
-  EXPECT_EQ(merged.sorted_samples(), stats::Ecdf{all}.sorted_samples());
-}
-
-TEST(TreeMerge, HistogramShardsEqualSequentialFold) {
-  des::RandomEngine rng{6};
-  stats::Histogram sequential{0, 10, 20};
-  std::vector<stats::Histogram> shards;
-  for (int s = 0; s < 6; ++s) {
-    stats::Histogram h{0, 10, 20};
-    for (int i = 0; i < 50; ++i) {
-      const double x = rng.uniform(-1.0, 12.0);
-      h.add(x);
-      sequential.add(x);
-    }
-    shards.push_back(h);
-  }
-  const auto merged = core::tree_merge(
-      std::move(shards), [](stats::Histogram& a, stats::Histogram& b) { a.merge(b); });
-  ASSERT_EQ(merged.total(), sequential.total());
-  EXPECT_EQ(merged.underflow(), sequential.underflow());
-  EXPECT_EQ(merged.overflow(), sequential.overflow());
-  for (std::size_t b = 0; b < merged.bins(); ++b) EXPECT_EQ(merged.count(b), sequential.count(b));
-}
-
-TEST(TreeMerge, ConcatenationPreservesShardOrder) {
-  // Vector concatenation is associative: the tree must yield the exact
-  // sequential append order, with or without a runner driving the pairs.
-  std::vector<std::vector<int>> shards;
-  std::vector<int> expected;
+TEST(ProbePooling, ConcatenatesShardsInShardOrder) {
+  std::vector<std::vector<double>> shards;
+  std::vector<double> expected;
   for (int s = 0; s < 11; ++s) {
-    std::vector<int> xs(s + 1);
-    std::iota(xs.begin(), xs.end(), 100 * s);
+    std::vector<double> xs(s % 3 == 2 ? 0 : s + 1);  // some shards empty
+    std::iota(xs.begin(), xs.end(), 100.0 * s);
     expected.insert(expected.end(), xs.begin(), xs.end());
     shards.push_back(xs);
   }
-  const auto concat = [](std::vector<int>& a, std::vector<int>& b) {
-    a.insert(a.end(), b.begin(), b.end());
-  };
-  auto copy = shards;
-  EXPECT_EQ(core::tree_merge(std::move(copy), concat), expected);
-  const core::ReplicationRunner runner{4};
-  EXPECT_EQ(core::tree_merge(std::move(shards), concat, &runner), expected);
-}
-
-TEST(TreeMerge, HandlesEmptyAndSingleShardInputs) {
-  const auto concat = [](std::vector<int>& a, std::vector<int>& b) {
-    a.insert(a.end(), b.begin(), b.end());
-  };
-  EXPECT_TRUE(core::tree_merge(std::vector<std::vector<int>>{}, concat).empty());
-  EXPECT_EQ(core::tree_merge(std::vector<std::vector<int>>{{1, 2}}, concat),
-            (std::vector<int>{1, 2}));
+  EXPECT_EQ(core::pool_probe_shards(shards), expected);
+  EXPECT_TRUE(core::pool_probe_shards({}).empty());
 }
 
 // --- Flattened paper campaigns: determinism across thread counts ------------

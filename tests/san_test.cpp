@@ -351,6 +351,9 @@ TEST(SanSimulatorTest, TimeLimitRespected) {
   const auto res = sim.run(des::Duration::from_ms(10.5));
   EXPECT_EQ(res.reason, StopReason::kTimeLimit);
   EXPECT_EQ(res.firings, 10u);
+  // The clock stops at the limit, not at the last firing (10 ms).
+  EXPECT_EQ(res.end_time, des::TimePoint::origin() + des::Duration::from_ms(10.5));
+  EXPECT_EQ(sim.now(), res.end_time);
 }
 
 TEST(SanSimulatorTest, InstantaneousFiresBeforeTimed) {
@@ -938,20 +941,6 @@ TEST(TransientStudyTest, DropsRunsThatNeverStop) {
   const auto result = study.run(50, 3);
   EXPECT_EQ(result.dropped, 50u);
   EXPECT_TRUE(result.rewards.empty());
-}
-
-TEST(TransientStudyTest, CustomReward) {
-  SanModel m;
-  const PlaceId a = m.place("a", 3);
-  const PlaceId b = m.place("b");
-  const auto act = m.timed_activity("t", Distribution::deterministic_ms(1)).in(a).out(b);
-  TransientStudy study{
-      m, [b](const Marking& mk) { return mk.get(b) >= 3; },
-      [act](const SanSimulator& sim, const RunResult&) {
-        return static_cast<double>(sim.fire_count(act.id()));
-      }};
-  const auto result = study.run(10, 5);
-  for (const double r : result.rewards) EXPECT_DOUBLE_EQ(r, 3.0);
 }
 
 }  // namespace

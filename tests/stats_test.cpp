@@ -7,7 +7,6 @@
 #include "des/random.hpp"
 #include "stats/bimodal_fit.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
 #include "stats/ks.hpp"
 #include "stats/student_t.hpp"
 #include "stats/summary.hpp"
@@ -31,33 +30,6 @@ TEST(SummaryTest, SingleSampleHasZeroVariance) {
   s.add(3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.mean_ci(0.9).half_width, 0.0);
-}
-
-TEST(SummaryTest, MergeEqualsSequential) {
-  des::RandomEngine rng{3};
-  SummaryStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(SummaryTest, MergeWithEmptySides) {
-  SummaryStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  SummaryStats a_copy = a;
-  a.merge(b);  // empty rhs
-  EXPECT_DOUBLE_EQ(a.mean(), a_copy.mean());
-  b.merge(a);  // empty lhs
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(SummaryTest, ConfidenceIntervalCoversTrueMean) {
@@ -154,35 +126,6 @@ TEST(EcdfTest, CurveSpansRange) {
   EXPECT_DOUBLE_EQ(curve.front().first, 1.0);
   EXPECT_DOUBLE_EQ(curve.back().first, 5.0);
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
-TEST(HistogramTest, BinningAndOutOfRange) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);
-  h.add(10.0);  // hi is exclusive
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.25);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{1.0, 1.0, 5}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-}
-
-TEST(HistogramTest, RenderContainsBars) {
-  Histogram h{0.0, 2.0, 2};
-  for (int i = 0; i < 5; ++i) h.add(0.5);
-  h.add(1.5);
-  const std::string render = h.render(10);
-  EXPECT_NE(render.find('#'), std::string::npos);
-  EXPECT_NE(render.find('\n'), std::string::npos);
 }
 
 TEST(KsTest, IdenticalSamplesHaveZeroDistance) {

@@ -184,8 +184,7 @@ std::string rejection(const core::WorkloadSpec& spec,
 TEST(WorkloadEngineTest, RejectsNegativeOrNonFiniteTimings) {
   for (double core::WorkloadSpec::*field :
        {&core::WorkloadSpec::start_ms, &core::WorkloadSpec::separation_ms,
-        &core::WorkloadSpec::think_ms, &core::WorkloadSpec::batch_linger_ms,
-        &core::WorkloadSpec::ntp_skew_ms}) {
+        &core::WorkloadSpec::think_ms, &core::WorkloadSpec::batch_linger_ms}) {
     for (const double bad : {-1.0, std::numeric_limits<double>::infinity(), std::nan("")}) {
       core::WorkloadSpec spec;
       spec.measured = 5;
