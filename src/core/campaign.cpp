@@ -6,6 +6,7 @@
 
 #include "core/measurement.hpp"
 #include "core/parse_util.hpp"
+#include "des/time.hpp"
 
 namespace sanperf::core {
 
@@ -271,6 +272,16 @@ ResultTable CampaignRegistry::run(std::string_view name, const RunOptions& optio
 ResultTable::Value mean_ci_cell(const MeasuredLatency& latency) {
   if (latency.latencies_ms.empty()) return ResultTable::Value{};
   return ResultTable::Value{latency.summary().mean_ci(0.90)};
+}
+
+void check_timing_axis(const std::string& scenario, const ParamPoint& point, const char* axis,
+                       double span_ms) {
+  try {
+    static_cast<void>(des::Duration::from_ms(span_ms));
+  } catch (const std::out_of_range& e) {
+    throw std::invalid_argument{scenario + ": " + axis + " = " + to_string(point.get(axis)) +
+                                " is out of range: " + e.what()};
+  }
 }
 
 CampaignRegistry& CampaignRegistry::global() {

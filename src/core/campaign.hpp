@@ -202,6 +202,13 @@ struct MeasuredLatency;
 /// decided: a mean over zero samples would print as 0.
 [[nodiscard]] ResultTable::Value mean_ci_cell(const MeasuredLatency& latency);
 
+/// Rejects timing axis `axis` of `point` when `span_ms`, the longest
+/// simulated span its value drives, is more than des::Duration's int64
+/// nanoseconds hold. The std::invalid_argument names the scenario, the
+/// axis and its value before the span, which the user may never have typed.
+void check_timing_axis(const std::string& scenario, const ParamPoint& point, const char* axis,
+                       double span_ms);
+
 /// The in-tree scenario families global() lists, each in `sanperf list`
 /// order: the paper artifacts, ablations and extensions (experiments.cpp),
 /// then the workload-engine and fault-injection scenarios (scenarios.cpp).

@@ -170,8 +170,10 @@ struct Class3Point {
 /// (point, run) space, so the whole sweep drains from a single pool batch.
 /// Point (n, T) runs on the streams of ctx.seed + offset + stride * n + T:
 /// fig8, fig9a and fig9b use offset 1000 and stride 17, the FD-correlation
-/// ablation 0 and 31.
-std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx, const ParamGrid& grid,
+/// ablation 0 and 31. A T that is not positive, or that the simulated clock
+/// cannot hold, is rejected under `scenario`'s name.
+std::vector<Class3Point> run_class3_measurements(const std::string& scenario,
+                                                 const PaperContext& ctx, const ParamGrid& grid,
                                                  std::uint64_t offset, std::uint64_t stride) {
   ShardSpace space;
   std::vector<Class3Point> points;
@@ -180,6 +182,11 @@ std::vector<Class3Point> run_class3_measurements(const PaperContext& ctx, const 
     Class3Point pt;
     pt.n = point.get_size("n");
     pt.timeout_ms = point.get_real("timeout_ms");
+    if (!(pt.timeout_ms > 0)) {
+      throw std::invalid_argument{scenario + ": timeout_ms must be > 0, got " +
+                                  to_string(point.get("timeout_ms"))};
+    }
+    check_timing_axis(scenario, point, "timeout_ms", pt.timeout_ms);
     space.add_group(ctx.scale.class3_runs,
                     ctx.seed + offset + stride * pt.n + static_cast<std::uint64_t>(pt.timeout_ms),
                     "run");
@@ -465,9 +472,9 @@ ScenarioSpec class3_spec(bool qos_view) {
                     {"undecided", ColumnType::kInt},
                     {"latencies_ms", ColumnType::kSample}};
   }
-  spec.run = [qos_view, columns = spec.columns](const ScenarioRun& run) {
-    const auto points = run_class3_measurements(run.ctx, run.grid, 1000, 17);
-    ResultTable table{qos_view ? "fig8" : "fig9a", columns};
+  spec.run = [qos_view, name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    const auto points = run_class3_measurements(name, run.ctx, run.grid, 1000, 17);
+    ResultTable table{name, columns};
     for (const auto& pt : points) {
       if (qos_view) {
         const bool quiet = pt.meas.pooled_qos.pairs_used == 0;
@@ -501,9 +508,9 @@ ScenarioSpec fig9b_spec() {
                   {"meas_ms", ColumnType::kReal},   {"sim_det_ms", ColumnType::kReal},
                   {"sim_exp_ms", ColumnType::kReal}, {"t_mr_ms", ColumnType::kReal},
                   {"t_m_ms", ColumnType::kReal}};
-  spec.run = [columns = spec.columns](const ScenarioRun& run) {
+  spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     const PaperContext& ctx = run.ctx;
-    const auto points = run_class3_measurements(ctx, run.grid, 1000, 17);
+    const auto points = run_class3_measurements(name, ctx, run.grid, 1000, 17);
     // The conditional simulation branches -- class 1 where the detector
     // made no mistakes, deterministic plus exponential class-3 sojourns
     // otherwise -- are decided up front from the measured QoS, so every
@@ -657,10 +664,10 @@ ScenarioSpec ablation_fd_spec() {
                   {"meas_ms", ColumnType::kReal},   {"sim_ms", ColumnType::kReal},
                   {"sim_over_meas", ColumnType::kReal}, {"t_mr_ms", ColumnType::kReal},
                   {"t_m_ms", ColumnType::kReal}};
-  spec.run = [columns = spec.columns](const ScenarioRun& run) {
+  spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     const PaperContext& ctx = run.ctx;
     // Batch 1: the class-3 measurement campaign, one group per grid point.
-    const auto points = run_class3_measurements(ctx, run.grid, 0, 31);
+    const auto points = run_class3_measurements(name, ctx, run.grid, 0, 31);
 
     // Batch 2: matched-QoS simulations; the branch (class 1 when the
     // detector made no mistakes, exponential-sojourn class 3 otherwise)

@@ -394,10 +394,10 @@ struct StreamPoint {
 /// over the runner, one sequential DES run per point (pure in its seed). A
 /// point gets n, the context network, `timers`, the `algorithm` axis if
 /// the grid has one, the restriction-stable workload_point_seed, and an
-/// open-loop stream from the offered_per_s (if present), warmup and
-/// instances axes. `setup` then sets what the scenario changes on the
-/// point, its plan included, and an explicit --fault-plan replaces that
-/// plan.
+/// open-loop stream from the offered_per_s (if present, and slow enough
+/// for the simulated clock), warmup and instances axes. `setup` then sets
+/// what the scenario changes on the point, its plan included, and an
+/// explicit --fault-plan replaces that plan.
 template <typename Setup>
 std::vector<StreamPoint> run_stream_points(const ScenarioRun& run, const std::string& name,
                                            const net::TimerModel& timers, Setup setup) {
@@ -414,11 +414,12 @@ std::vector<StreamPoint> run_stream_points(const ScenarioRun& run, const std::st
     }
     sp.cfg.seed = workload_point_seed(run.ctx.seed, name, sp.point);
     sp.stream.arrivals = ArrivalProcess::kOpenLoop;
-    if (run.grid.has_axis("offered_per_s")) {
-      sp.stream.offered_per_s = sp.point.get_real("offered_per_s");
-    }
     sp.stream.warmup = sp.point.get_size("warmup");
     sp.stream.measured = sp.point.get_size("instances");
+    if (run.grid.has_axis("offered_per_s")) {
+      sp.stream.offered_per_s = sp.point.get_real("offered_per_s");
+      check_timing_axis(name, sp.point, "offered_per_s", stream_horizon_ms(sp.stream));
+    }
     setup(sp);
     if (run.fault_plan != nullptr) sp.plan = *run.fault_plan;
     if (sp.plan) sp.cfg.fault_plan = &*sp.plan;
@@ -461,10 +462,11 @@ ThinkTimeDist think_dist_of(const std::string& name) {
   throw std::invalid_argument{"unknown think_dist: " + name + " (fixed|exp)"};
 }
 
-void apply_batching(WorkloadSpec& stream, const ParamPoint& point) {
+void apply_batching(const std::string& scenario, WorkloadSpec& stream, const ParamPoint& point) {
   stream.batch_size = point.get_size("batch_size");
   stream.batch_linger_ms = point.get_real("batch_linger_ms");
   stream.pipeline_window = point.get_size("pipeline_window");
+  check_timing_axis(scenario, point, "batch_linger_ms", stream_horizon_ms(stream));
 }
 
 ScenarioSpec load_latency_sweep_spec() {
@@ -503,8 +505,8 @@ ScenarioSpec load_latency_sweep_spec() {
                   {"undecided", ColumnType::kInt}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     const auto points = run_stream_points(run, name, net::TimerModel::ideal(),
-                                          [](StreamPoint& sp) {
-                                            apply_batching(sp.stream, sp.point);
+                                          [&name](StreamPoint& sp) {
+                                            apply_batching(name, sp.stream, sp.point);
                                           });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
@@ -562,9 +564,10 @@ ScenarioSpec batch_throughput_sweep_spec() {
                   {"undecided_values", ColumnType::kInt}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     const auto points =
-        run_stream_points(run, name, net::TimerModel::ideal(), [](StreamPoint& sp) {
+        run_stream_points(run, name, net::TimerModel::ideal(), [&name](StreamPoint& sp) {
           sp.stream.offered_per_s = sp.point.get_real("offered_values_per_s");
-          apply_batching(sp.stream, sp.point);
+          check_timing_axis(name, sp.point, "offered_values_per_s", stream_horizon_ms(sp.stream));
+          apply_batching(name, sp.stream, sp.point);
         });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {
@@ -613,11 +616,12 @@ ScenarioSpec closed_loop_clients_spec() {
                   {"undecided", ColumnType::kInt}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
     const auto points =
-        run_stream_points(run, name, net::TimerModel::ideal(), [](StreamPoint& sp) {
+        run_stream_points(run, name, net::TimerModel::ideal(), [&name](StreamPoint& sp) {
           sp.stream.arrivals = ArrivalProcess::kClosedLoop;
           sp.stream.clients = sp.point.get_size("clients");
           sp.stream.think_ms = sp.point.get_real("think_ms");
           sp.stream.think_dist = think_dist_of(sp.point.get_string("think_dist"));
+          check_timing_axis(name, sp.point, "think_ms", stream_horizon_ms(sp.stream));
         });
     ResultTable table{name, columns};
     for (const StreamPoint& sp : points) {

@@ -166,6 +166,14 @@ ValueStats fold_value_stats(const std::vector<ValueRecord>& values, std::size_t 
   return out;
 }
 
+double stream_horizon_ms(const WorkloadSpec& spec) {
+  const double mean_arrival_ms =
+      spec.arrivals == ArrivalProcess::kOpenLoop ? 1000.0 / spec.offered_per_s : 0;
+  const double per_instance_ms = spec.instance_timeout_ms + spec.separation_ms + spec.think_ms +
+                                 spec.batch_linger_ms + mean_arrival_ms + 1.0;
+  return 4.0 * static_cast<double>(spec.warmup + spec.measured) * per_instance_ms + 10'000.0;
+}
+
 namespace {
 
 /// Rejects a spec or config the engine would otherwise clamp silently or
@@ -459,7 +467,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
 
   const des::TimePoint stream_start =
       des::TimePoint::origin() + des::Duration::from_ms(spec.start_ms);
-  double deadline_slack_ms = 0;  // mean inter-arrival headroom for open loop
 
   // Arrivals are scheduled rolling (each one chains the next), so the event
   // queue holds O(in-flight) entries, never the whole stream.
@@ -477,7 +484,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
 
     case ArrivalProcess::kOpenLoop: {
       const double mean_ms = 1000.0 / spec.offered_per_s;
-      deadline_slack_ms = mean_ms;
       fire = [&, mean_ms] {
         submit_value();
         if (next_vid < total) {
@@ -532,12 +538,8 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   // Safety net only: every launched instance closes by its give-up
   // deadline and every arrival process keeps submitting, so the predicate
   // fires long before this.
-  const double per_instance_ms = spec.instance_timeout_ms + spec.separation_ms + spec.think_ms +
-                                 spec.batch_linger_ms + deadline_slack_ms + 1.0;
-  const des::TimePoint far_deadline =
-      stream_start +
-      des::Duration::from_ms(4.0 * static_cast<double>(total) * per_instance_ms + 10'000.0);
-  cluster.run_until([&] { return closed_values >= total; }, far_deadline);
+  cluster.run_until([&] { return closed_values >= total; },
+                    stream_start + des::Duration::from_ms(stream_horizon_ms(spec)));
 
   WorkloadResult out;
   out.instances.reserve(slots.size());

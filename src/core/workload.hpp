@@ -239,6 +239,12 @@ struct WorkloadResult {
 /// is not positive.
 [[nodiscard]] WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec);
 
+/// How long after spec.start_ms run_workload stops a stream that has not
+/// closed every value (ms): 4 x the values x the longest one can take
+/// (instance timeout, separation, think, linger and open-loop mean
+/// inter-arrival time, plus 1 ms), plus 10 s.
+[[nodiscard]] double stream_horizon_ms(const WorkloadSpec& spec);
+
 /// One-shot mode: a single instance `k` on a fresh cluster seeded
 /// `exec_seed`, with the static detector pre-suspecting every host down
 /// at the start (cfg.initially_crashed and the hosts cfg.fault_plan

@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <variant>
 
 namespace sanperf::net {
 
@@ -86,25 +88,27 @@ ContentionNetwork::ContentionNetwork(des::Simulator& sim, des::RandomEngine rng,
       rng_{rng},
       params_{params},
       pool_{std::make_shared<FramePool>()},
-      medium_{sim, rng.substream("hub"), hosts} {
+      routes_{topology != nullptr ? topo::RouteTable{*topology} : topo::RouteTable{hosts}} {
   if (hosts < 2) throw std::invalid_argument{"ContentionNetwork: need at least 2 hosts"};
-  // The hub medium is constructed either way (its "hub" substream is derived
-  // but never drawn from unless used), so a degenerate topology leaves the
-  // RNG stream -- and therefore every existing golden -- bit-identical.
-  if (topology != nullptr && !topology->single_hub_equivalent()) {
-    if (topology->n_hosts() != hosts) {
-      throw std::invalid_argument{"ContentionNetwork: topology covers " +
-                                  std::to_string(topology->n_hosts()) + " hosts, cluster has " +
-                                  std::to_string(hosts)};
+  if (routes_.n_hosts() != hosts) {
+    throw std::invalid_argument{"ContentionNetwork: topology covers " +
+                                std::to_string(routes_.n_hosts()) + " hosts, cluster has " +
+                                std::to_string(hosts)};
+  }
+  links_.reserve(routes_.link_count());
+  for (std::size_t i = 0; i < routes_.link_count(); ++i) {
+    const topo::RouteTable::Link& link = routes_.link(i);
+    if (link.type == topo::RouteTable::LinkType::kHub) {
+      links_.emplace_back(link.params, std::in_place_type<HubMedium>, sim, rng.substream("hub"),
+                          hosts);
+    } else {
+      links_.emplace_back(link.params, std::in_place_type<FifoServer>, sim);
     }
-    if (params.batched_broadcast) {
-      throw std::invalid_argument{
-          "ContentionNetwork: batched_broadcast coalesces on the single hub; topology '" +
-          topology->name() + "' has " + std::to_string(topology->racks().size()) + " racks"};
-    }
-    routes_.emplace(*topology);
-    links_.reserve(routes_->link_count());
-    for (std::size_t i = 0; i < routes_->link_count(); ++i) links_.emplace_back(sim);
+  }
+  if (params.batched_broadcast && !std::holds_alternative<HubMedium>(links_.front().server)) {
+    throw std::invalid_argument{
+        "ContentionNetwork: batched_broadcast coalesces on the single hub; topology '" +
+        topology->name() + "' has " + std::to_string(topology->racks().size()) + " racks"};
   }
   cpus_.reserve(hosts);
   for (std::size_t i = 0; i < hosts; ++i) cpus_.emplace_back(sim);
@@ -169,19 +173,7 @@ void ContentionNetwork::submit_unicast(FrameRef frame, HostId dst, bool wire, Fr
                         SANPERF_AUDIT_ONLY(--audit_in_flight_;)
                         return;
                       }
-                      if (routes_) {
-                        // Step 4, routed: walk the compiled route link by link.
-                        route_hop(std::move(frame), dst, cls, 0);
-                        return;
-                      }
-                      // Step 4: the shared medium (exclusive wire occupancy).
-                      const auto& wire_dist = cls == FrameClass::kSmall ? params_.small_wire_service
-                                                                        : params_.wire_service;
-                      const HostId fsrc = frame.src();
-                      const des::Duration service = sample(wire_dist);
-                      medium_.submit(fsrc, service, [this, frame = std::move(frame), dst] {
-                        receiver_edge(frame, dst);
-                      });
+                      route_hop(std::move(frame), dst, cls, 0);
                     });
 }
 
@@ -210,8 +202,8 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
     return;
   }
 
-  // Batched hub fan-out: one sender-CPU job and one medium burst carry all
-  // n-1 frames. Total resource occupancy matches the unbatched path; the
+  // Batched fan-out: one sender-CPU job and one burst on the hub link carry
+  // all n-1 frames. Total resource occupancy matches the unbatched path; the
   // per-frame completion events collapse into two.
   std::vector<HostId>& dsts = frame.bcast_dsts();
   std::size_t absorbed = 0;
@@ -242,7 +234,10 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
         des::Duration burst = des::Duration::zero();
         for (std::size_t i = 0; i < frame.bcast_dsts().size(); ++i) burst += sample(wire_dist);
         const HostId fsrc = frame.src();
-        medium_.submit(fsrc, burst, [this, frame = std::move(frame)] {
+        Link& hub = links_.front();
+        hub.entered += frame.bcast_dsts().size();
+        std::get<HubMedium>(hub.server).submit(fsrc, burst, [this, frame = std::move(frame)] {
+          links_.front().exited += frame.bcast_dsts().size();
           // Index-based walk: a receiver's handler may send and grow the
           // pool while we iterate.
           for (std::size_t i = 0; i < frame.bcast_dsts().size(); ++i) {
@@ -255,33 +250,37 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
 
 void ContentionNetwork::route_hop(FrameRef frame, HostId dst, FrameClass cls,
                                   std::uint32_t step) {
-  const topo::RouteTable::Route& route = routes_->route(frame.src(), dst);
+  const HostId src = frame.src();
+  const topo::RouteTable::Route& route = routes_.route(src, dst);
   if (step >= route.hops) {
     receiver_edge(std::move(frame), dst);
     return;
   }
   const std::uint32_t li = route.links[step];
   Link& link = links_[li];
-  const topo::LinkParams& lp = routes_->link(li).params;
-  // A shallow switch buffer sheds load instead of queueing without bound.
-  if (lp.queue_limit > 0 && link.server.busy() && link.server.queue_length() >= lp.queue_limit) {
-    ++frames_dropped_;
-    ++link.overflow_dropped;
-    SANPERF_AUDIT_ONLY(--audit_in_flight_;)
-    return;
+  // A shallow switch buffer sheds load instead of queueing without bound
+  // (the hub's params are the defaults: it has no limit).
+  if (link.params.queue_limit > 0) {
+    const FifoServer& edge = std::get<FifoServer>(link.server);
+    if (edge.busy() && edge.queue_length() >= link.params.queue_limit) {
+      ++frames_dropped_;
+      ++link.overflow_dropped;
+      SANPERF_AUDIT_ONLY(--audit_in_flight_;)
+      return;
+    }
   }
   ++link.entered;
   const auto& wire_dist =
       cls == FrameClass::kSmall ? params_.small_wire_service : params_.wire_service;
   des::Duration service = sample(wire_dist);
-  if (lp.service_scale != 1.0) {
-    service = des::Duration::from_ms(service.to_ms() * lp.service_scale);
+  if (link.params.service_scale != 1.0) {
+    service = des::Duration::from_ms(service.to_ms() * link.params.service_scale);
   }
-  link.server.submit(service, [this, frame = std::move(frame), dst, cls, step, li]() mutable {
+  auto done = [this, frame = std::move(frame), dst, cls, step, li]() mutable {
     ++links_[li].exited;
     // The link's propagation delay is non-exclusive: the server frees up
     // while the frame is still on the wire towards the next hop.
-    const double latency_ms = routes_->link(li).params.latency_ms;
+    const double latency_ms = links_[li].params.latency_ms;
     if (latency_ms > 0) {
       sim_->schedule(des::Duration::from_ms(latency_ms),
                      [this, frame = std::move(frame), dst, cls, step]() mutable {
@@ -290,7 +289,12 @@ void ContentionNetwork::route_hop(FrameRef frame, HostId dst, FrameClass cls,
     } else {
       route_hop(std::move(frame), dst, cls, step + 1);
     }
-  });
+  };
+  if (auto* hub = std::get_if<HubMedium>(&link.server)) {
+    hub->submit(src, service, std::move(done));
+  } else {
+    std::get<FifoServer>(link.server).submit(service, std::move(done));
+  }
 }
 
 void ContentionNetwork::receiver_edge(FrameRef frame, HostId dst) {
@@ -324,7 +328,7 @@ void ContentionNetwork::edge_arrive(const FrameRef& frame, HostId dst) {
     return;
   }
   // Receiver edge: the fault-injection filter sees every frame that
-  // survived the medium -- partition and loss drop here, duplication
+  // survived its route -- partition and loss drop here, duplication
   // pays the receiver CPU twice.
   FrameFate fate = FrameFate::kDeliver;
   if (filter_) fate = filter_(frame.packet(dst));

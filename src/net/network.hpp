@@ -1,23 +1,30 @@
-// The contention network: per-host CPU resources plus one shared medium.
+// The contention network: per-host CPU resources plus the links of a
+// topo::RouteTable -- on the paper's testbed, one shared hub.
 //
 // A unicast transmission walks the seven steps of the paper's Fig 3:
-//   1. enqueue at the sender's CPU          4. occupy the medium (t_net)
+//   1. enqueue at the sender's CPU          4. occupy each route link (t_net)
 //   2. occupy the sender's CPU (t_send)     5. enqueue at the receiver's CPU
-//   3. enqueue on the medium                6. occupy it (t_receive)
+//   3. enqueue on the first route link      6. occupy it (t_receive)
 //                                           7. deliver to the process
-// Each resource is an exclusive FIFO server. Between steps 4 and 5 a frame
+// Each resource is an exclusive server. Between steps 4 and 5 a frame
 // additionally experiences a non-exclusive pipeline latency (protocol-stack
 // traversal) during which it occupies nothing -- this is where most of the
 // end-to-end delay lives on the emulated testbed. Frames addressed to a
-// crashed host still occupy the medium (the wire does not know) but are
+// crashed host still occupy their route (the wire does not know) but are
 // dropped before consuming the destination CPU.
+//
+// No topology, or a single rack, routes every pair over one shared-medium
+// hub link (a HubMedium); more racks route over access edges and rack
+// uplinks, each a FIFO server. A link occupies a frame for the calibrated
+// wire sample times its service_scale, then delays it by its
+// non-exclusive latency_ms.
 //
 // Frame bookkeeping is pooled (see frame_pool.hpp): a frame in flight is a
 // slot index into columnar storage, every closure carries its 24-byte
 // FrameRef inside EventAction's inline buffer (a closure that would not fit
 // does not compile), and a broadcast shares one pooled body across all n-1
 // receivers. The send path still allocates in one place: the std::deque job
-// queues of the CPUs and the hub take and free a chunk whenever they grow
+// queues of the CPUs and the links take and free a chunk whenever they grow
 // or drain across a chunk boundary.
 //
 // Job storage: FifoServer::submit and HubMedium::submit are templates over
@@ -28,25 +35,15 @@
 // once more before it runs (a completion may submit to the same server).
 // So a completion moves twice on an idle FIFO server and three times
 // through a FIFO queue or the hub.
-//
-// Routed mode: constructed with a multi-rack topo::Topology, step 4 is no
-// longer one shared hub but the frame's compiled route -- each link on the
-// path (src access edge, the two rack uplinks when crossing racks, dst
-// access edge) is its own exclusive FIFO server whose occupancy is the
-// calibrated wire sample scaled by the link's service_scale, followed by
-// the link's non-exclusive latency_ms. Steps 1-2 and 5-7 (CPUs, pipeline,
-// receiver-edge filter) are byte-identical to hub mode. A null or
-// single-rack topology keeps the hub code path exactly: every existing
-// golden reproduces bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -178,12 +175,11 @@ class HubMedium {
 
 class ContentionNetwork {
  public:
-  /// Both `sim` and the callback outlive the network. A null `topology`
-  /// (or one with a single rack) is the paper's shared hub; a multi-rack
-  /// topology switches step 4 to routed per-link delivery. The topology is
-  /// compiled into a RouteTable at construction and not referenced after.
-  /// Throws std::invalid_argument for a multi-rack topology combined with
-  /// NetworkParams::batched_broadcast, which only the hub implements.
+  /// Both `sim` and the callback outlive the network. The topology (null
+  /// for the paper's hub) is compiled into a RouteTable at construction and
+  /// not referenced after. Throws std::invalid_argument for a topology that
+  /// covers another host count, or a multi-rack one combined with
+  /// NetworkParams::batched_broadcast, which coalesces on the hub link.
   ContentionNetwork(des::Simulator& sim, des::RandomEngine rng, NetworkParams params,
                     std::size_t hosts, const topo::Topology* topology = nullptr);
 
@@ -194,13 +190,13 @@ class ContentionNetwork {
   /// occupancy; small datagrams (heartbeats) pay raw wire time only.
   enum class FrameClass { kProtocol, kSmall };
 
-  /// What the frame filter decides for a frame that survived the medium:
+  /// What the frame filter decides for a frame that survived its route:
   /// deliver it, drop it silently (partition / probabilistic loss), or
   /// deliver it twice (datagram duplication).
   enum class FrameFate { kDeliver, kDrop, kDuplicate };
   /// Fault-injection hook, consulted once per frame at the receiver edge
-  /// (after the medium and pipeline, before the receiver CPU). The frame
-  /// has already paid its wire occupancy -- the hub does not know about
+  /// (after the route and pipeline, before the receiver CPU). The frame
+  /// has already paid its wire occupancy -- the links do not know about
   /// switch-level filtering or corrupted checksums.
   using FrameFilter = std::function<FrameFate(const Packet&)>;
   void set_frame_filter(FrameFilter filter) { filter_ = std::move(filter); }
@@ -212,14 +208,14 @@ class ContentionNetwork {
   /// skipping the sender) sharing a single pooled body. With
   /// NetworkParams::batched_broadcast off, the per-receiver resource
   /// occupancy, RNG draw order and event sequence are identical to n-1
-  /// send() calls, so results are bit-identical; on, the hub coalesces
-  /// the fan-out into one sender-CPU job and one medium burst (total
+  /// send() calls, so results are bit-identical; on, the fan-out coalesces
+  /// into one sender-CPU job and one burst on the hub link (total
   /// occupancy unchanged), cutting the scheduled events per broadcast
   /// from ~4(n-1) to ~n+1.
   void broadcast(HostId src, FrameBody body, FrameClass cls = FrameClass::kProtocol);
 
   /// Marks a host as crashed: queued CPU work is discarded and future frames
-  /// addressed to it vanish after their medium occupancy.
+  /// addressed to it vanish after their route occupancy.
   void host_down(HostId h);
   /// Warm restart of a crashed host: frames flow again and the per-pair
   /// TCP dead-peer absorption state is reset in both directions (the
@@ -245,17 +241,12 @@ class ContentionNetwork {
   [[nodiscard]] std::uint64_t frames_dropped() const { return frames_dropped_; }
   [[nodiscard]] std::uint64_t frames_filtered() const { return frames_filtered_; }
   [[nodiscard]] std::uint64_t frames_duplicated() const { return frames_duplicated_; }
-  [[nodiscard]] des::Duration medium_busy_time() const { return medium_.busy_time(); }
   [[nodiscard]] const FifoServer& cpu(HostId h) const { return cpus_.at(h); }
-  [[nodiscard]] const HubMedium& medium() const { return medium_; }
   [[nodiscard]] const FramePool& frame_pool() const { return *pool_; }
 
-  // Routed-mode introspection. `route_table()` is null in hub mode.
-  [[nodiscard]] bool routed() const { return routes_.has_value(); }
-  [[nodiscard]] const topo::RouteTable* route_table() const {
-    return routes_ ? &*routes_ : nullptr;
-  }
-  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
+  /// The links step 4 walks, numbered as in the route table; the hub is
+  /// link 0. Counts are of frames (a batched burst enters as n-1).
+  [[nodiscard]] const topo::RouteTable& route_table() const { return routes_; }
   [[nodiscard]] std::uint64_t link_entered(std::size_t link) const {
     return links_.at(link).entered;
   }
@@ -264,9 +255,6 @@ class ContentionNetwork {
   }
   [[nodiscard]] std::uint64_t link_overflow_dropped(std::size_t link) const {
     return links_.at(link).overflow_dropped;
-  }
-  [[nodiscard]] des::Duration link_busy_time(std::size_t link) const {
-    return links_.at(link).server.busy_time();
   }
 
 #if SANPERF_AUDIT_ENABLED
@@ -291,19 +279,19 @@ class ContentionNetwork {
                           std::to_string(audit_in_flight_) +
                               " frames still in flight after the event queue drained");
     }
-    // Per-link conservation on the routed path: every frame that entered a
-    // link's queue exits its server exactly once. Between the two counts a
-    // frame legitimately occupies the link, so the exact identity holds
-    // only once the event queue has drained.
+    // Per-link conservation: every frame that entered a link's queue exits
+    // its server exactly once. Between the two counts a frame legitimately
+    // occupies the link, so the exact identity holds only once the event
+    // queue has drained.
     for (std::size_t li = 0; li < links_.size(); ++li) {
       const Link& l = links_[li];
       SANPERF_AUDIT_CHECK("net.link_conservation", l.entered >= l.exited,
-                          "link " + routes_->link_name(li) + " exited " +
+                          "link " + routes_.link_name(li) + " exited " +
                               std::to_string(l.exited) + " frames but only " +
                               std::to_string(l.entered) + " entered");
       if (at_drain) {
         SANPERF_AUDIT_CHECK("net.link_conservation", l.entered == l.exited,
-                            "link " + routes_->link_name(li) + ": entered " +
+                            "link " + routes_.link_name(li) + ": entered " +
                                 std::to_string(l.entered) + " != exited " +
                                 std::to_string(l.exited) + " after the event queue drained");
       }
@@ -338,21 +326,27 @@ class ContentionNetwork {
 #endif
 
  private:
-  /// One exclusive link of the routed path, with conservation counters.
+  /// One route-table link: its params, its conservation counters and its
+  /// server, fixed by the link's kind (the hub or a FIFO edge). What a hop
+  /// reads comes first, next to a FIFO server's state, not past the hub's
+  /// RNG in the variant.
   struct Link {
-    explicit Link(des::Simulator& sim) : server{sim} {}
-    FifoServer server;
+    template <typename Server, typename... Args>
+    Link(const topo::LinkParams& p, std::in_place_type_t<Server> kind, Args&&... args)
+        : params{p}, server{kind, std::forward<Args>(args)...} {}
+    topo::LinkParams params;
     std::uint64_t entered = 0;
     std::uint64_t exited = 0;
     std::uint64_t overflow_dropped = 0;
+    std::variant<FifoServer, HubMedium> server;
   };
 
   [[nodiscard]] des::Duration sample(const stats::BimodalUniform& dist);
-  /// Steps 2-4 of one (shared-body) unicast frame: sender CPU, then hub or
+  /// Steps 2-4 of one (shared-body) unicast frame: sender CPU, then the
   /// route. The dead-pair decision (`wire`) was already taken at submit.
   void submit_unicast(FrameRef frame, HostId dst, bool wire, FrameClass cls);
-  /// Routed step 4: occupy route link `step`, pay its latency, recurse;
-  /// past the last hop the frame reaches the receiver edge.
+  /// Step 4: occupy route link `step`, pay its latency, recurse; past the
+  /// last hop the frame reaches the receiver edge.
   void route_hop(FrameRef frame, HostId dst, FrameClass cls, std::uint32_t step);
   /// Step 5 on the legacy per-frame path: always schedules the pipeline
   /// event, even at zero latency -- the event order is part of the
@@ -377,9 +371,8 @@ class ContentionNetwork {
   NetworkParams params_;
   std::shared_ptr<FramePool> pool_;
   std::vector<FifoServer> cpus_;
-  HubMedium medium_;
-  std::optional<topo::RouteTable> routes_;  ///< engaged iff multi-rack (routed mode)
-  std::vector<Link> links_;                 ///< routed mode: one server per topology link
+  topo::RouteTable routes_;
+  std::vector<Link> links_;  ///< one per route-table link, in its numbering
   std::vector<char> down_;
   std::vector<std::uint64_t> dead_pair_bits_;  // lazily sized ceil(n*n/64)
   std::vector<double> cpu_scale_;              // per-host CPU service-time multiplier

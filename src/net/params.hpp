@@ -44,12 +44,12 @@ struct NetworkParams {
   /// (Section 3.4) that the extra FD load did not affect latency.
   stats::BimodalUniform small_wire_service{1.0, 0.008, 0.012, 0.0, 0.0};
 
-  /// Coalesce a hub-mode broadcast into one sender-CPU job and one medium
-  /// burst (total resource occupancy unchanged), cutting the scheduled
+  /// Coalesce a broadcast into one sender-CPU job and one burst on the hub
+  /// link (total resource occupancy unchanged), cutting the scheduled
   /// events per broadcast from ~4(n-1) to ~n+1. Off by default: the
   /// unbatched path is bit-identical to n-1 unicasts and is what every
-  /// pre-existing golden pins down. Hub only: ContentionNetwork rejects it
-  /// on a multi-rack topology.
+  /// pre-existing golden pins down. A multi-rack topology has no hub link,
+  /// so ContentionNetwork rejects it there.
   bool batched_broadcast = false;
 
   [[nodiscard]] static NetworkParams defaults() { return {}; }

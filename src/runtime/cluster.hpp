@@ -20,9 +20,9 @@ struct ClusterConfig {
   net::NetworkParams network = net::NetworkParams::defaults();
   net::TimerModel timers = net::TimerModel::defaults();
   /// Optional network topology (shared so config copies stay cheap). Null
-  /// or single-rack = the paper's shared hub, bit-exact with every
-  /// existing golden; multi-rack switches the network to routed delivery
-  /// and scopes domain fault events (see faults::lower_plan).
+  /// or single-rack = the paper's shared hub; multi-rack routes frames
+  /// over access edges and rack uplinks and scopes domain fault events
+  /// (see faults::lower_plan).
   std::shared_ptr<const topo::Topology> topology;
   std::uint64_t seed = 1;
 };

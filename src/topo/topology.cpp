@@ -31,6 +31,24 @@ void check_link(const LinkParams& link, std::size_t rack, const char* edge) {
   }
 }
 
+/// A one-rack topology is the single hub, which has neither an access nor
+/// an uplink edge: a profile other than the default would go unused.
+void check_hub_edge(const LinkParams& link, const char* edge) {
+  const LinkParams defaults;
+  const char* field = nullptr;
+  if (link.latency_ms != defaults.latency_ms) {
+    field = "latency_ms";
+  } else if (link.service_scale != defaults.service_scale) {
+    field = "service_scale";
+  } else if (link.queue_limit != defaults.queue_limit) {
+    field = "queue_limit";
+  }
+  if (field != nullptr) {
+    bad_topology(std::string{"rack 0 "} + edge + "." + field +
+                 " must keep its default: a one-rack topology is the single hub");
+  }
+}
+
 }  // namespace
 
 Topology::Topology(std::string name, std::vector<Rack> racks)
@@ -53,6 +71,10 @@ Topology::Topology(std::string name, std::vector<Rack> racks)
       seen[h] = 1;
       rack_of_[h] = static_cast<std::uint32_t>(r);
     }
+  }
+  if (racks_.size() == 1) {
+    check_hub_edge(racks_[0].access, "access");
+    check_hub_edge(racks_[0].uplink, "uplink");
   }
 }
 
@@ -183,8 +205,14 @@ Topology Topology::from_json(const std::string& text) {
 
 // --- RouteTable --------------------------------------------------------------
 
+RouteTable::RouteTable(std::size_t n_hosts) : n_{n_hosts}, links_{{LinkType::kHub, 0, {}}} {}
+
 RouteTable::RouteTable(const Topology& topo) : n_{topo.n_hosts()} {
   if (n_ == 0) throw std::invalid_argument{"RouteTable: empty topology"};
+  if (topo.racks().size() == 1) {
+    links_.push_back({LinkType::kHub, 0, {}});
+    return;
+  }
   links_.reserve(n_ + topo.racks().size());
   for (HostId h = 0; h < static_cast<HostId>(n_); ++h) {
     links_.push_back({LinkType::kAccess, h, topo.racks()[topo.rack_of(h)].access});
@@ -213,6 +241,7 @@ RouteTable::RouteTable(const Topology& topo) : n_{topo.n_hosts()} {
 
 std::string RouteTable::link_name(std::size_t index) const {
   const Link& l = link(index);
+  if (l.type == LinkType::kHub) return "hub";
   return (l.type == LinkType::kAccess ? "access:" : "uplink:") + std::to_string(l.owner);
 }
 

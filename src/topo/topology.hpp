@@ -9,17 +9,16 @@
 // spine, each edge with its own LinkParams), round-trips through JSON with
 // the ResultTable mini-parser, and compiles into a `RouteTable`: the
 // per-host-pair sequence of links a frame occupies, which
-// net::ContentionNetwork walks instead of the single hub.
+// net::ContentionNetwork walks.
 //
 // The rack tree doubles as the failure-domain tree (cortx-motr style):
 // `hosts_in_rack(r)` is exactly the blast radius of killing rack r's power
 // feed or partitioning its ToR switch, and faults::lower_plan expands
 // domain-scoped fault events by walking it.
 //
-// Degeneracy contract: a topology with a single rack is semantically the
-// legacy shared hub (every host hangs off one switch), and the network
-// keeps using the hub code path for it -- bit-exact with every existing
-// golden. Multi-rack topologies switch to routed delivery.
+// A single rack is the paper's shared hub: it compiles, like no topology
+// at all, into one shared-medium link that every pair crosses in one hop.
+// It has no access or uplink edge, so its LinkParams must stay defaults.
 #pragma once
 
 #include <array>
@@ -48,7 +47,8 @@ struct LinkParams {
 };
 
 /// One rack: its member hosts, the host<->ToR access edges (all hosts in a
-/// rack share one access profile) and the ToR<->spine uplink edge.
+/// rack share one access profile) and the ToR<->spine uplink edge. The
+/// edges exist only when there are two racks or more.
 struct Rack {
   std::vector<HostId> hosts;
   LinkParams access;
@@ -62,11 +62,11 @@ class Topology {
   Topology() = default;
   /// Validates on construction: hosts 0..n-1 must appear exactly once
   /// across racks, every rack non-empty, every link profile in range (see
-  /// LinkParams). Throws std::invalid_argument naming the rack and field.
+  /// LinkParams), and a single rack's profiles left at their defaults.
+  /// Throws std::invalid_argument naming the rack and field.
   Topology(std::string name, std::vector<Rack> racks);
 
-  /// The degenerate topology: one rack holding every host -- semantically
-  /// the paper's shared hub, reproduced bit for bit by the network.
+  /// One rack holding every host: the paper's shared hub.
   [[nodiscard]] static Topology single_hub(std::size_t n);
   /// `n` hosts split contiguously over `racks` racks (first racks get the
   /// remainder), every rack sharing the given edge profiles.
@@ -76,8 +76,6 @@ class Topology {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<Rack>& racks() const { return racks_; }
   [[nodiscard]] std::size_t n_hosts() const { return rack_of_.size(); }
-  /// True when routed delivery degenerates to the legacy single hub.
-  [[nodiscard]] bool single_hub_equivalent() const { return racks_.size() <= 1; }
 
   /// Failure-domain tree walk: which rack holds `h`, and the blast radius
   /// of a rack-scoped fault (kill_rack / partition_switch / domain loss).
@@ -99,21 +97,24 @@ class Topology {
   std::vector<std::uint32_t> rack_of_;  // derived: host -> rack index
 };
 
-/// The compiled routing view of a Topology: a dense per-ordered-pair table
-/// of the links a frame occupies in order. Links are numbered access edges
+/// The compiled routing view of a Topology: per ordered host pair, the
+/// links a frame occupies in order. A single rack, or no topology, is one
+/// shared-medium hub link that every pair crosses in one hop, with no
+/// per-pair table. Two racks or more number their links access edges
 /// first (link h = host h's access edge, h in [0, n)), then uplinks (link
-/// n + r = rack r's uplink). Same-rack routes take 2 hops (src access, dst
-/// access); cross-rack routes take 4 (src access, src uplink, dst uplink,
-/// dst access) -- the spine itself is modelled as non-blocking.
+/// n + r = rack r's uplink), in a dense per-pair table: same-rack routes
+/// take 2 hops (src access, dst access), cross-rack routes 4 (src access,
+/// src uplink, dst uplink, dst access) -- the spine itself is modelled as
+/// non-blocking.
 class RouteTable {
  public:
   static constexpr std::uint32_t kMaxHops = 4;
 
-  enum class LinkType : std::uint8_t { kAccess, kUplink };
+  enum class LinkType : std::uint8_t { kAccess, kUplink, kHub };
 
   struct Link {
     LinkType type = LinkType::kAccess;
-    std::uint32_t owner = 0;  ///< host id (access) or rack index (uplink)
+    std::uint32_t owner = 0;  ///< host id (access), rack index (uplink), 0 (hub)
     LinkParams params;
   };
 
@@ -122,14 +123,17 @@ class RouteTable {
     std::uint32_t hops = 0;
   };
 
+  /// The hub of `n_hosts` hosts.
+  explicit RouteTable(std::size_t n_hosts);
   explicit RouteTable(const Topology& topo);
 
   [[nodiscard]] std::size_t n_hosts() const { return n_; }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] const Link& link(std::size_t index) const { return links_.at(index); }
-  /// "access:3" / "uplink:1" -- stable names for audits and test output.
+  /// "access:3" / "uplink:1" / "hub" -- stable names for audits and test output.
   [[nodiscard]] std::string link_name(std::size_t index) const;
   [[nodiscard]] const Route& route(HostId src, HostId dst) const {
+    if (routes_.empty()) return kHubRoute;
     return routes_.at(static_cast<std::size_t>(src) * n_ + dst);
   }
   [[nodiscard]] bool crosses_racks(HostId src, HostId dst) const {
@@ -137,9 +141,11 @@ class RouteTable {
   }
 
  private:
+  static constexpr Route kHubRoute{{0, 0, 0, 0}, 1};
+
   std::size_t n_ = 0;
   std::vector<Link> links_;
-  std::vector<Route> routes_;  // dense n*n, src-major
+  std::vector<Route> routes_;  // dense n*n, src-major; empty for the hub
 };
 
 }  // namespace sanperf::topo

@@ -209,18 +209,29 @@ TEST_F(AuditTest, UnaccountedDeliveryTripsFrameConservation) {
 }
 
 TEST_F(AuditTest, PhantomLinkEntryTripsLinkConservation) {
-  // Routed delivery: per-link entered/exited must reconcile at drain.
-  des::Simulator sim;
-  des::RandomEngine rng{42};
-  const topo::Topology topology = topo::Topology::uniform(4, 2);
-  net::ContentionNetwork network{sim, rng.substream("net"), net::NetworkParams::defaults(), 4,
-                                 &topology};
-  ASSERT_TRUE(network.routed());
-  EXPECT_EQ(tripped([&] { network.audit_check_frame_conservation(true); }), "");
-  // A frame entered link 0 that no send ever routed (and never exits).
-  network.audit_corrupt_link_entry(0);
-  EXPECT_EQ(tripped([&] { network.audit_check_frame_conservation(true); }),
-            "net.link_conservation");
+  // Per-link entered/exited must reconcile at drain, on a routed access
+  // edge and on the hub alike.
+  const topo::Topology two_racks = topo::Topology::uniform(4, 2);
+  for (const topo::Topology* topology : {&two_racks, static_cast<const topo::Topology*>(nullptr)}) {
+    SCOPED_TRACE(topology != nullptr ? "routed" : "hub");
+    des::Simulator sim;
+    des::RandomEngine rng{42};
+    net::ContentionNetwork network{sim, rng.substream("net"), net::NetworkParams::defaults(), 4,
+                                   topology};
+    ASSERT_EQ(network.route_table().link(0).type, topology != nullptr
+                                                      ? topo::RouteTable::LinkType::kAccess
+                                                      : topo::RouteTable::LinkType::kHub);
+    // Real traffic reconciles.
+    network.set_deliver([](const net::Packet&) {});
+    network.broadcast(0, std::any{});
+    sim.run();
+    EXPECT_EQ(network.link_exited(0), 3u);
+    EXPECT_EQ(tripped([&] { network.audit_check_frame_conservation(true); }), "");
+    // A frame entered link 0 that no send ever routed (and never exits).
+    network.audit_corrupt_link_entry(0);
+    EXPECT_EQ(tripped([&] { network.audit_check_frame_conservation(true); }),
+              "net.link_conservation");
+  }
 }
 
 TEST_F(AuditTest, DeliveryAcrossPartitionedSwitchTrips) {

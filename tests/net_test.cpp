@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <any>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "net/jitter.hpp"
 #include "net/network.hpp"
 #include "net/params.hpp"
+#include "topo/topology.hpp"
 
 namespace sanperf::net {
 namespace {
@@ -498,7 +502,7 @@ TEST(DeadPeerAbsorptionTest, OnlyFirstProtocolFrameReachesWire) {
   for (int i = 0; i < 5; ++i) netw.send(0, 1, std::any{});
   sim.run();
   // One frame on the wire (then TCP backoff absorbs), all five dropped.
-  EXPECT_EQ(netw.medium().frames_served(), 1u);
+  EXPECT_EQ(netw.link_exited(0), 1u);
   EXPECT_EQ(netw.frames_dropped(), 5u);
 }
 
@@ -510,7 +514,7 @@ TEST(DeadPeerAbsorptionTest, PerPairBookkeeping) {
   netw.send(1, 2, std::any{});  // pair (1,2): first frame -> wire
   netw.send(0, 2, std::any{});  // absorbed
   sim.run();
-  EXPECT_EQ(netw.medium().frames_served(), 2u);
+  EXPECT_EQ(netw.link_exited(0), 2u);
 }
 
 TEST(FrameClassTest, SmallFramesUseRawWireTime) {
@@ -538,7 +542,7 @@ TEST(FrameClassTest, SmallFramesToDeadHostAlwaysEmitted) {
     netw.send(0, 1, std::any{}, ContentionNetwork::FrameClass::kSmall);
   }
   sim.run();
-  EXPECT_EQ(netw.medium().frames_served(), 3u);
+  EXPECT_EQ(netw.link_exited(0), 3u);
 }
 
 // --------------------------------------------------------------------------
@@ -566,7 +570,7 @@ TEST(HostRestartTest, RearmsReceiverCpuAndResetsDeadPairState) {
   sim.run();
   EXPECT_EQ(delivered, 2);  // both post-recovery frames reach the process
   EXPECT_EQ(netw.cpu(1).jobs_served(), cpu_jobs_down + 2);  // CPU serves again
-  EXPECT_EQ(netw.medium().frames_served(), 3u);  // 1 dead + 2 live on the wire
+  EXPECT_EQ(netw.link_exited(0), 3u);  // 1 dead + 2 live on the wire
 }
 
 TEST(HostRestartTest, CrashWhileReceiverBusySuppressesOnlyThatJob) {
@@ -638,7 +642,164 @@ TEST(FrameFilterTest, DropAndDuplicateAtReceiverEdge) {
   EXPECT_EQ(delivered, 2);  // the duplicated frame lands twice
   EXPECT_EQ(netw.frames_filtered(), 1u);
   EXPECT_EQ(netw.frames_duplicated(), 1u);
-  EXPECT_EQ(netw.medium().frames_served(), 2u);  // dropped frame paid the wire
+  EXPECT_EQ(netw.link_exited(0), 2u);  // dropped frame paid the wire
+}
+
+// --------------------------------------------------------------------------
+// Per-frame pin: every delivery of a mixed schedule, on every path
+// --------------------------------------------------------------------------
+
+/// One delivery: source, destination and the simulated instant in ns.
+struct Delivery {
+  HostId src;
+  HostId dst;
+  std::int64_t at_ns;
+  bool operator==(const Delivery&) const = default;
+};
+
+void PrintTo(const Delivery& d, std::ostream* os) {
+  *os << '{' << d.src << ", " << d.dst << ", " << d.at_ns << '}';
+}
+
+/// What a network did with the pin schedule: every delivery in order, then
+/// the sent, dropped, filtered and duplicated counters.
+struct PinTrace {
+  std::vector<Delivery> deliveries;
+  std::array<std::uint64_t, 4> counters{};
+};
+
+/// Renders `trace` the way the expected tables below are written, so a
+/// mismatch prints the table to compare (or to paste, after a deliberate
+/// change of bits).
+std::string render(const PinTrace& trace) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < trace.deliveries.size(); ++i) {
+    const Delivery& d = trace.deliveries[i];
+    os << (i % 4 == 0 ? "\n" : " ") << '{' << d.src << ", " << d.dst << ", " << d.at_ns << "},";
+  }
+  os << "\ncounters {" << trace.counters[0] << ", " << trace.counters[1] << ", "
+     << trace.counters[2] << ", " << trace.counters[3] << "}\n";
+  return os.str();
+}
+
+/// Five hosts under a fixed mixed schedule: unicasts and broadcasts of both
+/// frame classes, a crash of host 4 (dead-pair absorption, UDP frames that
+/// still reach the wire) and its restart, a CPU and a pipeline scale, and a
+/// receiver-edge filter that drops 2 -> 0 and duplicates 0 -> 3. Half the
+/// pipeline draws are zero, so the batched path's in-place arrival runs too.
+PinTrace run_pin_schedule(bool batched, const topo::Topology* topology) {
+  using Class = ContentionNetwork::FrameClass;
+  NetworkParams params = NetworkParams::defaults();
+  params.pipeline_latency = {0.5, 0.0, 0.0, 0.01, 0.03};
+  params.batched_broadcast = batched;
+  des::Simulator sim;
+  ContentionNetwork netw{sim, des::RandomEngine{2002}, params, 5, topology};
+  PinTrace trace;
+  netw.set_deliver([&](const Packet& pkt) {
+    trace.deliveries.push_back({pkt.src, pkt.dst, sim.now().ns()});
+  });
+  netw.set_frame_filter([](const Packet& pkt) {
+    if (pkt.src == 2 && pkt.dst == 0) return ContentionNetwork::FrameFate::kDrop;
+    if (pkt.src == 0 && pkt.dst == 3) return ContentionNetwork::FrameFate::kDuplicate;
+    return ContentionNetwork::FrameFate::kDeliver;
+  });
+  const auto at = [&](double ms, auto action) {
+    sim.schedule_at(des::TimePoint::origin() + des::Duration::from_ms(ms), action);
+  };
+  at(0.0, [&] {
+    netw.broadcast(0, FrameBody{});
+    netw.send(1, 3, FrameBody{}, Class::kSmall);
+    netw.broadcast(2, FrameBody{});
+    netw.broadcast(1, FrameBody{});
+  });
+  at(0.05, [&] { netw.send(3, 4, FrameBody{}); });
+  at(0.40, [&] { netw.host_down(4); });
+  at(0.41, [&] {
+    for (int i = 0; i < 3; ++i) netw.send(0, 4, FrameBody{});  // one on the wire
+    netw.broadcast(2, FrameBody{});
+    netw.send(1, 4, FrameBody{}, Class::kSmall);
+  });
+  at(0.42, [&] { netw.broadcast(3, FrameBody{}, Class::kSmall); });
+  at(0.60, [&] {
+    netw.set_cpu_scale(1, 3.0);
+    netw.broadcast(1, FrameBody{});
+    netw.send(1, 0, FrameBody{});
+  });
+  at(0.90, [&] {
+    netw.host_restart(4);
+    netw.set_pipeline_scale(2.5);
+    netw.send(0, 4, FrameBody{});
+    netw.broadcast(4, FrameBody{});
+  });
+  at(1.20, [&] {
+    netw.set_cpu_scale(1, 1.0);
+    netw.broadcast(0, FrameBody{}, Class::kSmall);
+    netw.send(3, 2, FrameBody{});
+  });
+  sim.run();
+  trace.counters = {netw.frames_sent(), netw.frames_dropped(), netw.frames_filtered(),
+                    netw.frames_duplicated()};
+  return trace;
+}
+
+void expect_pinned(const PinTrace& actual, const std::vector<Delivery>& deliveries,
+                   const std::array<std::uint64_t, 4>& counters) {
+  EXPECT_EQ(actual.deliveries, deliveries) << render(actual);
+  EXPECT_EQ(actual.counters, counters);
+}
+
+// Recorded before the hub became a route-table link, and unchanged by it: a
+// change that moves one draw or one event shows here as a moved instant.
+TEST(PerFramePinTest, HubDeliversEveryFrameAtItsPinnedInstant) {
+  expect_pinned(run_pin_schedule(/*batched=*/false, nullptr),
+                {
+                    {0, 1, 150000}, {2, 1, 320856}, {0, 2, 388668}, {2, 3, 545000},
+                    {1, 0, 568073}, {1, 3, 570000}, {3, 1, 587926}, {3, 0, 602531},
+                    {0, 3, 660366}, {0, 3, 685366}, {3, 2, 852905}, {2, 1, 1235164},
+                    {3, 4, 1274471}, {2, 3, 1294779}, {0, 4, 1350470}, {1, 2, 1473481},
+                    {0, 4, 1491939}, {2, 4, 1567119}, {0, 4, 1620614}, {0, 1, 1629193},
+                    {0, 2, 1714089}, {0, 3, 1715020}, {0, 3, 1740020}, {1, 3, 1765020},
+                    {3, 2, 1861774}, {1, 4, 1883657}, {4, 0, 2100638}, {4, 1, 2151305},
+                    {1, 4, 2218130}, {1, 0, 2411204}, {4, 2, 2476529}, {0, 4, 2487299},
+                    {1, 2, 2592839}, {1, 3, 2634136}, {1, 4, 2767846}, {4, 3, 2774446},
+                    {1, 0, 2825915},
+                },
+                {41, 6, 2, 2});
+}
+
+TEST(PerFramePinTest, BatchedHubDeliversEveryFrameAtItsPinnedInstant) {
+  expect_pinned(run_pin_schedule(/*batched=*/true, nullptr),
+                {
+                    {1, 3, 58502}, {3, 4, 194054}, {1, 0, 540197}, {1, 3, 545000},
+                    {1, 2, 561986}, {0, 2, 864346}, {0, 3, 889882}, {3, 0, 903686},
+                    {0, 3, 914882}, {3, 2, 931500}, {0, 1, 1050000}, {3, 1, 1125000},
+                    {1, 4, 1172552}, {2, 4, 1197552}, {2, 1, 1214171}, {2, 3, 1250000},
+                    {1, 0, 1559152}, {1, 2, 1559152}, {1, 3, 1559152}, {1, 4, 1559152},
+                    {3, 2, 1698905}, {4, 1, 1865390}, {4, 3, 1900040}, {0, 4, 1918099},
+                    {4, 0, 1919600}, {4, 2, 1933883}, {1, 0, 2169730}, {2, 1, 2483503},
+                    {2, 3, 2483503}, {2, 4, 2483503}, {0, 4, 2565818}, {0, 1, 2577977},
+                    {0, 3, 2577977}, {0, 4, 2590818}, {0, 3, 2602977}, {0, 2, 2650945},
+                },
+                {41, 7, 2, 2});
+}
+
+// Two racks with a slow, shallow uplink: the burst at t = 0 overflows it.
+TEST(PerFramePinTest, RoutedTopologyDeliversEveryFrameAtItsPinnedInstant) {
+  topo::LinkParams uplink;
+  uplink.latency_ms = 0.02;
+  uplink.queue_limit = 1;
+  const topo::Topology two_racks = topo::Topology::uniform(5, 2, {}, uplink);
+  expect_pinned(run_pin_schedule(/*batched=*/false, &two_racks),
+                {
+                    {1, 3, 184609}, {3, 4, 230216}, {0, 1, 338441}, {0, 2, 535000},
+                    {0, 3, 545000}, {0, 3, 570000}, {1, 2, 576693}, {2, 1, 600893},
+                    {1, 0, 656795}, {2, 3, 740544}, {2, 1, 1144875}, {1, 2, 1326402},
+                    {1, 0, 1367289}, {0, 4, 1387935}, {2, 3, 1420905}, {4, 0, 1525711},
+                    {0, 2, 1595822}, {1, 0, 1628054}, {4, 2, 1681562}, {1, 4, 1725812},
+                    {4, 3, 1738472}, {4, 1, 1750373}, {0, 1, 1775373}, {3, 2, 1906347},
+                    {0, 4, 2054084},
+                },
+                {41, 17, 2, 1});
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the topology subsystem (src/topo) and everything stacked on
 // it: route-table compilation, JSON round-trip bit-exactness, the
-// degeneracy contract (a single-rack topology reproduces the hub path bit
-// for bit), domain-event lowering against the failure-domain tree, the
+// single-rack topology as the hub (bit for bit the run without one),
+// domain-event lowering against the failure-domain tree, the
 // Weibull plan synthesizer's determinism, and 1-vs-4-thread CSV equality
 // of the two topology scenarios.
 #include <gtest/gtest.h>
@@ -41,7 +41,6 @@ TEST(TopologyTest, UniformSplitsContiguouslyWithRemainderFirst) {
   EXPECT_EQ(t.racks()[0].hosts, (std::vector<topo::HostId>{0, 1, 2}));
   EXPECT_EQ(t.racks()[1].hosts, (std::vector<topo::HostId>{3, 4}));
   EXPECT_EQ(t.n_hosts(), 5u);
-  EXPECT_FALSE(t.single_hub_equivalent());
   EXPECT_EQ(t.rack_of(0), 0u);
   EXPECT_EQ(t.rack_of(2), 0u);
   EXPECT_EQ(t.rack_of(3), 1u);
@@ -50,9 +49,10 @@ TEST(TopologyTest, UniformSplitsContiguouslyWithRemainderFirst) {
 
 TEST(TopologyTest, SingleHubIsDegenerate) {
   const Topology t = Topology::single_hub(4);
-  EXPECT_TRUE(t.single_hub_equivalent());
   ASSERT_EQ(t.racks().size(), 1u);
   EXPECT_EQ(t.racks()[0].hosts.size(), 4u);
+  EXPECT_EQ(t.racks()[0].access, LinkParams{});
+  EXPECT_EQ(t.racks()[0].uplink, LinkParams{});
 }
 
 TEST(TopologyTest, ValidationRejectsBadHostSets) {
@@ -100,6 +100,23 @@ TEST(TopologyTest, ValidationRejectsBadLinkParams) {
   LinkParams fast;
   fast.service_scale = 1e-3;
   EXPECT_NO_THROW((void)Topology::uniform(4, 2, LinkParams{}, fast));
+  // In range but on a single rack, which is the hub: no edge to apply to.
+  LinkParams shallow;
+  shallow.queue_limit = 8;
+  LinkParams slow;
+  slow.latency_ms = 0.1;
+  const std::string hub = " must keep its default: a one-rack topology is the single hub";
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 1, {}, slow); }),
+            "Topology: rack 0 uplink.latency_ms" + hub);
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 1, fast, {}); }),
+            "Topology: rack 0 access.service_scale" + hub);
+  EXPECT_EQ(message([&] { (void)Topology::uniform(4, 1, shallow, slow); }),
+            "Topology: rack 0 access.queue_limit" + hub);
+  EXPECT_EQ(message([] {
+              (void)Topology::from_json(
+                  R"({"name":"t","racks":[{"hosts":[0,1],"uplink":{"latency_ms":0.5}}]})");
+            }),
+            "Topology: rack 0 uplink.latency_ms" + hub);
 }
 
 TEST(TopologyJsonTest, RejectsBadLinkParams) {
@@ -165,6 +182,24 @@ TEST(RouteTableTest, CrossRackRoutesClimbBothUplinks) {
   EXPECT_EQ(back.links[3], 1u);
 }
 
+TEST(RouteTableTest, SingleRackIsOneHubLinkCrossedInOneHop) {
+  for (const RouteTable& routes : {RouteTable{Topology::single_hub(4)}, RouteTable{4}}) {
+    ASSERT_EQ(routes.link_count(), 1u);
+    EXPECT_EQ(routes.link(0).type, RouteTable::LinkType::kHub);
+    EXPECT_EQ(routes.link(0).params, LinkParams{});
+    EXPECT_EQ(routes.link_name(0), "hub");
+    for (topo::HostId src = 0; src < 4; ++src) {
+      for (topo::HostId dst = 0; dst < 4; ++dst) {
+        if (src == dst) continue;
+        const auto& r = routes.route(src, dst);
+        ASSERT_EQ(r.hops, 1u);
+        EXPECT_EQ(r.links[0], 0u);
+        EXPECT_FALSE(routes.crosses_racks(src, dst));
+      }
+    }
+  }
+}
+
 TEST(RouteTableTest, LinksCarryTheirEdgeParamsAndNames) {
   LinkParams access;
   access.latency_ms = 0.01;
@@ -205,7 +240,7 @@ TEST(TopologyJsonTest, SingleHubRoundTrips) {
 }
 
 // --------------------------------------------------------------------------
-// Degeneracy contract: single-rack topology == no topology, bit for bit
+// A single-rack topology is the hub: the same run as no topology, bit for bit
 // --------------------------------------------------------------------------
 
 core::WorkloadResult run_quick_stream(std::shared_ptr<const Topology> topology) {
