@@ -574,6 +574,14 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     out.durable_appends += cons.durable_log().stats().appends;
   }
   out.membership_changes = std::move(membership_changes);
+  if (cfg.heartbeat_timeout_ms) {
+    for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
+      const auto& histories = cluster.process(pid).layer<fd::HeartbeatFd>().histories();
+      for (runtime::HostId peer = 0; peer < histories.size(); ++peer) {
+        if (peer != pid) out.detector_histories.emplace(std::pair{pid, peer}, histories[peer]);
+      }
+    }
+  }
   out.events_processed = cluster.sim().events_processed();
   out.sim_duration_ms = cluster.now().to_ms();
   return out;

@@ -31,6 +31,7 @@
 #include "core/config.hpp"       // Algorithm
 #include "core/measurement.hpp"  // ExecutionResult, MeasuredLatency
 #include "faults/plan.hpp"
+#include "fd/history.hpp"
 #include "net/params.hpp"
 #include "stats/summary.hpp"
 #include "topo/topology.hpp"
@@ -218,6 +219,10 @@ struct WorkloadResult {
     std::uint32_t epoch = 0;   ///< epoch installed by the change
   };
   std::vector<MembershipChange> membership_changes;
+  /// Each heartbeat detector's trust/suspect history per (monitor,
+  /// monitored) pair, for every monitor that started (empty under the
+  /// static detector).
+  fd::FdHistoryMap detector_histories;
   /// Durable-log totals summed over processes (0 when the log is off).
   std::uint64_t instances_replayed = 0;
   std::uint64_t durable_appends = 0;

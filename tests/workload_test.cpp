@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "consensus/ct_consensus.hpp"
 #include "consensus/sequencer.hpp"
@@ -741,6 +743,122 @@ TEST(MembershipWorkloadTest, GrowthDeliversEveryValueAcrossEpochs) {
   EXPECT_GT(res.membership_changes[1].at_ms, res.membership_changes[0].at_ms);
   EXPECT_EQ(res.value_stats.undecided, 0u);
   EXPECT_EQ(res.value_stats.decided, 60u);
+}
+
+/// A heartbeat-detector stream under a changing view: n = 5 starting on
+/// {0, 1, 2}; hosts 3 and 4 join, host 1 crashes and is then removed.
+core::WorkloadResult heartbeat_membership_stream() {
+  faults::FaultPlan plan;
+  plan.add(faults::FaultPlan::add_host(3, 40));
+  plan.add(faults::FaultPlan::add_host(4, 80));
+  plan.add(faults::FaultPlan::crash(1, 110));
+  plan.add(faults::FaultPlan::remove_host(1, 170));
+  core::WorkloadSpec spec;
+  spec.arrivals = core::ArrivalProcess::kOpenLoop;
+  spec.offered_per_s = 100;
+  spec.warmup = 2;
+  spec.measured = 22;
+  auto cfg = base_config(5, 45);
+  cfg.initial_members = {0, 1, 2};
+  cfg.heartbeat_timeout_ms = 20.0;
+  cfg.fault_plan = &plan;
+  return core::run_workload(cfg, spec);
+}
+
+std::int64_t to_ns(double ms) { return std::llround(ms * 1e6); }
+
+TEST(MembershipWorkloadTest, HeartbeatStreamUnderAChangingViewIsPinned) {
+  const auto res = heartbeat_membership_stream();
+  struct Instance {
+    std::int32_t cid;
+    std::int64_t start_ns;
+    std::int64_t decide_ns;
+    std::int32_t rounds;
+  };
+  const std::vector<Instance> instances{
+      {0, 26826127, 27406216, 1},    {1, 31323225, 32054940, 1},
+      {2, 34138401, 34811013, 1},    {3, 40000000, 40370799, 1},
+      {4, 80000000, 80688940, 1},    {5, 83990961, 85115899, 1},
+      {6, 96269074, 97088282, 1},    {7, 103790944, 105029124, 1},
+      {8, 108815434, 109559834, 1},  {9, 113711554, 114835618, 1},
+      {10, 114716467, 115778773, 1}, {11, 119351116, 120252860, 1},
+      {12, 125540945, 126395227, 1}, {13, 129835245, 130867197, 1},
+      {14, 148324360, 149241877, 1}, {15, 157365248, 158567799, 1},
+      {16, 164033780, 164682628, 1}, {17, 170000000, 170658631, 1},
+      {18, 174241414, 174869581, 1}, {19, 193062983, 193899212, 1},
+      {20, 200314104, 201201629, 1}, {21, 203721365, 204439919, 1},
+      {22, 210900285, 211836898, 1}, {23, 224024253, 224845015, 1},
+      {24, 229084898, 229917292, 1}, {25, 234878216, 236134697, 1},
+      {26, 241642200, 242267385, 1}};
+  ASSERT_EQ(res.instances.size(), instances.size());
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    const auto& got = res.instances[k];
+    SCOPED_TRACE("instance " + std::to_string(k));
+    EXPECT_EQ(got.cid, instances[k].cid);
+    EXPECT_EQ(to_ns(got.start_ms), instances[k].start_ns);
+    ASSERT_TRUE(got.decided());
+    EXPECT_EQ(to_ns(got.start_ms) + to_ns(*got.latency_ms), instances[k].decide_ns);
+    EXPECT_EQ(got.rounds, instances[k].rounds);
+  }
+
+  ASSERT_EQ(res.membership_changes.size(), 3u);
+  const std::vector<std::tuple<std::int64_t, bool, int, std::uint32_t>> changes{
+      {40370799, true, 3, 1}, {80688940, true, 4, 2}, {170658631, false, 1, 3}};
+  for (std::size_t k = 0; k < changes.size(); ++k) {
+    const auto& c = res.membership_changes[k];
+    EXPECT_EQ(std::tuple(to_ns(c.at_ms), c.added, c.host, c.epoch), changes[k]) << k;
+  }
+
+  // (monitor, monitored, instant in ns, to_suspect) in pair order.
+  const std::vector<std::tuple<runtime::HostId, runtime::HostId, std::int64_t, bool>> expected{
+      {0, 1, 129453428, true},  {0, 1, 170658631, false}, {0, 3, 40565129, true},
+      {0, 3, 40565129, false},  {0, 4, 81060628, true},   {0, 4, 81060628, false},
+      {1, 3, 40719168, true},   {1, 3, 40719168, false},  {1, 4, 81202793, true},
+      {1, 4, 81202793, false},  {2, 1, 118203845, true},  {2, 1, 170658631, false},
+      {2, 3, 41000574, true},   {2, 3, 41000574, false},  {2, 4, 81213290, true},
+      {2, 4, 81213290, false},  {3, 1, 118239220, true},  {3, 1, 170658631, false},
+      {3, 4, 81223589, true},   {3, 4, 81223589, false},  {4, 1, 118278534, true},
+      {4, 1, 170658631, false}, {4, 3, 82507134, true},   {4, 3, 82507134, false}};
+  std::vector<std::tuple<runtime::HostId, runtime::HostId, std::int64_t, bool>> transitions;
+  for (const auto& [pair, history] : res.detector_histories) {
+    for (const fd::Transition& t : history.transitions()) {
+      transitions.emplace_back(pair.first, pair.second, t.at.ns(), t.to_suspect);
+    }
+  }
+  EXPECT_EQ(transitions, expected);
+}
+
+TEST(MembershipWorkloadTest, HeartbeatDetectorFollowsTheView) {
+  const auto res = heartbeat_membership_stream();
+  ASSERT_EQ(res.membership_changes.size(), 3u);
+  const double joined3_ms = res.membership_changes[0].at_ms;
+  const double joined4_ms = res.membership_changes[1].at_ms;
+  const double removed1_ms = res.membership_changes[2].at_ms;
+  const auto end = des::TimePoint::origin() + des::Duration::from_ms(res.sim_duration_ms);
+  for (const auto& [pair, history] : res.detector_histories) {
+    const auto [monitor, peer] = pair;
+    SCOPED_TRACE("monitor " + std::to_string(monitor) + " peer " + std::to_string(peer));
+    const auto& transitions = history.transitions();
+    if (peer == 3 || peer == 4) {
+      // A non-member's silence is never suspected, and a joiner starts
+      // trusted with a fresh reception clock: its only transitions are the
+      // instantaneous blip of its first message after the restart that
+      // brought it in.
+      const double joined_ms = peer == 3 ? joined3_ms : joined4_ms;
+      for (const fd::Transition& t : transitions) EXPECT_GE(t.at.to_ms(), joined_ms);
+      EXPECT_EQ(history.suspected_time(end), des::Duration::zero());
+    }
+    if (peer == 1) {
+      // The crashed member is suspected; its removal retires the suspicion
+      // with a trust transition at the switch, and it is never suspected
+      // again.
+      ASSERT_EQ(transitions.size(), 2u);
+      EXPECT_TRUE(transitions[0].to_suspect);
+      EXPECT_FALSE(transitions[1].to_suspect);
+      EXPECT_EQ(transitions[1].at.to_ms(), removed1_ms);
+    }
+  }
+  EXPECT_EQ(res.value_stats.undecided, 0u);
 }
 
 // --------------------------------------------------------------------------
