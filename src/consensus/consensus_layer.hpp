@@ -3,11 +3,13 @@
 // CtConsensus and MrConsensus run different rounds over one skeleton: a
 // map of instances keyed by cid, each started by propose(), decided once,
 // disseminated by a DECIDE broadcast and collected by InstanceGc; a
-// write-ahead DurableLog replayed on restart; and a MembershipView epoch
-// pinned per instance. ConsensusLayer owns that skeleton. A protocol
-// derives from it (CRTP: every hook is a direct call resolved at compile
-// time, so the message path gains no virtual call) and supplies only its
-// rounds through these hooks:
+// write-ahead DurableLog replayed on restart; and a membership epoch of the
+// cluster's view (runtime/membership.hpp) pinned per instance: coordinator
+// rotation, majority and broadcast fan-out run over that epoch's member
+// set, which for the paper's fixed group is every host. ConsensusLayer
+// owns that skeleton. A protocol derives from it (CRTP: every hook is a
+// direct call resolved at compile time, so the message path gains no
+// virtual call) and supplies only its rounds through these hooks:
 //
 //   static bool is_round_message(MsgKind)   the kinds its rounds exchange
 //   void advance_round(cid, inst)           enters the instance's next round
@@ -43,7 +45,6 @@
 #include "consensus/durable_log.hpp"
 #include "consensus/instance_gc.hpp"
 #include "consensus/layer_audit.hpp"
-#include "consensus/membership.hpp"
 #include "consensus/payload.hpp"
 #include "fd/failure_detector.hpp"
 #include "runtime/process.hpp"
@@ -139,14 +140,6 @@ class ConsensusLayer : public runtime::Layer {
   void set_durable_log(const DurableLogConfig& cfg) { log_.configure(cfg); }
   [[nodiscard]] const DurableLog& durable_log() const { return log_; }
 
-  /// Attaches the cluster's dynamic membership view (nullptr = fixed
-  /// membership over all n hosts, bit-exact with the static code paths).
-  /// Instances capture the epoch current at first touch and resolve
-  /// coordinator rotation, majority size and broadcast fan-out against
-  /// that epoch's member set for their whole life. `view` must outlive
-  /// the layer.
-  void set_membership(const MembershipView* view) { view_ = view; }
-
   [[nodiscard]] bool has_decided(std::int32_t cid) const {
     if (gc_.collected(cid)) return true;
     const auto it = instances_.find(cid);
@@ -222,19 +215,17 @@ class ConsensusLayer : public runtime::Layer {
   [[nodiscard]] HostId coordinator_of(std::int32_t cid, const Instance& inst,
                                       std::int32_t round) const;
   [[nodiscard]] std::int32_t majority(const Instance& inst) const {
-    const std::size_t group =
-        view_ == nullptr ? process().n() : view_->members_at(inst.epoch).size();
+    const std::size_t group = process().membership().members_at(inst.epoch).size();
     return static_cast<std::int32_t>(group / 2 + 1);
   }
-  /// Stamps the instance's epoch and sends within its member set (plain
-  /// Process::send/broadcast under fixed membership -- identical order).
+  /// Stamps the instance's epoch and sends within its member set.
   void ucast(const Instance& inst, Message m, HostId dst) {
     m.view_epoch = inst.epoch;
     process().send(std::move(m), dst);
   }
   void bcast(const Instance& inst, Message m) {
     m.view_epoch = inst.epoch;
-    broadcast_in(inst.epoch, std::move(m));
+    process().broadcast_in(inst.epoch, std::move(m));
   }
   /// bcast once one durable append completes (write-ahead: the record the
   /// caller just wrote persists before the message leaves). Deferred sends
@@ -243,7 +234,7 @@ class ConsensusLayer : public runtime::Layer {
   void bcast_logged(const Instance& inst, Message m) {
     m.view_epoch = inst.epoch;
     durable_apply([this, epoch = inst.epoch, m = std::move(m)]() mutable {
-      broadcast_in(epoch, std::move(m));
+      process().broadcast_in(epoch, std::move(m));
     });
   }
   /// Runs `fn` after one durable append completes: inline when the log is
@@ -286,11 +277,6 @@ class ConsensusLayer : public runtime::Layer {
       inst.epoch = epoch;
     }
   }
-  /// Sends to every other member of `epoch`: member-wise n-1 unicasts in
-  /// ascending id order -- the same fan-out Process::broadcast produces
-  /// when the epoch covers every host, so that case takes the pooled
-  /// single-frame broadcast instead.
-  void broadcast_in(std::uint32_t epoch, Message m);
   void finish_decide(std::int32_t cid, Instance& inst);
   void on_suspicion(HostId peer, bool suspected);
   void handle_replay_query(const Message& m);
@@ -299,7 +285,6 @@ class ConsensusLayer : public runtime::Layer {
   void audit_check_replay();
 #endif
 
-  const MembershipView* view_ = nullptr;
   std::map<std::int32_t, Instance> instances_;
   /// Every instance held with a cid below this is decided (cids are never
   /// negative), so a suspicion need not walk them. Collection may erase
@@ -321,34 +306,13 @@ HostId ConsensusLayer<Protocol, InstanceT>::coordinator_of(std::int32_t cid, con
                                                            std::int32_t round) const {
   // Rounds are 1-based; p_i coordinates rounds kn + i (Section 2.1). With
   // rotation on, the cycle is offset per instance so round 1 of instance
-  // cid starts at p_{cid mod n} rather than always p_0. Under dynamic
-  // membership the rotation runs over the instance's epoch member set.
-  if (view_ == nullptr) {
-    const auto n = static_cast<std::int32_t>(process().n());
-    const std::int32_t offset = rotate_coordinators_ ? cid % n : 0;
-    return static_cast<HostId>((offset + round - 1) % n);
-  }
-  const std::vector<MemberId>& members = view_->members_at(inst.epoch);
-  const auto m = static_cast<std::int32_t>(members.size());
-  const std::int32_t offset = rotate_coordinators_ ? cid % m : 0;
-  return static_cast<HostId>(members[static_cast<std::size_t>((offset + round - 1) % m)]);
-}
-
-template <typename Protocol, typename InstanceT>
-void ConsensusLayer<Protocol, InstanceT>::broadcast_in(std::uint32_t epoch, Message m) {
-  if (view_ == nullptr) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  const std::vector<MemberId>& members = view_->members_at(epoch);
-  if (covers_all_hosts(members, process().n())) {
-    process().broadcast(std::move(m));
-    return;
-  }
-  for (const MemberId peer : members) {
-    if (static_cast<HostId>(peer) == process().id()) continue;
-    process().send(m, static_cast<HostId>(peer));
-  }
+  // cid starts at p_{cid mod n} rather than always p_0. The rotation runs
+  // over the instance's epoch member set, p_k being its k-th member (host k
+  // in the fixed group).
+  const std::vector<runtime::MemberId>& members = process().membership().members_at(inst.epoch);
+  const auto n = static_cast<std::int32_t>(members.size());
+  const std::int32_t offset = rotate_coordinators_ ? cid % n : 0;
+  return members[static_cast<std::size_t>((offset + round - 1) % n)];
 }
 
 template <typename Protocol, typename InstanceT>
@@ -387,7 +351,7 @@ void ConsensusLayer<Protocol, InstanceT>::propose(std::int32_t cid,
     throw std::logic_error{std::string{Protocol::kName} + ": instance already proposed"};
   }
   inst.started = true;
-  touch_epoch(inst, view_ != nullptr ? view_->epoch() : 0);
+  touch_epoch(inst, process().membership().epoch());
   if (inst.decided) {
     // A decision arrived before we proposed (possible with very skewed
     // starts): report it now.
@@ -624,15 +588,9 @@ void ConsensusLayer<Protocol, InstanceT>::audit_check_sender(const Instance& ins
   // Quorum membership: traffic for an instance must come from the member
   // set of the epoch it runs under (Message::view_epoch pins the epoch at
   // first touch), so no quorum can be assembled across epoch boundaries.
-  if (view_ == nullptr) {
-    SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                        m.from < static_cast<HostId>(process().n()),
-                        "sender " + std::to_string(m.from) + " outside the fixed group");
-    return;
-  }
+  const runtime::MembershipView& view = process().membership();
   SANPERF_AUDIT_CHECK("consensus.quorum_in_epoch",
-                      inst.epoch <= view_->epoch() &&
-                          view_->is_member_at(inst.epoch, static_cast<MemberId>(m.from)),
+                      inst.epoch <= view.epoch() && view.is_member_at(inst.epoch, m.from),
                       "sender " + std::to_string(m.from) + " not a member of epoch " +
                           std::to_string(inst.epoch) + " (instance " + std::to_string(m.cid) +
                           ")");

@@ -208,37 +208,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   validate(cfg, spec);
   const std::size_t total = spec.warmup + spec.measured;
 
-  // Dynamic membership: one shared epoch-history view, advanced
-  // view-synchronously at the instant a membership-change control instance
-  // decides. Null (the common case) keeps every layer on its
-  // fixed-membership code paths, bit-exact with the legacy engine.
-  // Lowering passes membership events through, so the raw plan has them.
-  bool dynamic_membership = !cfg.initial_members.empty();
-  if (cfg.fault_plan != nullptr) {
-    for (const faults::FaultEvent& e : cfg.fault_plan->events()) {
-      if (e.kind == faults::FaultKind::kAddHost || e.kind == faults::FaultKind::kRemoveHost) {
-        dynamic_membership = true;
-      }
-    }
-  }
-  std::optional<consensus::MembershipView> view;
-  if (dynamic_membership) {
-    std::vector<consensus::MemberId> init;
-    if (cfg.initial_members.empty()) {
-      for (std::size_t h = 0; h < cfg.n; ++h) {
-        init.push_back(static_cast<consensus::MemberId>(h));
-      }
-    } else {
-      for (const int h : cfg.initial_members) {
-        if (h < 0 || static_cast<std::size_t>(h) >= cfg.n) {
-          throw std::invalid_argument{"run_workload: initial member out of range"};
-        }
-        init.push_back(static_cast<consensus::MemberId>(h));
-      }
-    }
-    view.emplace(std::move(init));
-  }
-
   // First decision or give-up for instance `cid`; assigned below (the
   // launch path and the decide callbacks both need it).
   std::function<void(std::int32_t, std::optional<des::TimePoint>, std::int32_t)> close_instance;
@@ -247,10 +216,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   // stream-only settings go on each host's layers here.
   detail::WorkloadCluster<ConsensusLayer> assembly{
       cfg, cfg.seed, cfg.heartbeat_timeout_ms,
-      [&](runtime::Process& proc, ConsensusLayer& cons) {
-        if (view && cfg.heartbeat_timeout_ms) {
-          proc.layer<fd::HeartbeatFd>().set_membership(&*view);
-        }
+      [&](runtime::Process&, ConsensusLayer& cons) {
         cons.set_gc_decided(true);  // memory bounded by the in-flight window
         cons.set_rotate_coordinators(cfg.rotate_coordinators);
         if (cfg.durable_log) {
@@ -259,7 +225,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
           dcfg.append_latency_ms = cfg.durable_append_ms;
           cons.set_durable_log(dcfg);
         }
-        if (view) cons.set_membership(&*view);
         cons.set_decide_callback([&close_instance](const consensus::DecisionEvent& ev) {
           // Simulated time is monotone, so the first callback carries the
           // globally first decision of the instance.
@@ -268,13 +233,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
       }};
   runtime::Cluster& cluster = assembly.cluster();
   const faults::FaultPlan* plan = assembly.plan();
-  if (view) {
-    // Hosts outside the starting member set sit crashed until an add_host
-    // control instance decides them in.
-    for (runtime::HostId h = 0; h < static_cast<runtime::HostId>(cfg.n); ++h) {
-      if (!view->is_member(h) && !cluster.process(h).crashed()) cluster.crash_initially(h);
-    }
-  }
 
   struct Slot {
     des::TimePoint start;
@@ -325,17 +283,9 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
         }
       });
     };
-    if (view) {
-      // Only current members propose; the instance pins this epoch's member
-      // set at first touch and keeps it for life.
-      for (const consensus::MemberId m : view->members()) {
-        schedule_propose(static_cast<runtime::HostId>(m));
-      }
-    } else {
-      for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
-        schedule_propose(pid);
-      }
-    }
+    // Only current members propose; the instance pins this epoch's member
+    // set at first touch and keeps it for life.
+    for (const runtime::HostId pid : cluster.membership().members()) schedule_propose(pid);
     sim.schedule_at(start + des::Duration::from_ms(spec.instance_timeout_ms),
                     [&close_instance, cid] {
                       close_instance(cid, std::nullopt, 0);  // give up: undecided
@@ -418,16 +368,16 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     if (const auto change = pending_changes.find(cid); change != pending_changes.end()) {
       const PendingChange pc = change->second;
       pending_changes.erase(change);
-      if (at && view && pc.add != view->is_member(static_cast<consensus::MemberId>(pc.host))) {
+      if (at && pc.add != cluster.membership().is_member(pc.host)) {
         // View-synchronous switch at the decision instant: restart-then-add
-        // so the joiner is alive when epoch listeners reset their reception
+        // so the joiner is alive when the detectors reset their reception
         // clocks; remove-then-crash so nobody suspects a still-member host.
         std::uint32_t epoch = 0;
         if (pc.add) {
           if (cluster.process(pc.host).crashed()) cluster.process(pc.host).restart();
-          epoch = view->add(static_cast<consensus::MemberId>(pc.host));
+          epoch = cluster.add_member(pc.host);
         } else {
-          epoch = view->remove(static_cast<consensus::MemberId>(pc.host));
+          epoch = cluster.remove_member(pc.host);
           if (!cluster.process(pc.host).crashed()) cluster.process(pc.host).crash();
         }
         membership_changes.push_back({at->to_ms(), pc.add, static_cast<int>(pc.host), epoch});
@@ -450,7 +400,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   // Bypasses the batcher and the pipeline window: a membership change must
   // not queue behind the very backlog it is meant to relieve.
   auto launch_control = [&](bool add, runtime::HostId host) {
-    if (!view || add == view->is_member(static_cast<consensus::MemberId>(host))) return;
+    if (add == cluster.membership().is_member(host)) return;
     const std::int32_t cid = launch({add ? -(static_cast<std::int64_t>(host) + 1)
                                          : -(static_cast<std::int64_t>(host) + 1001)});
     pending_changes.emplace(cid, PendingChange{add, host});
@@ -523,7 +473,7 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
 
   // Membership changes ride the plan's schedule: at each event's time the
   // engine launches a control instance among the then-current members.
-  if (view && plan != nullptr) {
+  if (plan != nullptr) {
     for (const faults::FaultEvent& e : plan->events()) {
       if (e.kind != faults::FaultKind::kAddHost && e.kind != faults::FaultKind::kRemoveHost) {
         continue;

@@ -72,9 +72,9 @@ struct WorkloadConfig {
   /// Modelled latency of one log append; back-to-back appends queue on a
   /// serialised device. 0 = durable but free, still bit-exact with volatile.
   double durable_append_ms = 0.0;
-  /// Starting member set for dynamic membership (empty = all n hosts,
-  /// fixed membership, the legacy code paths). Hosts outside the set begin
-  /// crashed and join via add_host plan events, decided in-stream.
+  /// Epoch 0 of the cluster's membership view (empty = all n hosts, the
+  /// paper's fixed group). Hosts outside the set begin crashed; a stream
+  /// decides add_host / remove_host plan events in-stream.
   std::vector<int> initial_members;
   std::uint64_t seed = 1;
 };
@@ -254,7 +254,7 @@ struct WorkloadResult {
 /// `exec_seed`, with the static detector pre-suspecting every host down
 /// at the start (cfg.initially_crashed and the hosts cfg.fault_plan
 /// crashes at t <= 0). Only n, network, timers, topology, algorithm,
-/// initially_crashed and fault_plan are read.
+/// initially_crashed, fault_plan and initial_members are read.
 [[nodiscard]] consensus::ExecutionResult run_one_shot(const WorkloadConfig& cfg, std::size_t k,
                                                      std::uint64_t exec_seed);
 

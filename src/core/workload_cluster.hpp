@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/workload.hpp"
 #include "faults/injector.hpp"
@@ -21,20 +22,23 @@
 
 namespace sanperf::core::detail {
 
-/// Built in this order: the cluster on `seed`; the injector replaying
+/// Built in this order: the cluster on `seed`, whose membership view starts
+/// on cfg.initial_members (every host when empty); the injector replaying
 /// cfg.fault_plan, if any, which lowers the plan against the topology; on
 /// every host a HeartbeatFd when `heartbeat_timeout_ms` is set, else a
 /// StaticFd suspecting the hosts down at the start (cfg.initially_crashed
 /// and every host the plan crashes at t <= 0), under a `Layer` that
 /// `configure(process, layer)` then sets up; last the armed plan, whose
-/// crashes at t <= 0 apply at once, and the crash of cfg.initially_crashed.
+/// crashes at t <= 0 apply at once, the crash of cfg.initially_crashed,
+/// and the crash of every host outside the starting member set (it sits
+/// down until an add_host decides it in).
 template <typename Layer>
 class WorkloadCluster {
  public:
   template <typename Configure>
   WorkloadCluster(const WorkloadConfig& cfg, std::uint64_t seed,
                   std::optional<double> heartbeat_timeout_ms, Configure&& configure)
-      : cluster_{cluster_config(cfg, seed)} {
+      : cluster_{cluster_config(cfg, seed), initial_members(cfg)} {
     if (cfg.fault_plan != nullptr) injector_.emplace(cluster_, *cfg.fault_plan);
 
     std::set<runtime::HostId> suspected;
@@ -62,6 +66,11 @@ class WorkloadCluster {
     if (cfg.initially_crashed >= 0) {
       cluster_.crash_initially(static_cast<runtime::HostId>(cfg.initially_crashed));
     }
+    for (runtime::HostId h = 0; h < static_cast<runtime::HostId>(cfg.n); ++h) {
+      if (!cluster_.membership().is_member(h) && !cluster_.process(h).crashed()) {
+        cluster_.crash_initially(h);
+      }
+    }
   }
 
   WorkloadCluster(const WorkloadCluster&) = delete;
@@ -82,6 +91,10 @@ class WorkloadCluster {
     ccfg.topology = cfg.topology;
     ccfg.seed = seed;
     return ccfg;
+  }
+  static std::vector<runtime::HostId> initial_members(const WorkloadConfig& cfg) {
+    // A negative id wraps past n, which the cluster rejects as out of range.
+    return {cfg.initial_members.begin(), cfg.initial_members.end()};
   }
 
   runtime::Cluster cluster_;

@@ -1,6 +1,5 @@
 #include "fd/heartbeat_fd.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sanperf::fd {
@@ -11,14 +10,6 @@ HeartbeatFd::HeartbeatFd(HeartbeatFdParams params) : params_{params} {
   }
   if (params_.heartbeat_period <= des::Duration::zero()) {
     throw std::invalid_argument{"HeartbeatFd: heartbeat period must be > 0"};
-  }
-}
-
-void HeartbeatFd::set_membership(consensus::MembershipView* view) {
-  view_ = view;
-  if (view_ != nullptr) {
-    view_->add_listener(
-        [this](consensus::MembershipView::Epoch epoch) { on_epoch_change(epoch); });
   }
 }
 
@@ -39,17 +30,9 @@ void HeartbeatFd::send_heartbeat_round() {
   if (stopped_) return;
   runtime::Message hb;
   hb.kind = runtime::MsgKind::kHeartbeat;
-  if (view_ == nullptr) {
-    process().broadcast(hb);
-  } else {
-    // Only current members monitor this host; heartbeating a non-member
-    // would wake a removed (crashed) process for nothing.
-    for (const consensus::MemberId m : view_->members()) {
-      const auto peer = static_cast<HostId>(m);
-      if (peer == process().id()) continue;
-      process().send(hb, peer);
-    }
-  }
+  // Only current members monitor this host; heartbeating a non-member would
+  // wake a removed (crashed) process for nothing.
+  process().broadcast_in(process().membership().epoch(), hb);
   ++heartbeats_sent_;
   // Thread-style sleep: subject to tick quantisation and stalls.
   process().set_os_timer(params_.heartbeat_period, [this] { send_heartbeat_round(); });
@@ -64,9 +47,9 @@ void HeartbeatFd::arm_check(HostId peer, des::TimePoint nominal) {
 void HeartbeatFd::check_timeout(HostId peer) {
   if (stopped_) return;
   const des::TimePoint now = process().now();
-  if (view_ != nullptr && !view_->is_member(peer)) {
+  if (!process().membership().is_member(peer)) {
     // Not (or no longer) a member: its silence means nothing. Keep the
-    // wake-up alive -- the peer may join later, and on_epoch_change resets
+    // wake-up alive -- the peer may join later, and on_view_change resets
     // its reception clock at that instant.
     last_msg_[peer] = now;
     arm_check(peer, now + params_.timeout);
@@ -144,20 +127,14 @@ void HeartbeatFd::notify(HostId peer, bool suspected) {
   for (const auto& l : listeners_) l(peer, suspected);
 }
 
-void HeartbeatFd::on_epoch_change(consensus::MembershipView::Epoch epoch) {
-  // Fires synchronously inside MembershipView::add/remove. Crashed monitors
-  // (and ones whose host never started) re-derive everything on restart.
+void HeartbeatFd::on_view_change(runtime::MembershipView::Epoch epoch) {
+  // Crashed monitors (and ones whose host never started) re-derive
+  // everything on restart.
   if (stopped_ || epoch == 0 || last_msg_.size() != process().n()) return;
   const des::TimePoint now = process().now();
-  const auto& cur = view_->members_at(epoch);
-  const auto& prev = view_->members_at(epoch - 1);
-  const auto in = [](const std::vector<consensus::MemberId>& group, HostId h) {
-    return std::find(group.begin(), group.end(), static_cast<consensus::MemberId>(h)) !=
-           group.end();
-  };
-  for (const consensus::MemberId m : cur) {
-    const auto peer = static_cast<HostId>(m);
-    if (peer == process().id() || in(prev, peer)) continue;
+  const runtime::MembershipView& view = process().membership();
+  for (const HostId peer : view.members_at(epoch)) {
+    if (peer == process().id() || view.is_member_at(epoch - 1, peer)) continue;
     // Newly added member: start trusted with a fresh reception clock (its
     // pre-join silence must not fire an instant suspicion).
     last_msg_[peer] = now;
@@ -167,9 +144,8 @@ void HeartbeatFd::on_epoch_change(consensus::MembershipView::Epoch epoch) {
       notify(peer, false);
     }
   }
-  for (const consensus::MemberId m : prev) {
-    const auto peer = static_cast<HostId>(m);
-    if (peer == process().id() || in(cur, peer)) continue;
+  for (const HostId peer : view.members_at(epoch - 1)) {
+    if (peer == process().id() || view.is_member_at(epoch, peer)) continue;
     if (suspected_[peer]) {
       // Removed member: the suspicion is moot; retire it so the history
       // keeps alternating.

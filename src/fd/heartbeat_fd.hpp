@@ -15,12 +15,17 @@
 // effective heartbeat period, the blow-up once T exceeds the tick-rounded
 // period, and the latency peak near T = 10 ms that the paper attributes to
 // the Linux scheduler (Section 5.4).
+//
+// The detector monitors the current members of the cluster's membership
+// view (every host in the paper's fixed group): heartbeats go only to
+// members, a non-member is never suspected, and on an epoch change a newly
+// added member starts trusted with a fresh reception clock while a removed
+// member's suspicion is retired.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "consensus/membership.hpp"
 #include "fd/failure_detector.hpp"
 #include "fd/history.hpp"
 #include "runtime/process.hpp"
@@ -52,6 +57,10 @@ class HeartbeatFd : public runtime::Layer, public FailureDetector {
   /// wake-ups and resumes heartbeating. Histories survive, with
   /// suspect->trust transitions recorded for peers suspected at the crash.
   void on_restart() override;
+  /// Adopts epoch `epoch` of the cluster's view: trusts a joiner afresh and
+  /// retires a removed member's suspicion. A crashed or unstarted monitor
+  /// re-derives its state on restart instead.
+  void on_view_change(runtime::MembershipView::Epoch epoch) override;
 
   [[nodiscard]] bool is_suspected(HostId peer) const override;
   void add_listener(SuspicionListener listener) override {
@@ -59,14 +68,6 @@ class HeartbeatFd : public runtime::Layer, public FailureDetector {
   }
 
   [[nodiscard]] const HeartbeatFdParams& params() const { return params_; }
-
-  /// Attaches the cluster's dynamic membership view (nullptr = monitor all
-  /// n hosts, bit-exact with the fixed-membership behaviour). Heartbeats go
-  /// only to current members, non-members are never suspected, and on an
-  /// epoch change newly added members start trusted with a fresh reception
-  /// clock while removed members' suspicions are retired. Call before the
-  /// cluster starts; `view` must outlive the layer.
-  void set_membership(consensus::MembershipView* view);
 
   /// Full trust/suspect history per monitored peer (index = host id).
   [[nodiscard]] const std::vector<PairHistory>& histories() const { return history_; }
@@ -81,10 +82,8 @@ class HeartbeatFd : public runtime::Layer, public FailureDetector {
   /// The monitoring thread's wake-up: suspects when the timeout elapsed.
   void check_timeout(HostId peer);
   void notify(HostId peer, bool suspected);
-  void on_epoch_change(consensus::MembershipView::Epoch epoch);
 
   HeartbeatFdParams params_;
-  consensus::MembershipView* view_ = nullptr;
   std::vector<char> suspected_;             // per peer
   std::vector<des::TimePoint> last_msg_;    // per peer: last reception
   std::vector<PairHistory> history_;        // per peer

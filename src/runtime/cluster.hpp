@@ -1,4 +1,7 @@
-// The emulated cluster: a simulator, a contention network and n processes.
+// The emulated cluster: a simulator, a contention network, n processes and
+// the group's one membership view (runtime/membership.hpp). Every layer
+// reads the view through its Process; the paper's fixed group is the view's
+// first and only epoch.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +13,7 @@
 #include "des/random.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
+#include "runtime/membership.hpp"
 #include "runtime/process.hpp"
 #include "topo/topology.hpp"
 
@@ -29,7 +33,9 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  explicit Cluster(const ClusterConfig& cfg);
+  /// Epoch 0 of the membership view is `members`, or every host when it is
+  /// empty. Throws std::invalid_argument on a member outside 0..n-1.
+  explicit Cluster(const ClusterConfig& cfg, std::vector<HostId> members = {});
 
   [[nodiscard]] std::size_t n() const { return processes_.size(); }
   [[nodiscard]] Process& process(HostId id) { return *processes_.at(id); }
@@ -38,6 +44,13 @@ class Cluster {
   [[nodiscard]] net::ContentionNetwork& network() { return net_; }
   [[nodiscard]] des::TimePoint now() const { return sim_.now(); }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
+  [[nodiscard]] const MembershipView& membership() const { return view_; }
+
+  /// Installs the next membership epoch with `host` added / removed, then
+  /// runs every host's Layer::on_view_change in host-id order, started,
+  /// crashed or not. Returns the new epoch.
+  MembershipView::Epoch add_member(HostId host);
+  MembershipView::Epoch remove_member(HostId host);
 
   /// Crashes a process before the simulation starts.
   void crash_initially(HostId id);
@@ -64,11 +77,13 @@ class Cluster {
 
  private:
   void start_processes();
+  MembershipView::Epoch announce(MembershipView::Epoch epoch);
 
   ClusterConfig cfg_;
   des::Simulator sim_;
   des::RandomEngine master_;
   net::ContentionNetwork net_;
+  MembershipView view_;
   std::vector<std::unique_ptr<Process>> processes_;
   bool started_ = false;
 };

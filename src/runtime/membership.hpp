@@ -1,12 +1,15 @@
-// Dynamic group membership as an epoch history.
+// Group membership as an epoch history.
 //
 // The paper's cluster is a fixed set of n hosts; a production-shaped stream
 // must grow, shrink and roll-restart the group while instances are in
-// flight. A MembershipView is the shared oracle for that: an append-only
-// history of member sets, one per epoch, advanced view-synchronously by the
-// workload engine at the instant a membership-change instance decides (the
-// change is itself agreed in-stream, joint-consensus style, so every host
-// observes the same epoch sequence at the same simulated instants).
+// flight. The cluster owns one MembershipView, an append-only history of
+// member sets, one per epoch. Epoch 0 is the starting group (every host
+// unless a workload names a subset), so the paper's fixed group is a
+// one-epoch view: member k is host k and the majority is n/2+1. The
+// workload engine advances the view through runtime::Cluster at the
+// instant a membership-change instance decides (the change is itself
+// agreed in-stream, joint-consensus style, so every host observes the same
+// epoch sequence at the same simulated instants).
 //
 // Consensus instances capture the epoch current at their launch and keep
 // using that epoch's member set for coordinator rotation, majority size and
@@ -15,22 +18,18 @@
 // ever changes quorum size mid-flight (the 3 -> 5 growth hazard: an
 // in-flight majority of 2 must not silently become 3). Messages carry the
 // instance's epoch (Message::view_epoch) so late joiners adopt it.
-//
-// A null view everywhere means "all n hosts, forever" and is bit-exact with
-// the fixed-membership code paths.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-namespace sanperf::consensus {
+namespace sanperf::runtime {
 
-/// Same underlying type as runtime::HostId (kept dependency-free: the
-/// workload engine and the fd layer both include this header).
+/// Same underlying type as HostId (kept dependency-free: the view needs
+/// nothing of the network).
 using MemberId = std::uint32_t;
 
 /// True when a (normalized: sorted, duplicate-free) member set is exactly
@@ -44,10 +43,6 @@ using MemberId = std::uint32_t;
 class MembershipView {
  public:
   using Epoch = std::uint32_t;
-  /// Notified after every epoch advance with the new epoch. Listeners run
-  /// in registration order (the engine registers per-host layers in pid
-  /// order, so notification order is deterministic).
-  using Listener = std::function<void(Epoch)>;
 
   explicit MembershipView(std::vector<MemberId> members) {
     normalize(members, "initial");
@@ -69,9 +64,9 @@ class MembershipView {
     return contains(members_at(epoch), host);
   }
 
-  /// Installs the next epoch with `host` added / removed. Engine-only: call
-  /// at the instant the membership-change instance decides. Returns the new
-  /// epoch after notifying every listener.
+  /// Installs the next epoch with `host` added / removed and returns it.
+  /// Cluster::add_member / remove_member call these and then tell every
+  /// host's layers.
   Epoch add(MemberId host) {
     std::vector<MemberId> next = members();
     if (contains(next, host)) throw std::invalid_argument{"MembershipView: already a member"};
@@ -87,11 +82,9 @@ class MembershipView {
     return install(std::move(next));
   }
 
-  void add_listener(Listener listener) { listeners_.push_back(std::move(listener)); }
-
  private:
   static bool contains(const std::vector<MemberId>& members, MemberId host) {
-    return std::find(members.begin(), members.end(), host) != members.end();
+    return std::binary_search(members.begin(), members.end(), host);
   }
 
   static void normalize(std::vector<MemberId>& members, const char* what) {
@@ -107,13 +100,10 @@ class MembershipView {
   Epoch install(std::vector<MemberId> next) {
     normalize(next, "next-epoch");
     history_.push_back(std::move(next));
-    const Epoch e = epoch();
-    for (const Listener& l : listeners_) l(e);
-    return e;
+    return epoch();
   }
 
   std::vector<std::vector<MemberId>> history_;  ///< index = epoch
-  std::vector<Listener> listeners_;
 };
 
-}  // namespace sanperf::consensus
+}  // namespace sanperf::runtime

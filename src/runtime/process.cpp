@@ -7,8 +7,8 @@
 namespace sanperf::runtime {
 
 Process::Process(HostId id, std::size_t n, des::Simulator& sim, net::ContentionNetwork& net,
-                 des::RandomEngine rng, net::TimerModel timers)
-    : id_{id}, n_{n}, sim_{&sim}, net_{&net}, rng_{rng}, timers_{timers} {}
+                 const MembershipView& view, des::RandomEngine rng, net::TimerModel timers)
+    : id_{id}, n_{n}, sim_{&sim}, net_{&net}, view_{&view}, rng_{rng}, timers_{timers} {}
 
 void Process::send(Message m, HostId dst) {
   if (crashed_) return;
@@ -34,6 +34,17 @@ void Process::broadcast(Message m) {
   const auto cls = m.kind == MsgKind::kHeartbeat ? net::ContentionNetwork::FrameClass::kSmall
                                                  : net::ContentionNetwork::FrameClass::kProtocol;
   net_->broadcast(id_, std::move(m), cls);
+}
+
+void Process::broadcast_in(MembershipView::Epoch epoch, Message m) {
+  const std::vector<MemberId>& members = view_->members_at(epoch);
+  if (covers_all_hosts(members, n_)) {
+    broadcast(std::move(m));
+    return;
+  }
+  for (const MemberId peer : members) {
+    if (peer != id_) send(m, peer);
+  }
 }
 
 des::TimePoint Process::os_timer_expiry(des::Duration delay) {
@@ -80,6 +91,10 @@ void Process::start() {
   for (auto& l : layers_) {
     if (!crashed_) l->on_start();
   }
+}
+
+void Process::view_changed(MembershipView::Epoch epoch) {
+  for (auto& l : layers_) l->on_view_change(epoch);
 }
 
 }  // namespace sanperf::runtime

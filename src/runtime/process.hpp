@@ -22,6 +22,7 @@
 #include "des/random.hpp"
 #include "des/simulator.hpp"
 #include "net/jitter.hpp"
+#include "runtime/membership.hpp"
 #include "runtime/message.hpp"
 
 namespace sanperf::runtime {
@@ -43,6 +44,9 @@ class Layer {
   /// state or running timer loops override it to re-initialise -- all
   /// timers armed before the crash are dead by then (see Process::crash).
   virtual void on_restart() {}
+  /// Called when the cluster installs membership epoch `epoch`, on every
+  /// host in host-id order, whether it has started or crashed.
+  virtual void on_view_change(MembershipView::Epoch /*epoch*/) {}
 
   [[nodiscard]] Process& process() const { return *process_; }
 
@@ -55,8 +59,9 @@ using TimerId = des::EventId;
 
 class Process {
  public:
+  /// `view` is the cluster's membership view; it must outlive the process.
   Process(HostId id, std::size_t n, des::Simulator& sim, net::ContentionNetwork& net,
-          des::RandomEngine rng, net::TimerModel timers);
+          const MembershipView& view, des::RandomEngine rng, net::TimerModel timers);
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -85,6 +90,7 @@ class Process {
   [[nodiscard]] des::TimePoint now() const { return sim_->now(); }
   [[nodiscard]] des::RandomEngine& rng() { return rng_; }
   [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] const MembershipView& membership() const { return *view_; }
 
   /// Sends a unicast; `from` and `sent_at` are stamped here.
   void send(Message m, HostId dst);
@@ -92,6 +98,10 @@ class Process {
   /// implementation sends n-1 unicasts; the fixed order is what produces
   /// the n=3 participant-crash anomaly of Section 5.3).
   void broadcast(Message m);
+  /// Sends to every other member of `epoch`: member-wise unicasts in
+  /// ascending host-id order, the same fan-out broadcast() produces, so a
+  /// member set that covers every host takes the pooled broadcast.
+  void broadcast_in(MembershipView::Epoch epoch, Message m);
 
   /// Event-driven timer with exact expiry (message-handler work).
   template <typename F>
@@ -123,6 +133,8 @@ class Process {
   void deliver(const Message& m);
   /// Runs every layer's on_start.
   void start();
+  /// Runs every layer's on_view_change, crashed or not.
+  void view_changed(MembershipView::Epoch epoch);
 
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_received() const { return received_; }
@@ -163,6 +175,7 @@ class Process {
   std::size_t n_;
   des::Simulator* sim_;
   net::ContentionNetwork* net_;
+  const MembershipView* view_;
   des::RandomEngine rng_;
   net::TimerModel timers_;
   std::vector<std::unique_ptr<Layer>> layers_;

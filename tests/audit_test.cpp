@@ -337,11 +337,9 @@ TYPED_TEST(ConsensusAuditTest, CrossEpochSenderTrips) {
   // Epoch 0 membership is {0, 1, 2}; host 3 exists in the cluster but is
   // not a member of the epoch the instance launched under, so its round
   // traffic must not be allowed into the instance's quorum.
-  Cluster cluster{tiny_config(4, 9)};
+  Cluster cluster{tiny_config(4, 9), {0, 1, 2}};
   add_consensus_stack<TypeParam>(cluster);
-  consensus::MembershipView view{{0, 1, 2}};
   auto& cons = cluster.process(0).layer<TypeParam>();
-  cons.set_membership(&view);
   Message msg;
   msg.kind = TestFixture::kRoundKind;
   msg.cid = 0;

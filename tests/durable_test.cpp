@@ -1,13 +1,11 @@
 // Unit tests for the stable-storage write-ahead log
-// (consensus/durable_log.hpp) and the epoch-history membership oracle
-// (consensus/membership.hpp): serialized append charging, watermark
-// compaction, epoch installs / listener order / validation.
+// (consensus/durable_log.hpp): serialized append charging and watermark
+// compaction.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "consensus/durable_log.hpp"
-#include "consensus/membership.hpp"
 
 namespace sanperf::consensus {
 namespace {
@@ -60,45 +58,6 @@ TEST(DurableLogTest, CompactTruncatesBelowTheWatermarkOnly) {
   // A no-op compaction (nothing below the floor) is not counted.
   log.compact(4);
   EXPECT_EQ(log.stats().compactions, 1u);
-}
-
-// --- MembershipView ----------------------------------------------------------
-
-TEST(MembershipViewTest, EpochHistoryStaysAddressable) {
-  MembershipView view{{2, 0, 1}};  // normalized to sorted order
-  EXPECT_EQ(view.epoch(), 0u);
-  EXPECT_EQ(view.members(), (std::vector<MemberId>{0, 1, 2}));
-  EXPECT_EQ(view.add(4), 1u);
-  EXPECT_EQ(view.add(3), 2u);
-  EXPECT_EQ(view.remove(0), 3u);
-  // Every installed epoch keeps resolving (in-flight instances pin theirs).
-  EXPECT_EQ(view.members_at(0), (std::vector<MemberId>{0, 1, 2}));
-  EXPECT_EQ(view.members_at(1), (std::vector<MemberId>{0, 1, 2, 4}));
-  EXPECT_EQ(view.members_at(2), (std::vector<MemberId>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(view.members(), (std::vector<MemberId>{1, 2, 3, 4}));
-  EXPECT_TRUE(view.is_member_at(0, 0));
-  EXPECT_FALSE(view.is_member(0));
-  EXPECT_THROW((void)view.members_at(9), std::out_of_range);
-}
-
-TEST(MembershipViewTest, ListenersRunInRegistrationOrderPerInstall) {
-  MembershipView view{{0, 1}};
-  std::vector<int> order;
-  view.add_listener([&](MembershipView::Epoch e) { order.push_back(10 + static_cast<int>(e)); });
-  view.add_listener([&](MembershipView::Epoch e) { order.push_back(20 + static_cast<int>(e)); });
-  view.add(2);
-  view.remove(0);
-  EXPECT_EQ(order, (std::vector<int>{11, 21, 12, 22}));
-}
-
-TEST(MembershipViewTest, RejectsDegenerateChanges) {
-  EXPECT_THROW(MembershipView{std::vector<MemberId>{}}, std::invalid_argument);
-  EXPECT_THROW((MembershipView{{1, 1}}), std::invalid_argument);
-  MembershipView view{{0}};
-  EXPECT_THROW(view.add(0), std::invalid_argument);     // already a member
-  EXPECT_THROW(view.remove(5), std::invalid_argument);  // not a member
-  EXPECT_THROW(view.remove(0), std::invalid_argument);  // cannot empty the group
-  EXPECT_EQ(view.epoch(), 0u);                          // rejected changes install nothing
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests of the process runtime: layer dispatch, timers, broadcast order,
-// crash-stop semantics and cluster wiring.
+// crash-stop semantics, cluster wiring and the membership view.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "runtime/cluster.hpp"
+#include "runtime/membership.hpp"
 #include "runtime/message.hpp"
 #include "runtime/process.hpp"
 
@@ -363,6 +364,96 @@ TEST(ClusterTest, InitialCrashTakesEffectBeforeStart) {
   EXPECT_EQ(r0.received.size(), 1u);
   EXPECT_TRUE(r1.received.empty());
   EXPECT_FALSE(r1.started);  // crashed before on_start
+}
+
+// --- MembershipView ----------------------------------------------------------
+
+TEST(MembershipViewTest, EpochHistoryStaysAddressable) {
+  MembershipView view{{2, 0, 1}};  // normalized to sorted order
+  EXPECT_EQ(view.epoch(), 0u);
+  EXPECT_EQ(view.members(), (std::vector<MemberId>{0, 1, 2}));
+  EXPECT_EQ(view.add(4), 1u);
+  EXPECT_EQ(view.add(3), 2u);
+  EXPECT_EQ(view.remove(0), 3u);
+  // Every installed epoch keeps resolving (in-flight instances pin theirs).
+  EXPECT_EQ(view.members_at(0), (std::vector<MemberId>{0, 1, 2}));
+  EXPECT_EQ(view.members_at(1), (std::vector<MemberId>{0, 1, 2, 4}));
+  EXPECT_EQ(view.members_at(2), (std::vector<MemberId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(view.members(), (std::vector<MemberId>{1, 2, 3, 4}));
+  EXPECT_TRUE(view.is_member_at(0, 0));
+  EXPECT_FALSE(view.is_member(0));
+  EXPECT_THROW((void)view.members_at(9), std::out_of_range);
+}
+
+TEST(MembershipViewTest, RejectsDegenerateChanges) {
+  EXPECT_THROW(MembershipView{std::vector<MemberId>{}}, std::invalid_argument);
+  EXPECT_THROW((MembershipView{{1, 1}}), std::invalid_argument);
+  MembershipView view{{0}};
+  EXPECT_THROW(view.add(0), std::invalid_argument);     // already a member
+  EXPECT_THROW(view.remove(5), std::invalid_argument);  // not a member
+  EXPECT_THROW(view.remove(0), std::invalid_argument);  // cannot empty the group
+  EXPECT_EQ(view.epoch(), 0u);                          // rejected changes install nothing
+}
+
+// --- The cluster's view -----------------------------------------------------
+
+TEST(ClusterTest, FixedGroupIsEveryHostInOneEpoch) {
+  Cluster cluster{test_config(4)};
+  EXPECT_EQ(cluster.membership().epoch(), 0u);
+  EXPECT_EQ(cluster.membership().members(), (std::vector<MemberId>{0, 1, 2, 3}));
+  EXPECT_EQ(&cluster.process(2).membership(), &cluster.membership());
+  Cluster subset{test_config(4), {2, 0}};
+  EXPECT_EQ(subset.membership().members(), (std::vector<MemberId>{0, 2}));
+  EXPECT_THROW((Cluster{test_config(4), {0, 4}}), std::invalid_argument);
+  EXPECT_THROW(subset.add_member(4), std::invalid_argument);
+}
+
+/// Logs every view change it hears as (host, epoch).
+class ViewLogLayer : public Layer {
+ public:
+  explicit ViewLogLayer(std::vector<std::pair<HostId, MembershipView::Epoch>>& log) : log_{&log} {}
+  void on_message(const Message&) override {}
+  void on_view_change(MembershipView::Epoch epoch) override {
+    log_->emplace_back(process().id(), epoch);
+  }
+
+ private:
+  std::vector<std::pair<HostId, MembershipView::Epoch>>* log_;
+};
+
+TEST(ClusterTest, ViewChangesReachEveryHostInIdOrder) {
+  // Crashed and unstarted hosts hear the change too: a layer decides what
+  // a change means to a host that is down.
+  Cluster cluster{test_config(3), {0, 1}};
+  std::vector<std::pair<HostId, MembershipView::Epoch>> log;
+  for (HostId i = 0; i < 3; ++i) cluster.process(i).add_layer<ViewLogLayer>(log);
+  cluster.crash_initially(2);
+  EXPECT_EQ(cluster.add_member(2), 1u);
+  cluster.run_until(des::TimePoint::origin());
+  EXPECT_EQ(cluster.remove_member(0), 2u);
+  EXPECT_EQ(log, (std::vector<std::pair<HostId, MembershipView::Epoch>>{
+                     {0, 1}, {1, 1}, {2, 1}, {0, 2}, {1, 2}, {2, 2}}));
+  EXPECT_EQ(cluster.membership().members(), (std::vector<MemberId>{1, 2}));
+}
+
+TEST(ProcessTest, BroadcastInReachesTheEpochsOtherMembers) {
+  Cluster cluster{test_config(4), {0, 1, 3}};
+  std::vector<RecorderLayer*> recorders;
+  for (HostId i = 0; i < 4; ++i) {
+    recorders.push_back(&cluster.process(i).add_layer<RecorderLayer>());
+  }
+  cluster.sim().schedule(des::Duration::zero(), [&cluster] {
+    Message m;
+    m.kind = MsgKind::kApp;
+    cluster.process(1).broadcast_in(0, m);
+  });
+  cluster.run_until(des::TimePoint::origin() + des::Duration::from_ms(10));
+  EXPECT_EQ(recorders[0]->received.size(), 1u);
+  EXPECT_TRUE(recorders[1]->received.empty());  // no self-delivery
+  EXPECT_TRUE(recorders[2]->received.empty());  // not a member
+  EXPECT_EQ(recorders[3]->received.size(), 1u);
+  EXPECT_EQ(recorders[3]->received[0].to, 3u);  // member-wise unicasts
+  EXPECT_EQ(cluster.process(1).messages_sent(), 2u);
 }
 
 }  // namespace
