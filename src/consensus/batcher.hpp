@@ -47,7 +47,6 @@ class Batcher {
   enum class CloseReason : std::uint8_t {
     kSize,    ///< size threshold reached
     kLinger,  ///< max-linger deadline expired
-    kFlush,   ///< explicit flush()
   };
 
   using CloseFn = std::function<void(std::vector<BatchedValue>, CloseReason)>;
@@ -58,7 +57,6 @@ class Batcher {
     std::uint64_t batches = 0;  ///< batches closed
     std::uint64_t closed_on_size = 0;
     std::uint64_t closed_on_linger = 0;
-    std::uint64_t closed_on_flush = 0;
   };
 
   /// `sim` must outlive the batcher; `on_close` receives every closed batch
@@ -91,11 +89,6 @@ class Batcher {
     }
   }
 
-  /// Closes any partial batch immediately (end-of-stream drain).
-  void flush() {
-    if (!pending_.empty()) close(CloseReason::kFlush);
-  }
-
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -108,7 +101,6 @@ class Batcher {
     switch (reason) {
       case CloseReason::kSize: ++stats_.closed_on_size; break;
       case CloseReason::kLinger: ++stats_.closed_on_linger; break;
-      case CloseReason::kFlush: ++stats_.closed_on_flush; break;
     }
     on_close_(std::move(batch), reason);
   }

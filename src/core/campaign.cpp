@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -120,6 +121,11 @@ ParamAxis ParamAxis::parse_override(std::string_view csv) const {
         break;
       }
     }
+    // A repeated value would run the same seed twice and print its row twice.
+    if (std::find(domain.begin(), domain.end() - 1, domain.back()) != domain.end() - 1) {
+      throw std::invalid_argument{context + ": value '" + std::string{token} +
+                                  "' is listed twice"};
+    }
   }
   return ParamAxis{name_, type_, std::move(domain)};
 }
@@ -239,7 +245,14 @@ ParamGrid CampaignRegistry::grid(const ScenarioSpec& spec, const Scale& scale,
                                   "' (axes: " + (axis_list.empty() ? "none" : axis_list) + ")"};
     }
   }
-  return ParamGrid{std::move(axes)};
+  ParamGrid grid{std::move(axes)};
+  // Every scenario's n is a cluster size, and a cluster needs two hosts.
+  if (grid.has_axis("n")) {
+    for (const std::int64_t n : grid.axis("n").int_values()) {
+      if (n < 2) reject_axis_value(spec.name, "n", n, "a cluster needs at least 2 hosts");
+    }
+  }
+  return grid;
 }
 
 ResultTable CampaignRegistry::run(const ScenarioSpec& spec, const RunOptions& options) const {
@@ -274,13 +287,18 @@ ResultTable::Value mean_ci_cell(const MeasuredLatency& latency) {
   return ResultTable::Value{latency.summary().mean_ci(0.90)};
 }
 
+void reject_axis_value(const std::string& scenario, const char* axis, const AxisValue& value,
+                       const std::string& why) {
+  throw std::invalid_argument{scenario + ": " + axis + " = " + to_string(value) +
+                              " is out of range: " + why};
+}
+
 void check_timing_axis(const std::string& scenario, const ParamPoint& point, const char* axis,
                        double span_ms) {
   try {
     static_cast<void>(des::Duration::from_ms(span_ms));
   } catch (const std::out_of_range& e) {
-    throw std::invalid_argument{scenario + ": " + axis + " = " + to_string(point.get(axis)) +
-                                " is out of range: " + e.what()};
+    reject_axis_value(scenario, axis, point.get(axis), e.what());
   }
 }
 

@@ -59,7 +59,9 @@ class ParamAxis {
 
   /// Same-named axis whose domain is parsed from a comma-separated list
   /// ("3,5" / "0.025" / "coordinator-crash") according to this axis's
-  /// type. This is how `--set axis=...` overrides a default domain.
+  /// type. This is how `--set axis=...` overrides a default domain. Throws
+  /// std::invalid_argument naming the axis and the value when a value is
+  /// listed twice.
   [[nodiscard]] ParamAxis parse_override(std::string_view csv) const;
 
  private:
@@ -169,7 +171,8 @@ class CampaignRegistry {
 
   /// The effective grid of a spec: default axes at `scale`, with any
   /// overridden axis's domain replaced by the parsed override. Throws on
-  /// an override naming no axis of the spec.
+  /// an override naming no axis of the spec, and on an `n` below 2 (every
+  /// `n` axis is a cluster size).
   [[nodiscard]] static ParamGrid grid(const ScenarioSpec& spec, const Scale& scale,
                                       const std::map<std::string, std::string>& overrides);
 
@@ -201,6 +204,11 @@ struct MeasuredLatency;
 /// A latency fold's 90% mean CI as a table cell, empty when no execution
 /// decided: a mean over zero samples would print as 0.
 [[nodiscard]] ResultTable::Value mean_ci_cell(const MeasuredLatency& latency);
+
+/// Throws the std::invalid_argument "<scenario>: <axis> = <value> is out of
+/// range: <why>", which names what the user typed ahead of the reason.
+[[noreturn]] void reject_axis_value(const std::string& scenario, const char* axis,
+                                    const AxisValue& value, const std::string& why);
 
 /// Rejects timing axis `axis` of `point` when `span_ms`, the longest
 /// simulated span its value drives, is more than des::Duration's int64

@@ -32,6 +32,19 @@ sanmodels::TransportParams PaperContext::transport(std::size_t n) const {
 
 namespace {
 
+/// Rejects an n the Fig 6 calibration fitted no broadcast for: `scenario`
+/// compares every n against the SAN model, which needs that fit.
+void check_calibrated_n(const std::string& scenario, const ScenarioRun& run) {
+  for (const std::int64_t n : run.grid.axis("n").int_values()) {
+    if (run.ctx.broadcast_fits.contains(static_cast<std::size_t>(n))) continue;
+    std::string sizes;
+    for (const auto& [size, fit] : run.ctx.broadcast_fits) {
+      sizes += (sizes.empty() ? "" : ", ") + std::to_string(size);
+    }
+    reject_axis_value(scenario, "n", n, "the SAN model is calibrated for n = " + sizes + " only");
+  }
+}
+
 /// The Fig 6 calibration pass as one flattened shard space: group 0 holds
 /// the unicast probe shards, one further group per broadcast n. Returns the
 /// pooled per-group delay samples in probe order.
@@ -509,6 +522,7 @@ ScenarioSpec fig9b_spec() {
                   {"sim_exp_ms", ColumnType::kReal}, {"t_mr_ms", ColumnType::kReal},
                   {"t_m_ms", ColumnType::kReal}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    check_calibrated_n(name, run);
     const PaperContext& ctx = run.ctx;
     const auto points = run_class3_measurements(name, ctx, run.grid, 1000, 17);
     // The conditional simulation branches -- class 1 where the detector
@@ -532,7 +546,6 @@ ScenarioSpec fig9b_spec() {
     std::vector<Row> rows;
     ShardSpace space;
     for (const auto& pt : points) {
-      if (!ctx.broadcast_fits.contains(pt.n)) continue;  // sim only where calibrated (n = 3, 5)
       const std::size_t row = rows.size();
       rows.push_back(Row{&pt});
       const auto& qos = pt.meas.pooled_qos;
@@ -665,6 +678,7 @@ ScenarioSpec ablation_fd_spec() {
                   {"sim_over_meas", ColumnType::kReal}, {"t_mr_ms", ColumnType::kReal},
                   {"t_m_ms", ColumnType::kReal}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    check_calibrated_n(name, run);
     const PaperContext& ctx = run.ctx;
     // Batch 1: the class-3 measurement campaign, one group per grid point.
     const auto points = run_class3_measurements(name, ctx, run.grid, 0, 31);

@@ -60,13 +60,13 @@ inline void write_json_number(std::ostream& os, double v) {
 }
 
 /// Minimal recursive-descent parser. `context` names the caller in error
-/// messages ("ResultTable::from_json", "FaultPlan::from_json", ...).
+/// messages ("FaultPlan::from_json", ...).
 class JsonParser {
  public:
   struct JsonValue {
     // variant poor-man's style: exactly one engaged
     std::optional<double> number;
-    std::string number_text;  ///< raw token, so int cells keep > 2^53 exact
+    std::string number_text;  ///< raw token, so integers keep > 2^53 exact
     std::optional<std::string> string;
     std::optional<std::vector<JsonValue>> array;
     std::optional<std::vector<std::pair<std::string, JsonValue>>> object;

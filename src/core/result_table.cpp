@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -228,27 +227,8 @@ ResultTable ResultTable::from_csv(std::istream& is) {
 
 namespace {
 
-using detail::JsonParser;
 constexpr auto json_string = detail::write_json_string;
 constexpr auto json_number = detail::write_json_number;
-
-const JsonParser::JsonValue* object_field(const JsonParser::JsonValue& obj,
-                                          std::string_view key) {
-  return JsonParser::field(obj, key);
-}
-
-double number_or_nan(const JsonParser::JsonValue& v) {
-  if (v.number) return *v.number;
-  if (v.is_null) return std::nan("");
-  throw std::invalid_argument{"ResultTable::from_json: expected a number"};
-}
-
-/// Integer cells re-parse from the raw token: routing them through double
-/// would silently round values above 2^53.
-std::int64_t int_of_json(const JsonParser::JsonValue& v) {
-  if (!v.number) throw std::invalid_argument{"ResultTable::from_json: expected an integer"};
-  return parse_int(v.number_text);
-}
 
 }  // namespace
 
@@ -307,77 +287,6 @@ std::string ResultTable::to_json() const {
   std::ostringstream os;
   write_json(os);
   return os.str();
-}
-
-ResultTable ResultTable::from_json(const std::string& text) {
-  const auto root = JsonParser{text, "ResultTable::from_json"}.parse();
-  const auto* name = object_field(root, "table");
-  const auto* columns = object_field(root, "columns");
-  const auto* rows = object_field(root, "rows");
-  if (name == nullptr || !name->string || columns == nullptr || !columns->array ||
-      rows == nullptr || !rows->array) {
-    throw std::invalid_argument{"ResultTable::from_json: not a result table"};
-  }
-
-  std::vector<Column> cols;
-  for (const auto& col : *columns->array) {
-    const auto* col_name = object_field(col, "name");
-    const auto* col_type = object_field(col, "type");
-    if (col_name == nullptr || !col_name->string || col_type == nullptr || !col_type->string) {
-      throw std::invalid_argument{"ResultTable::from_json: bad column descriptor"};
-    }
-    cols.push_back(Column{*col_name->string, column_type_from_string(*col_type->string)});
-  }
-  ResultTable table{*name->string, std::move(cols)};
-
-  for (const auto& row : *rows->array) {
-    if (!row.array || row.array->size() != table.columns_.size()) {
-      throw std::invalid_argument{"ResultTable::from_json: row arity mismatch"};
-    }
-    std::vector<Value> cells;
-    cells.reserve(row.array->size());
-    for (std::size_t c = 0; c < row.array->size(); ++c) {
-      const auto& v = (*row.array)[c];
-      if (v.is_null) {
-        cells.emplace_back(std::monostate{});
-        continue;
-      }
-      switch (table.columns_[c].type) {
-        case ColumnType::kInt: cells.emplace_back(int_of_json(v)); break;
-        case ColumnType::kReal: cells.emplace_back(number_or_nan(v)); break;
-        case ColumnType::kString:
-          if (!v.string) throw std::invalid_argument{"ResultTable::from_json: expected string"};
-          cells.emplace_back(*v.string);
-          break;
-        case ColumnType::kMeanCI: {
-          const auto* mean = object_field(v, "mean");
-          const auto* hw = object_field(v, "half_width");
-          const auto* conf = object_field(v, "confidence");
-          const auto* count = object_field(v, "count");
-          if (mean == nullptr || hw == nullptr || conf == nullptr || count == nullptr) {
-            throw std::invalid_argument{"ResultTable::from_json: bad ci cell"};
-          }
-          stats::MeanCI ci;
-          ci.mean = number_or_nan(*mean);
-          ci.half_width = number_or_nan(*hw);
-          ci.confidence = number_or_nan(*conf);
-          ci.count = static_cast<std::uint64_t>(int_of_json(*count));
-          cells.emplace_back(ci);
-          break;
-        }
-        case ColumnType::kSample: {
-          if (!v.array) throw std::invalid_argument{"ResultTable::from_json: expected array"};
-          std::vector<double> xs;
-          xs.reserve(v.array->size());
-          for (const auto& x : *v.array) xs.push_back(number_or_nan(x));
-          cells.emplace_back(SampleRef{std::move(xs)});
-          break;
-        }
-      }
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
 }
 
 // --- Text --------------------------------------------------------------------

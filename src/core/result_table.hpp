@@ -4,8 +4,8 @@
 // Every scenario registered on the CampaignRegistry folds its shard results
 // into one ResultTable, so rendering (text tables, CSV for plotting or
 // golden diffs, JSON for tooling) is written once instead of once per
-// figure. Both sinks round-trip: doubles are printed with enough digits to
-// restore the exact bits, which is what makes CSV goldens diffable.
+// figure. Both sinks print doubles with enough digits to restore the exact
+// bits; the CSV sink round-trips, which is what makes CSV goldens diffable.
 #pragma once
 
 #include <cstdint>
@@ -82,11 +82,11 @@ class ResultTable {
   static ResultTable from_csv(std::istream& is);
   static ResultTable from_csv(const std::string& text);
 
-  // JSON: {"table": name, "columns": [{"name","type"}], "rows": [[...]]}
-  // with MeanCI as an object, samples as arrays, null cells as null.
+  // JSON (write-only): {"table": name, "columns": [{"name","type"}],
+  // "rows": [[...]]} with MeanCI as an object, samples as arrays, null cells
+  // as null.
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;
-  static ResultTable from_json(const std::string& text);
 
   /// Aligned human-readable table (MeanCI via fmt_ci, samples as a count).
   void print(std::ostream& os) const;

@@ -863,6 +863,11 @@ ScenarioSpec membership_growth_spec() {
                   {"epochs", ColumnType::kInt},
                   {"undecided", ColumnType::kInt}};
   spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    for (const std::int64_t n : run.grid.axis("n").int_values()) {
+      if (n < 5) {
+        reject_axis_value(name, "n", n, "the stream adds hosts 3 and 4, so n must be >= 5");
+      }
+    }
     const auto points = run_stream_points(run, name, run.ctx.timers, [](StreamPoint& sp) {
       sp.cfg.initial_members = {0, 1, 2};
       sp.plan = faults::FaultPlan{}

@@ -514,7 +514,6 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
   }
   out.batches_closed_on_size = batcher.stats().closed_on_size;
   out.batches_closed_on_linger = batcher.stats().closed_on_linger;
-  out.batches_closed_on_flush = batcher.stats().closed_on_flush;
   for (runtime::HostId pid = 0; pid < static_cast<runtime::HostId>(cfg.n); ++pid) {
     const auto& cons = cluster.process(pid).layer<ConsensusLayer>();
     out.peak_active_instances = std::max(out.peak_active_instances,

@@ -205,7 +205,6 @@ struct WorkloadResult {
   double mean_batch_size = 0;
   std::uint64_t batches_closed_on_size = 0;
   std::uint64_t batches_closed_on_linger = 0;
-  std::uint64_t batches_closed_on_flush = 0;
   /// Max per-process concurrently retained instances (the GC bound).
   std::size_t peak_active_instances = 0;
   /// Decided instances garbage-collected, summed over processes.

@@ -121,31 +121,17 @@ TEST(BatcherTest, ZeroLingerGroupsSameInstantSubmissions) {
   EXPECT_DOUBLE_EQ((h.closed[0].at - des::TimePoint::origin()).to_ms(), 1.0);
 }
 
-TEST(BatcherTest, FlushDrainsThePartialBatchAndDisarmsTheTimer) {
-  Harness h{{.max_batch = 8, .linger_ms = 100.0}};
-  h.batcher.submit(42);
-  h.batcher.flush();
-  ASSERT_EQ(h.closed.size(), 1u);
-  EXPECT_EQ(h.closed[0].reason, Batcher::CloseReason::kFlush);
-  h.batcher.flush();  // idempotent on an empty batch
-  h.sim.run();        // the cancelled linger timer must not fire
-  EXPECT_EQ(h.closed.size(), 1u);
-}
-
 TEST(BatcherTest, StatsCountValuesBatchesAndReasons) {
   Harness h{{.max_batch = 2, .linger_ms = 5.0}};
   h.batcher.submit(1);
   h.batcher.submit(2);                                               // size
   h.sim.schedule(des::Duration::from_ms(1.0), [&] { h.batcher.submit(3); });  // linger
   h.sim.run();
-  h.batcher.submit(4);
-  h.batcher.flush();  // flush
   const auto& s = h.batcher.stats();
-  EXPECT_EQ(s.values, 4u);
-  EXPECT_EQ(s.batches, 3u);
+  EXPECT_EQ(s.values, 3u);
+  EXPECT_EQ(s.batches, 2u);
   EXPECT_EQ(s.closed_on_size, 1u);
   EXPECT_EQ(s.closed_on_linger, 1u);
-  EXPECT_EQ(s.closed_on_flush, 1u);
 }
 
 // --------------------------------------------------------------------------

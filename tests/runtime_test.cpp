@@ -395,7 +395,7 @@ TEST(MembershipViewTest, RejectsDegenerateChanges) {
   EXPECT_EQ(view.epoch(), 0u);                          // rejected changes install nothing
 }
 
-// --- The cluster's view -----------------------------------------------------
+// --- The cluster's view ------------------------------------------------------
 
 TEST(ClusterTest, FixedGroupIsEveryHostInOneEpoch) {
   Cluster cluster{test_config(4)};
