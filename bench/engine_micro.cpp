@@ -88,6 +88,43 @@ void BM_EventQueueHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
+// The hold model of a consensus stream: 16 near-term events, each replaced
+// 1..1000 ns ahead as it fires, over a standing window of `deadlines`
+// fixed-delay (1 ms) deadlines that replace themselves as they fire, the
+// way each instance arms a give-up timer of one length. With `lane` = 0
+// the deadlines are pushed with push() and every pop sifts through them;
+// with `lane` = 1 they go through push_deadline() and only the lane's front
+// sits in the heap.
+void BM_EventQueueHoldDeadlines(benchmark::State& state) {
+  const std::int64_t deadlines = state.range(0);
+  const bool lane = state.range(1) != 0;
+  constexpr std::int64_t kDelayNs = 1'000'000;
+  des::RandomEngine rng{5};
+  des::EventQueue q;
+  bool deadline = false;
+  const auto at = [](std::int64_t ns) {
+    return des::TimePoint::origin() + des::Duration::nanos(ns);
+  };
+  const auto near_term = [&deadline] { deadline = false; };
+  const auto give_up = [&deadline] { deadline = true; };
+  const auto push_deadline = [&](std::int64_t ns) {
+    return lane ? q.push_deadline(at(ns), give_up) : q.push(at(ns), give_up);
+  };
+  for (int i = 0; i < 16; ++i) q.push(at(rng.uniform_int(1, 1000)), near_term);
+  for (std::int64_t i = 0; i < deadlines; ++i) push_deadline(kDelayNs * i / deadlines);
+  for (auto _ : state) {
+    auto popped = q.pop();
+    popped.action();
+    const std::int64_t now = popped.at.ns();
+    benchmark::DoNotOptimize(deadline ? push_deadline(now + kDelayNs)
+                                      : q.push(at(now + rng.uniform_int(1, 1000)), near_term));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHoldDeadlines)
+    ->ArgsProduct({{0, 256, 1024, 4096}, {0, 1}})
+    ->ArgNames({"deadlines", "lane"});
+
 void BM_SimulatorEventChain(benchmark::State& state) {
   for (auto _ : state) {
     des::Simulator sim;

@@ -6,6 +6,7 @@
 // ResultTable.
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -134,6 +135,21 @@ int crashed_id(const std::string& scenario) {
   if (scenario == "coordinator-crash") return 0;
   if (scenario == "participant-crash") return 1;
   throw std::invalid_argument{"unknown crash scenario '" + scenario + "'"};
+}
+
+/// Rejects n = 2 where `scenario`'s grid crashes a host: the one live host
+/// of two is no majority, so no execution could decide.
+void check_crash_majority(const std::string& scenario, const ScenarioRun& run) {
+  const auto kinds = run.grid.axis("scenario").string_values();
+  if (std::none_of(kinds.begin(), kinds.end(),
+                   [](const std::string& kind) { return crashed_id(kind) >= 0; })) {
+    return;
+  }
+  for (const std::int64_t n : run.grid.axis("n").int_values()) {
+    if (n < 3) {
+      reject_axis_value(scenario, "n", n, "with one of 2 hosts crashed there is no majority");
+    }
+  }
 }
 
 /// The paper's Table 1 measurement and simulation for n under a crash
@@ -379,7 +395,8 @@ ScenarioSpec table1_spec() {
                   {"meas_ms", ColumnType::kMeanCI},
                   {"paper_sim_ms", ColumnType::kReal},
                   {"sim_ms", ColumnType::kReal}};
-  spec.run = [columns = spec.columns](const ScenarioRun& run) {
+  spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    check_crash_majority(name, run);
     const PaperContext& ctx = run.ctx;
     // One flattened space for the whole campaign: every (n, scenario,
     // execution) measurement task and every (n, scenario, replication) SAN
@@ -743,7 +760,8 @@ ScenarioSpec ext_algorithms_spec() {
   spec.columns = {{"n", ColumnType::kInt},      {"scenario", ColumnType::kString},
                   {"ct_ms", ColumnType::kMeanCI}, {"mr_ms", ColumnType::kMeanCI},
                   {"mr_over_ct", ColumnType::kReal}, {"winner", ColumnType::kString}};
-  spec.run = [columns = spec.columns](const ScenarioRun& run) {
+  spec.run = [name = spec.name, columns = spec.columns](const ScenarioRun& run) {
+    check_crash_majority(name, run);
     const PaperContext& ctx = run.ctx;
     const auto timers = net::TimerModel::ideal();
     // Two groups (CT, MR) per grid point, both on the (seed + 3n, "exec")

@@ -426,6 +426,9 @@ std::vector<StreamPoint> run_stream_points(const ScenarioRun& run, const std::st
   }
   run.ctx.runner->for_each(points.size(), [&](std::size_t p) {
     points[p].result = run_workload(points[p].cfg, points[p].stream);
+    // No fold reads the detectors' histories; drop them while the other
+    // points run.
+    points[p].result.detector_histories.clear();
   });
   return points;
 }

@@ -286,10 +286,12 @@ WorkloadResult run_stream(const WorkloadConfig& cfg, const WorkloadSpec& spec) {
     // Only current members propose; the instance pins this epoch's member
     // set at first touch and keeps it for life.
     for (const runtime::HostId pid : cluster.membership().members()) schedule_propose(pid);
-    sim.schedule_at(start + des::Duration::from_ms(spec.instance_timeout_ms),
-                    [&close_instance, cid] {
-                      close_instance(cid, std::nullopt, 0);  // give up: undecided
-                    });
+    // Every instance gives up after the same span, so the deadlines fall
+    // due in launch order and wait in the queue's deadline lane.
+    sim.schedule_deadline(start + des::Duration::from_ms(spec.instance_timeout_ms),
+                          [&close_instance, cid] {
+                            close_instance(cid, std::nullopt, 0);  // give up: undecided
+                          });
     return cid;
   };
 

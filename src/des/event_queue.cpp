@@ -21,6 +21,11 @@ void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.action.reset();
   ++s.gen;  // stale every EventId handed out for this occupancy
+  free_slot(slot);
+}
+
+void EventQueue::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
   s.heap_pos = kNpos;
   s.next_free = free_head_;
   free_head_ = slot;
@@ -84,10 +89,67 @@ EventId EventQueue::link(std::uint32_t slot, TimePoint at) {
   return make_id(slot, s.gen);
 }
 
+EventId EventQueue::link_deadline(std::uint32_t slot, TimePoint at) {
+  if (lane_size_ == lane_.size()) {
+    // Full ring: double it, unrolled so that the front lands at index 0.
+    std::vector<std::uint32_t> grown(lane_.empty() ? 16 : 2 * lane_.size());
+    for (std::size_t i = 0; i < lane_size_; ++i) grown[i] = lane_at(i);
+    lane_ = std::move(grown);
+    lane_head_ = 0;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = slot;
+  if (++lane_size_ == 1) return link(slot, at);  // the lane's new front
+  Slot& s = slots_[slot];
+  s.at = at;
+  s.seq = next_seq_++;
+  SANPERF_AUDIT_ONLY(s.audit_live_gen = s.gen;)
+  s.heap_pos = kWaiting;
+  ++waiting_;
+#if SANPERF_AUDIT_ENABLED
+  if (++audit_ops_ % kAuditPeriod == 0) audit_check_heap();
+#endif
+  return make_id(slot, s.gen);
+}
+
+void EventQueue::advance_lane(std::size_t pos) {
+  const std::size_t mask = lane_.size() - 1;
+  lane_head_ = (lane_head_ + 1) & mask;
+  --lane_size_;
+  // A dead entry that reaches the front frees its slot.
+  while (lane_size_ != 0 && slots_[lane_[lane_head_]].heap_pos == kDead) {
+    free_slot(lane_[lane_head_]);
+    lane_head_ = (lane_head_ + 1) & mask;
+    --lane_size_;
+  }
+  if (lane_size_ == 0) {
+    heap_remove(pos);
+    return;
+  }
+  // The next entry is no earlier than the old front, but may be later than
+  // other heap entries: it takes the front's place and sifts down.
+  --waiting_;
+  heap_[pos] = lane_[lane_head_];
+  sift_down(pos);
+  sift_up(pos);
+}
+
 bool EventQueue::cancel(EventId id) {
   if (!pending(id)) return false;
   const std::uint32_t slot = slot_of(id);
-  heap_remove(slots_[slot].heap_pos);
+  Slot& s = slots_[slot];
+  if (s.heap_pos == kWaiting) {
+    // Behind the lane's front: dies in place, freed when it reaches the front.
+    s.action.reset();
+    ++s.gen;
+    s.heap_pos = kDead;
+    --waiting_;
+    return true;
+  }
+  if (is_lane_front(slot)) {
+    advance_lane(s.heap_pos);
+  } else {
+    heap_remove(s.heap_pos);
+  }
   release_slot(slot);
   return true;
 }
@@ -112,16 +174,32 @@ EventQueue::Popped EventQueue::pop() {
   if (++audit_ops_ % kAuditPeriod == 0) audit_check_heap();
 #endif
   Popped out{s.at, make_id(slot, s.gen), std::move(s.action)};
-  heap_remove(0);
+  if (is_lane_front(slot)) {
+    advance_lane(0);
+  } else {
+    heap_remove(0);
+  }
   release_slot(slot);
   return out;
 }
 
 void EventQueue::clear() {
   // Release every live slot; each release bumps the generation so stale
-  // ids cannot alias the next occupancy.
+  // ids cannot alias the next occupancy. The lane's front is in the heap;
+  // a dead entry behind it is stale already and only needs freeing.
   for (const std::uint32_t slot : heap_) release_slot(slot);
   heap_.clear();
+  for (std::size_t i = 1; i < lane_size_; ++i) {
+    const std::uint32_t slot = lane_at(i);
+    if (slots_[slot].heap_pos == kDead) {
+      free_slot(slot);
+    } else {
+      release_slot(slot);
+    }
+  }
+  lane_head_ = 0;
+  lane_size_ = 0;
+  waiting_ = 0;
 }
 
 #if SANPERF_AUDIT_ENABLED
@@ -142,18 +220,55 @@ void EventQueue::audit_check_heap() const {
                               std::to_string(i));
     }
   }
-  // The free list must account for exactly the slots not in the heap.
+  // The lane is sorted by (at, seq); its front is heap-resident, and every
+  // entry behind it waits, live, or is dead, outside the heap.
+  std::size_t waiting = 0;
+  std::size_t dead = 0;
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    const std::uint32_t slot = lane_at(i);
+    SANPERF_AUDIT_CHECK("des.heap_index_consistency", slot < slots_.size(),
+                        "lane[" + std::to_string(i) + "] = slot " + std::to_string(slot));
+    const Slot& s = slots_[slot];
+    if (i == 0) {
+      SANPERF_AUDIT_CHECK("des.heap_index_consistency",
+                          s.heap_pos < heap_.size() && heap_[s.heap_pos] == slot,
+                          "lane front slot " + std::to_string(slot) + " is not in the heap");
+      continue;
+    }
+    SANPERF_AUDIT_CHECK("des.heap_index_consistency", earlier(lane_at(i - 1), slot),
+                        "lane order violated between " + std::to_string(i - 1) + " and " +
+                            std::to_string(i));
+    if (s.heap_pos == kWaiting) {
+      SANPERF_AUDIT_CHECK("des.no_dead_slot_fire",
+                          s.gen == s.audit_live_gen && static_cast<bool>(s.action),
+                          "waiting lane slot " + std::to_string(slot) + " is dead");
+      ++waiting;
+    } else {
+      SANPERF_AUDIT_CHECK("des.heap_index_consistency",
+                          s.heap_pos == kDead && !static_cast<bool>(s.action),
+                          "lane slot " + std::to_string(slot) + " behind the front is not " +
+                              "waiting or dead");
+      ++dead;
+    }
+  }
+  SANPERF_AUDIT_CHECK("des.heap_index_consistency", waiting == waiting_,
+                      "lane holds " + std::to_string(waiting) + " waiting entries, counted " +
+                          std::to_string(waiting_));
+  // The free list must account for exactly the slots neither in the heap
+  // nor behind the lane's front.
   std::size_t free_count = 0;
   for (std::uint32_t f = free_head_; f != kNpos; f = slots_[f].next_free) {
     SANPERF_AUDIT_CHECK("des.heap_index_consistency",
                         f < slots_.size() && slots_[f].heap_pos == kNpos,
-                        "free-listed slot " + std::to_string(f) + " is heap-resident");
+                        "free-listed slot " + std::to_string(f) + " is pending");
     ++free_count;
     if (free_count > slots_.size()) break;  // cycle; the count check below fires
   }
-  SANPERF_AUDIT_CHECK("des.heap_index_consistency", free_count + heap_.size() == slots_.size(),
-                      "free " + std::to_string(free_count) + " + live " +
-                          std::to_string(heap_.size()) + " != slots " +
+  SANPERF_AUDIT_CHECK("des.heap_index_consistency",
+                      free_count + heap_.size() + waiting + dead == slots_.size(),
+                      "free " + std::to_string(free_count) + " + heap " +
+                          std::to_string(heap_.size()) + " + waiting " + std::to_string(waiting) +
+                          " + dead " + std::to_string(dead) + " != slots " +
                           std::to_string(slots_.size()));
 }
 #endif

@@ -11,6 +11,16 @@
 //   * an indexed binary heap of slot indices orders the pending set; each
 //     slot tracks its heap position, so cancel() is a true O(log n)
 //     removal (no lazy-deletion churn of dead entries);
+//   * a deadline lane holds events pushed with push_deadline() that are due
+//     no earlier than the lane's last entry: timeouts of one length, which
+//     expire in the order they were set. The lane is a FIFO ring of slot
+//     indices sorted by (time, seq), and only its front sits in the heap;
+//     when the front pops or is cancelled, the next live entry enters the
+//     heap with the (time, seq) it got at push time. The heap's minimum is
+//     therefore still the earliest live event, and events fire in exactly
+//     the order the heap alone would give, while the heap stays as small
+//     as the near-term set. Cancelling a waiting entry is O(1): it is
+//     marked dead and its slot is freed when it reaches the front;
 //   * callables are stored in-place inside the slot (EventAction's inline
 //     buffer); a callable that does not fit is a compile error, never a
 //     heap allocation;
@@ -160,19 +170,26 @@ class EventQueue {
   /// EventAction is moved in). Returns a handle for cancellation.
   template <typename F>
   EventId push(TimePoint at, F&& action) {
-    const std::uint32_t slot = acquire_slot();
-    try {
-      slots_[slot].action.emplace(std::forward<F>(action));
-    } catch (...) {
-      release_slot(slot);  // a throwing copy leaves the slab as it was
-      throw;
-    }
-    return link(slot, at);
+    return link(slot_holding(std::forward<F>(action)), at);
+  }
+
+  /// push() for a deadline: an event that usually falls due after every
+  /// deadline pushed before it, like a timeout of one fixed length. One due
+  /// no earlier than the lane's last entry joins the deadline lane; an
+  /// earlier one goes to the heap. Either way it fires exactly where push()
+  /// would have put it.
+  template <typename F>
+  EventId push_deadline(TimePoint at, F&& action) {
+    const std::uint32_t slot = slot_holding(std::forward<F>(action));
+    if (lane_size_ != 0 && at < slots_[lane_back()].at) return link(slot, at);
+    return link_deadline(slot, at);
   }
 
   /// Cancels a pending event. Returns false if the event already fired,
-  /// was already cancelled, or never existed. True O(log n) removal: the
-  /// slot is recycled immediately and no dead entry lingers in the heap.
+  /// was already cancelled, or never existed. A heap event's removal is a
+  /// true O(log n) one that recycles the slot at once; a deadline waiting
+  /// in the lane is marked dead in O(1), and its slot is recycled when it
+  /// reaches the lane's front.
   bool cancel(EventId id);
 
   /// True iff the event is scheduled and not yet fired or cancelled.
@@ -182,10 +199,12 @@ class EventQueue {
            slots_[slot].heap_pos != kNpos;
   }
 
-  /// True when no live event remains.
+  /// True when no live event remains (a live lane entry implies a live
+  /// front in the heap).
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Live events: the heap's plus the lane's live entries behind its front.
+  [[nodiscard]] std::size_t size() const { return heap_.size() + waiting_; }
 
   /// Firing time of the earliest live event. Requires !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -209,9 +228,10 @@ class EventQueue {
 #if SANPERF_AUDIT_ENABLED
   /// Full O(n) structural self-check: every heap entry back-references its
   /// position, the heap order holds, live slots carry a live generation and
-  /// a callable action, and the free list accounts for exactly the slots
-  /// not in the heap. Runs automatically every kAuditPeriod push/pop in
-  /// audit builds; callable directly from tests.
+  /// a callable action; the lane is sorted by (time, seq), its front is in
+  /// the heap and its other entries are not; and free + heap + waiting +
+  /// dead accounts for every slot. Runs automatically every kAuditPeriod
+  /// push/pop in audit builds; callable directly from tests.
   void audit_check_heap() const;
 
   // Test-only corruption backdoors for the negative audit tests: each
@@ -227,13 +247,18 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
+  /// heap_pos of a lane entry behind the front, live or cancelled.
+  static constexpr std::uint32_t kWaiting = 0xfffffffeu;
+  static constexpr std::uint32_t kDead = 0xfffffffdu;
 
   struct Slot {
     TimePoint at;
     std::uint64_t seq = 0;         ///< insertion order; (at, seq) orders the heap
     Action action;
     std::uint32_t gen = 0;         ///< bumped on release; stales old EventIds
-    std::uint32_t heap_pos = kNpos;  ///< index into heap_, kNpos when free
+    /// Index into heap_; kNpos when free, kWaiting or kDead behind the
+    /// lane's front.
+    std::uint32_t heap_pos = kNpos;
     std::uint32_t next_free = kNpos;
 #if SANPERF_AUDIT_ENABLED
     /// Generation the slot was pushed with: while heap-resident, gen must
@@ -260,16 +285,52 @@ class EventQueue {
   /// Detaches the heap entry at `pos` and restores the heap invariant.
   void heap_remove(std::size_t pos);
   std::uint32_t acquire_slot();
+  /// A slot taken from the free list (or the slab's end) with `action`
+  /// constructed in it.
+  template <typename F>
+  std::uint32_t slot_holding(F&& action) {
+    const std::uint32_t slot = acquire_slot();
+    try {
+      slots_[slot].action.emplace(std::forward<F>(action));
+    } catch (...) {
+      release_slot(slot);  // a throwing copy leaves the slab as it was
+      throw;
+    }
+    return slot;
+  }
   /// Stamps a slot holding its action with (at, seq) and sifts it into the
   /// heap.
   EventId link(std::uint32_t slot, TimePoint at);
+  /// Stamps a slot like link() and appends it to the lane; it enters the
+  /// heap only if it is the lane's new front.
+  EventId link_deadline(std::uint32_t slot, TimePoint at);
   /// Destroys the slot's action, bumps its generation and free-lists it.
   void release_slot(std::uint32_t slot);
+  /// Free-lists a slot whose action is gone and whose ids are stale.
+  void free_slot(std::uint32_t slot);
+  /// Replaces the lane's front, at heap position `pos`, by the next live
+  /// entry (freeing the dead ones before it), or removes `pos` from the heap
+  /// when none is left. The caller releases the old front's slot.
+  void advance_lane(std::size_t pos);
+
+  [[nodiscard]] std::uint32_t lane_at(std::size_t i) const {
+    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+  [[nodiscard]] std::uint32_t lane_back() const { return lane_at(lane_size_ - 1); }
+  [[nodiscard]] bool is_lane_front(std::uint32_t slot) const {
+    return lane_size_ != 0 && lane_[lane_head_] == slot;
+  }
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> heap_;  ///< slot indices, binary min-heap
   std::uint32_t free_head_ = kNpos;
   std::uint64_t next_seq_ = 0;
+  /// The deadline lane: a ring of slot indices, its size a power of two
+  /// (or zero), holding lane_size_ entries from lane_head_ on.
+  std::vector<std::uint32_t> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  std::size_t waiting_ = 0;  ///< live lane entries behind the front
 #if SANPERF_AUDIT_ENABLED
   static constexpr std::uint64_t kAuditPeriod = 1024;  ///< ops between self-checks
   mutable std::uint64_t audit_ops_ = 0;

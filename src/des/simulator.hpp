@@ -1,10 +1,12 @@
 // The discrete-event simulator: a virtual clock plus an event queue.
 //
-// The pending set is the indexed binary heap of event_queue.hpp. It pops
-// events in (time, insertion-seq) order, so equal-time events run in the
-// order they were scheduled and a simulation is a pure function of its
-// seed. schedule() and schedule_at() forward the callable into its queue
-// slot, where it is built once.
+// The pending set is the indexed binary heap of event_queue.hpp, plus its
+// deadline lane. It pops events in (time, insertion-seq) order, so
+// equal-time events run in the order they were scheduled and a simulation
+// is a pure function of its seed. schedule() and schedule_at() forward the
+// callable into its queue slot, where it is built once; schedule_deadline()
+// does the same for a timeout of one fixed length, which waits in the lane
+// instead of the heap and fires exactly where schedule_at() would fire it.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,16 @@ class Simulator {
   EventId schedule_at(TimePoint at, F&& action) {
     if (at < now_) throw std::invalid_argument{"Simulator::schedule_at: time in the past"};
     return queue_.push(at, std::forward<F>(action));
+  }
+
+  /// schedule_at() for a deadline that usually falls due after every
+  /// deadline scheduled before it (EventQueue::push_deadline): it waits in
+  /// the queue's deadline lane, out of the heap, and fires in the same
+  /// (time, seq) order.
+  template <typename F>
+  EventId schedule_deadline(TimePoint at, F&& action) {
+    if (at < now_) throw std::invalid_argument{"Simulator::schedule_deadline: time in the past"};
+    return queue_.push_deadline(at, std::forward<F>(action));
   }
 
   /// Cancels a previously scheduled event; false if it already ran.

@@ -252,11 +252,9 @@ void ContentionNetwork::route_hop(FrameRef frame, HostId dst, FrameClass cls,
                                   std::uint32_t step) {
   const HostId src = frame.src();
   const topo::RouteTable::Route& route = routes_.route(src, dst);
-  if (step >= route.hops) {
-    receiver_edge(std::move(frame), dst);
-    return;
-  }
   const std::uint32_t li = route.links[step];
+  // After the last hop the frame goes straight to the receiver's edge.
+  const bool last = step + 1 == route.hops;
   Link& link = links_[li];
   // A shallow switch buffer sheds load instead of queueing without bound
   // (the hub's params are the defaults: it has no limit).
@@ -276,16 +274,22 @@ void ContentionNetwork::route_hop(FrameRef frame, HostId dst, FrameClass cls,
   if (link.params.service_scale != 1.0) {
     service = des::Duration::from_ms(service.to_ms() * link.params.service_scale);
   }
-  auto done = [this, frame = std::move(frame), dst, cls, step, li]() mutable {
+  auto done = [this, frame = std::move(frame), dst, cls, step, li, last]() mutable {
     ++links_[li].exited;
     // The link's propagation delay is non-exclusive: the server frees up
     // while the frame is still on the wire towards the next hop.
     const double latency_ms = links_[li].params.latency_ms;
     if (latency_ms > 0) {
       sim_->schedule(des::Duration::from_ms(latency_ms),
-                     [this, frame = std::move(frame), dst, cls, step]() mutable {
-                       route_hop(std::move(frame), dst, cls, step + 1);
+                     [this, frame = std::move(frame), dst, cls, step, last]() mutable {
+                       if (last) {
+                         receiver_edge(std::move(frame), dst);
+                       } else {
+                         route_hop(std::move(frame), dst, cls, step + 1);
+                       }
                      });
+    } else if (last) {
+      receiver_edge(std::move(frame), dst);
     } else {
       route_hop(std::move(frame), dst, cls, step + 1);
     }

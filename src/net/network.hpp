@@ -345,8 +345,9 @@ class ContentionNetwork {
   /// Steps 2-4 of one (shared-body) unicast frame: sender CPU, then the
   /// route. The dead-pair decision (`wire`) was already taken at submit.
   void submit_unicast(FrameRef frame, HostId dst, bool wire, FrameClass cls);
-  /// Step 4: occupy route link `step`, pay its latency, recurse; past the
-  /// last hop the frame reaches the receiver edge.
+  /// Step 4: occupy route link `step` (< the route's hops), pay its
+  /// latency, recurse; the last hop's completion hands the frame to the
+  /// receiver edge.
   void route_hop(FrameRef frame, HostId dst, FrameClass cls, std::uint32_t step);
   /// Step 5 on the legacy per-frame path: always schedules the pipeline
   /// event, even at zero latency -- the event order is part of the

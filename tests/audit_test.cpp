@@ -165,6 +165,20 @@ TEST_F(AuditTest, BrokenHeapBackReferenceTrips) {
   EXPECT_EQ(tripped([&] { queue.audit_check_heap(); }), "des.heap_index_consistency");
 }
 
+TEST_F(AuditTest, UnsortedDeadlineLaneTrips) {
+  des::EventQueue queue;
+  const auto at = [](double ms) { return des::TimePoint::origin() + des::Duration::from_ms(ms); };
+  queue.push(at(3.0), [] {});
+  queue.push_deadline(at(10.0), [] {});
+  const des::EventId waiting = queue.push_deadline(at(20.0), [] {});
+  queue.push_deadline(at(30.0), [] {});
+  EXPECT_EQ(tripped([&] { queue.audit_check_heap(); }), "");  // consistent before
+  // A waiting entry now falls due before the lane's front, which would let
+  // it fire late, after events it should precede.
+  queue.audit_corrupt_slot_time(waiting, at(5.0));
+  EXPECT_EQ(tripped([&] { queue.audit_check_heap(); }), "des.heap_index_consistency");
+}
+
 TEST_F(AuditTest, SimulatedTimeRewindTrips) {
   des::Simulator sim;
   sim.schedule_at(des::TimePoint::origin() + des::Duration::from_ms(10.0), [] {});

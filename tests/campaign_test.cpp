@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/measurement.hpp"
 #include "core/result_table.hpp"
 
 namespace {
@@ -330,23 +331,31 @@ TEST(ScenarioRunTest, FaultPlanOnlyWhereTheSpecTakesOne) {
   EXPECT_EQ(registry.run("slowdown_sweep", options).row_count(), 1u);
 }
 
-TEST(ScenarioRunTest, CellsOverNoDecidedExecutionAreEmpty) {
-  // n = 2 with the coordinator down leaves no majority, so no execution
-  // decides. A mean over zero samples used to print as 0, and
-  // ext_algorithms a NaN ratio and a CT "winner".
+TEST(ScenarioRunTest, CrashScenariosRejectTwoHosts) {
+  // With one of two hosts crashed there is no majority, so no execution
+  // could decide: both crash tables reject n = 2 by scenario, axis and
+  // value instead of printing blank cells.
   const auto& registry = core::CampaignRegistry::global();
   core::RunOptions options;
-  options.scale = core::Scale::quick();
-  options.scale.class1_executions = 8;
-  options.axis_overrides = {{"n", "2"}, {"scenario", "coordinator-crash"}};
-  const auto table1 = registry.run("table1", options);
-  ASSERT_EQ(table1.row_count(), 1u);
-  EXPECT_TRUE(std::holds_alternative<std::monostate>(table1.at(0, "meas_ms")));
+  options.scale = tiny_scale();
+  options.axis_overrides = {{"n", "2"}};
+  for (const char* name : {"table1", "ext_algorithms"}) {
+    try {
+      (void)registry.run(name, options);
+      FAIL() << name << " ran at n = 2";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()},
+                std::string{name} +
+                    ": n = 2 is out of range: with one of 2 hosts crashed there is no majority");
+    }
+  }
+  // Without a crash, two hosts are a majority of themselves.
+  options.axis_overrides = {{"n", "2"}, {"scenario", "no-crash"}};
   const auto algorithms = registry.run("ext_algorithms", options);
   ASSERT_EQ(algorithms.row_count(), 1u);
-  for (const char* column : {"ct_ms", "mr_ms", "mr_over_ct", "winner"}) {
-    EXPECT_TRUE(std::holds_alternative<std::monostate>(algorithms.at(0, column))) << column;
-  }
+  EXPECT_TRUE(std::holds_alternative<stats::MeanCI>(algorithms.at(0, "ct_ms")));
+  // A mean over no decided execution is still an empty cell, not a 0.
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(core::mean_ci_cell(core::MeasuredLatency{})));
 }
 
 // --- Paper agreement and shape gates ------------------------------------------

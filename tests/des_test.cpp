@@ -94,8 +94,13 @@ TEST(EventQueueTest, TieBreaksByInsertionOrder) {
   EventQueue q;
   std::vector<int> fired;
   const auto t = TimePoint::origin() + Duration::millis(1);
+  // Every third event is a deadline: ties hold across the lane and the heap.
   for (int i = 0; i < 10; ++i) {
-    q.push(t, [&fired, i] { fired.push_back(i); });
+    if (i % 3 == 1) {
+      q.push_deadline(t, [&fired, i] { fired.push_back(i); });
+    } else {
+      q.push(t, [&fired, i] { fired.push_back(i); });
+    }
   }
   while (!q.empty()) q.pop().action();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
@@ -138,44 +143,168 @@ TEST(EventQueueTest, PopOnEmptyThrows) {
 // Property: against a reference model (multimap ordered by time then
 // insertion sequence), a random operation sequence yields identical pop
 // order. The reference tracks its own insertion counter because EventIds
-// encode recycled slots, not insertion order.
+// encode recycled slots, not insertion order. Deadlines mostly rise (and
+// tie), so they wait in the lane, but their base wraps around, so some fall
+// back to the heap; cancels hit heap events, the lane's front, waiting
+// entries and stale ids, and a rare clear() empties both sides mid-run.
 TEST(EventQueueTest, PropertyMatchesReferenceModel) {
-  RandomEngine rng{42};
-  EventQueue q;
-  std::multimap<std::pair<std::int64_t, std::uint64_t>, std::pair<EventId, int>> reference;
-  std::vector<EventId> live;
-  std::uint64_t seq = 0;
-  int payload = 0;
-  std::vector<int> fired;
+  for (std::uint64_t seed = 42; seed < 62; ++seed) {
+    RandomEngine rng{seed};
+    EventQueue q;
+    std::multimap<std::pair<std::int64_t, std::uint64_t>, std::pair<EventId, int>> reference;
+    std::vector<EventId> live;
+    std::vector<EventId> stale;
+    std::uint64_t seq = 0;
+    int payload = 0;
+    std::vector<int> fired;
+    std::int64_t deadline_base = 0;
 
-  for (int step = 0; step < 3000; ++step) {
-    const double u = rng.uniform01();
-    if (u < 0.55 || q.empty()) {
-      const auto at = TimePoint::origin() + Duration::nanos(rng.uniform_int(0, 1000));
+    const auto add = [&](std::int64_t at_ns, bool deadline) {
+      const auto at = TimePoint::origin() + Duration::nanos(at_ns);
       const int tag = payload++;
-      const EventId id = q.push(at, [&fired, tag] { fired.push_back(tag); });
+      auto action = [&fired, tag] { fired.push_back(tag); };
+      const EventId id = deadline ? q.push_deadline(at, action) : q.push(at, action);
       reference.emplace(std::make_pair(at.ns(), seq++), std::make_pair(id, tag));
       live.push_back(id);
-    } else if (u < 0.75 && !live.empty()) {
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      const EventId id = live[idx];
-      const bool cancelled = q.cancel(id);
-      const auto it = std::find_if(reference.begin(), reference.end(),
-                                   [id](const auto& kv) { return kv.second.first == id; });
-      EXPECT_EQ(cancelled, it != reference.end());
-      if (it != reference.end()) reference.erase(it);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else {
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const double u = rng.uniform01();
+      if (u < 0.35 || q.empty()) {
+        add(rng.uniform_int(0, 1000), false);
+      } else if (u < 0.6) {
+        deadline_base += rng.uniform_int(0, 3);
+        if (deadline_base > 1000 || rng.uniform01() < 0.02) deadline_base = rng.uniform_int(0, 1000);
+        add(deadline_base, true);
+      } else if (u < 0.78 && !live.empty()) {
+        const auto idx = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const EventId id = live[idx];
+        const auto it = std::find_if(reference.begin(), reference.end(),
+                                     [id](const auto& kv) { return kv.second.first == id; });
+        EXPECT_EQ(q.pending(id), it != reference.end());
+        EXPECT_EQ(q.cancel(id), it != reference.end());
+        if (it != reference.end()) reference.erase(it);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+        stale.push_back(id);
+      } else if (u < 0.8 && !stale.empty()) {
+        const EventId id = stale[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(stale.size()) - 1))];
+        EXPECT_FALSE(q.pending(id));
+        EXPECT_FALSE(q.cancel(id));
+      } else if (u < 0.801) {
+        q.clear();
+        reference.clear();
+        stale.insert(stale.end(), live.begin(), live.end());
+        live.clear();
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.size(), 0u);
+      } else {
+        ASSERT_EQ(q.size(), reference.size());
+        ASSERT_FALSE(reference.empty());
+        EXPECT_EQ(q.next_time().ns(), reference.begin()->first.first);
+        auto popped = q.pop();
+        popped.action();
+        EXPECT_EQ(popped.id, reference.begin()->second.first);
+        EXPECT_EQ(fired.back(), reference.begin()->second.second);
+        stale.push_back(popped.id);
+        reference.erase(reference.begin());
+      }
+      ASSERT_EQ(q.empty(), reference.empty()) << "seed " << seed << " step " << step;
+    }
+    // Drain: what is left fires in reference order too.
+    while (!reference.empty()) {
       ASSERT_EQ(q.size(), reference.size());
-      auto popped = q.pop();
-      ASSERT_FALSE(reference.empty());
-      popped.action();
-      EXPECT_EQ(popped.id, reference.begin()->second.first);
-      EXPECT_EQ(fired.back(), reference.begin()->second.second);
+      EXPECT_EQ(q.pop().id, reference.begin()->second.first);
       reference.erase(reference.begin());
     }
+    EXPECT_TRUE(q.empty());
   }
+}
+
+// --- The deadline lane ------------------------------------------------------
+
+TEST(EventQueueTest, DeadlineEarlierThanTheLaneTailFallsBackToTheHeap) {
+  EventQueue q;
+  std::vector<int> fired;
+  const auto at = [](int ms) { return TimePoint::origin() + Duration::millis(ms); };
+  q.push_deadline(at(5), [&] { fired.push_back(5); });
+  q.push_deadline(at(10), [&] { fired.push_back(10); });
+  const EventId early = q.push_deadline(at(7), [&] { fired.push_back(7); });
+  q.push_deadline(at(10), [&] { fired.push_back(11); });
+  EXPECT_TRUE(q.pending(early));
+  EXPECT_EQ(q.size(), 4u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{5, 7, 10, 11}));
+}
+
+TEST(EventQueueTest, CancellingTheLaneFrontAWaitingEntryAndAStaleId) {
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(q.push_deadline(TimePoint::origin() + Duration::millis(1 + i),
+                                  [&fired, i] { fired.push_back(i); }));
+  }
+  q.push(TimePoint::origin() + Duration::millis(3), [&] { fired.push_back(9); });
+  ASSERT_TRUE(q.cancel(ids[0]));  // the front: deadline 1 enters the heap
+  EXPECT_EQ(q.next_time(), TimePoint::origin() + Duration::millis(2));
+  ASSERT_TRUE(q.cancel(ids[2]));  // waiting: dies in place
+  ASSERT_TRUE(q.cancel(ids[3]));
+  EXPECT_FALSE(q.pending(ids[2]));
+  EXPECT_FALSE(q.cancel(ids[2]));  // stale: already cancelled
+  EXPECT_FALSE(q.cancel(ids[0]));
+  EXPECT_TRUE(q.pending(ids[4]));
+  EXPECT_EQ(q.size(), 3u);
+  q.pop().action();
+  // Popping deadline 1 frees the dead entries behind it; deadline 4 is next.
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{1, 9, 4}));
+  for (const EventId id : ids) EXPECT_FALSE(q.pending(id));
+}
+
+TEST(EventQueueTest, DeadlineChurnDoesNotGrowTheSlab) {
+  // A stream's steady state: near-term events and a standing window of
+  // fixed-delay deadlines that replace themselves as they fire, and every
+  // fourth firing deadline also pushes one that is cancelled while it waits.
+  // A dead entry holds its slot until it reaches the lane's front, so the
+  // slab settles at the live events plus one window's dead entries.
+  EventQueue q;
+  RandomEngine rng{7};
+  bool deadline = false;
+  const auto at = [](std::int64_t ns) { return TimePoint::origin() + Duration::nanos(ns); };
+  constexpr std::int64_t kDelay = 10'000;
+  constexpr int kNear = 8;
+  constexpr int kDeadlines = 64;
+  for (int i = 0; i < kNear; ++i) {
+    q.push(at(rng.uniform_int(1, 100)), [&deadline] { deadline = false; });
+  }
+  for (int i = 0; i < kDeadlines; ++i) {
+    q.push_deadline(at(kDelay * i / kDeadlines), [&deadline] { deadline = true; });
+  }
+  std::size_t capacity = 0;
+  int deadlines_fired = 0;
+  while (q.next_time() < at(10 * kDelay)) {
+    auto popped = q.pop();
+    popped.action();
+    const std::int64_t now = popped.at.ns();
+    if (deadline) {
+      if (++deadlines_fired % 4 == 0) {
+        ASSERT_TRUE(q.cancel(q.push_deadline(at(now + kDelay), [] {})));
+      }
+      q.push_deadline(at(now + kDelay), [&deadline] { deadline = true; });
+    } else {
+      q.push(at(now + rng.uniform_int(1, 100)), [&deadline] { deadline = false; });
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(kNear + kDeadlines));
+    if (now < 3 * kDelay) {
+      capacity = q.slot_capacity();
+    } else {
+      ASSERT_EQ(q.slot_capacity(), capacity) << "at " << now << " ns";
+    }
+  }
+  EXPECT_GT(deadlines_fired, 9 * kDeadlines);
+  EXPECT_LE(capacity, static_cast<std::size_t>(kNear + kDeadlines + kDeadlines / 4 + 2));
 }
 
 // --- Slot reuse and generation stamps ---------------------------------------
@@ -228,9 +357,12 @@ TEST(EventQueueTest, ClearMidRunStalesAllIdsAndKeepsSlab) {
   EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 16; ++i) {
-    ids.push_back(q.push(TimePoint::origin() + Duration::millis(i), [] {}));
+    // Every odd event is a deadline: eight in the lane, its front in the heap.
+    const auto at = TimePoint::origin() + Duration::millis(i);
+    ids.push_back(i % 2 == 0 ? q.push(at, [] {}) : q.push_deadline(at, [] {}));
   }
   q.pop();  // mid-run: one already fired
+  ASSERT_TRUE(q.cancel(ids[7]));  // dead behind the lane's front, its slot still held
   const std::size_t capacity = q.slot_capacity();
   q.clear();
   EXPECT_TRUE(q.empty());
@@ -239,13 +371,16 @@ TEST(EventQueueTest, ClearMidRunStalesAllIdsAndKeepsSlab) {
     EXPECT_FALSE(q.pending(id));
     EXPECT_FALSE(q.cancel(id));
   }
-  // The queue keeps working after clear, reusing the retained slab.
+  // The queue keeps working after clear, reusing the retained slab, and
+  // the lane starts afresh.
   std::vector<int> order;
-  q.push(TimePoint::origin() + Duration::millis(2), [&] { order.push_back(2); });
+  q.push_deadline(TimePoint::origin() + Duration::millis(2), [&] { order.push_back(2); });
   q.push(TimePoint::origin() + Duration::millis(1), [&] { order.push_back(1); });
+  q.push_deadline(TimePoint::origin() + Duration::millis(3), [&] { order.push_back(3); });
+  EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.slot_capacity(), capacity);
   while (!q.empty()) q.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, CancelInMiddleOfHeapPreservesOrder) {
@@ -342,6 +477,27 @@ TEST(SimulatorTest, ScheduleMovesAClosureAtMostTwice) {
   sim.schedule(Duration::millis(1), EventAction{testutil::MoveCounter{moves, runs}});
   sim.run();
   EXPECT_EQ(runs, 3);
+}
+
+// A deadline fires where schedule_at() would fire it, refuses the past,
+// and moves its closure no more than schedule() does.
+TEST(SimulatorTest, ScheduleDeadlineFiresInScheduleAtOrder) {
+  Simulator sim;
+  std::vector<int> fired;
+  const auto at = [](int ms) { return TimePoint::origin() + Duration::millis(ms); };
+  sim.schedule_deadline(at(2), [&] { fired.push_back(0); });
+  sim.schedule_at(at(2), [&] { fired.push_back(1); });
+  sim.schedule_deadline(at(1), [&] { fired.push_back(2); });  // earlier than the lane's tail
+  sim.schedule_deadline(at(3), [&] { fired.push_back(3); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{2, 0, 1, 3}));
+  EXPECT_THROW(sim.schedule_deadline(at(1), [] {}), std::invalid_argument);
+  int moves = 0;
+  int runs = 0;
+  sim.schedule_deadline(at(4), testutil::MoveCounter{moves, runs});
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 2);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
