@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/measurement.hpp"
 #include "core/result_table.hpp"
 
 namespace {
@@ -354,8 +353,25 @@ TEST(ScenarioRunTest, CrashScenariosRejectTwoHosts) {
   const auto algorithms = registry.run("ext_algorithms", options);
   ASSERT_EQ(algorithms.row_count(), 1u);
   EXPECT_TRUE(std::holds_alternative<stats::MeanCI>(algorithms.at(0, "ct_ms")));
-  // A mean over no decided execution is still an empty cell, not a 0.
-  EXPECT_TRUE(std::holds_alternative<std::monostate>(core::mean_ci_cell(core::MeasuredLatency{})));
+}
+
+TEST(ScenarioRunTest, CellsOverNoDecidedExecutionAreEmpty) {
+  // Zero executions per cell: no side decides anything. A mean over zero
+  // samples used to print as 0, and ext_algorithms a NaN ratio and a CT
+  // "winner".
+  const auto& registry = core::CampaignRegistry::global();
+  core::RunOptions options;
+  options.scale = tiny_scale();
+  options.scale.class1_executions = 0;
+  options.axis_overrides = {{"n", "3"}, {"scenario", "no-crash"}};
+  const auto table1 = registry.run("table1", options);
+  ASSERT_EQ(table1.row_count(), 1u);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(table1.at(0, "meas_ms")));
+  const auto algorithms = registry.run("ext_algorithms", options);
+  ASSERT_EQ(algorithms.row_count(), 1u);
+  for (const char* column : {"ct_ms", "mr_ms", "mr_over_ct", "winner"}) {
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(algorithms.at(0, column))) << column;
+  }
 }
 
 // --- Paper agreement and shape gates ------------------------------------------
