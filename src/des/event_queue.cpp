@@ -90,15 +90,8 @@ EventId EventQueue::link(std::uint32_t slot, TimePoint at) {
 }
 
 EventId EventQueue::link_deadline(std::uint32_t slot, TimePoint at) {
-  if (lane_size_ == lane_.size()) {
-    // Full ring: double it, unrolled so that the front lands at index 0.
-    std::vector<std::uint32_t> grown(lane_.empty() ? 16 : 2 * lane_.size());
-    for (std::size_t i = 0; i < lane_size_; ++i) grown[i] = lane_at(i);
-    lane_ = std::move(grown);
-    lane_head_ = 0;
-  }
-  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = slot;
-  if (++lane_size_ == 1) return link(slot, at);  // the lane's new front
+  lane_.push_back(slot);
+  if (lane_.size() == 1) return link(slot, at);  // the lane's new front
   Slot& s = slots_[slot];
   s.at = at;
   s.seq = next_seq_++;
@@ -112,23 +105,20 @@ EventId EventQueue::link_deadline(std::uint32_t slot, TimePoint at) {
 }
 
 void EventQueue::advance_lane(std::size_t pos) {
-  const std::size_t mask = lane_.size() - 1;
-  lane_head_ = (lane_head_ + 1) & mask;
-  --lane_size_;
+  lane_.pop_front();
   // A dead entry that reaches the front frees its slot.
-  while (lane_size_ != 0 && slots_[lane_[lane_head_]].heap_pos == kDead) {
-    free_slot(lane_[lane_head_]);
-    lane_head_ = (lane_head_ + 1) & mask;
-    --lane_size_;
+  while (!lane_.empty() && slots_[lane_.front()].heap_pos == kDead) {
+    free_slot(lane_.front());
+    lane_.pop_front();
   }
-  if (lane_size_ == 0) {
+  if (lane_.empty()) {
     heap_remove(pos);
     return;
   }
   // The next entry is no earlier than the old front, but may be later than
   // other heap entries: it takes the front's place and sifts down.
   --waiting_;
-  heap_[pos] = lane_[lane_head_];
+  heap_[pos] = lane_.front();
   sift_down(pos);
   sift_up(pos);
 }
@@ -189,16 +179,15 @@ void EventQueue::clear() {
   // a dead entry behind it is stale already and only needs freeing.
   for (const std::uint32_t slot : heap_) release_slot(slot);
   heap_.clear();
-  for (std::size_t i = 1; i < lane_size_; ++i) {
-    const std::uint32_t slot = lane_at(i);
+  for (std::size_t i = 1; i < lane_.size(); ++i) {
+    const std::uint32_t slot = lane_[i];
     if (slots_[slot].heap_pos == kDead) {
       free_slot(slot);
     } else {
       release_slot(slot);
     }
   }
-  lane_head_ = 0;
-  lane_size_ = 0;
+  lane_.clear();
   waiting_ = 0;
 }
 
@@ -224,8 +213,8 @@ void EventQueue::audit_check_heap() const {
   // entry behind it waits, live, or is dead, outside the heap.
   std::size_t waiting = 0;
   std::size_t dead = 0;
-  for (std::size_t i = 0; i < lane_size_; ++i) {
-    const std::uint32_t slot = lane_at(i);
+  for (std::size_t i = 0; i < lane_.size(); ++i) {
+    const std::uint32_t slot = lane_[i];
     SANPERF_AUDIT_CHECK("des.heap_index_consistency", slot < slots_.size(),
                         "lane[" + std::to_string(i) + "] = slot " + std::to_string(slot));
     const Slot& s = slots_[slot];
@@ -235,7 +224,7 @@ void EventQueue::audit_check_heap() const {
                           "lane front slot " + std::to_string(slot) + " is not in the heap");
       continue;
     }
-    SANPERF_AUDIT_CHECK("des.heap_index_consistency", earlier(lane_at(i - 1), slot),
+    SANPERF_AUDIT_CHECK("des.heap_index_consistency", earlier(lane_[i - 1], slot),
                         "lane order violated between " + std::to_string(i - 1) + " and " +
                             std::to_string(i));
     if (s.heap_pos == kWaiting) {

@@ -13,7 +13,7 @@
 //     removal (no lazy-deletion churn of dead entries);
 //   * a deadline lane holds events pushed with push_deadline() that are due
 //     no earlier than the lane's last entry: timeouts of one length, which
-//     expire in the order they were set. The lane is a FIFO ring of slot
+//     expire in the order they were set. The lane is a FIFO of slot
 //     indices sorted by (time, seq), and only its front sits in the heap;
 //     when the front pops or is cancelled, the next live entry enters the
 //     heap with the (time, seq) it got at push time. The heap's minimum is
@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <new>
 #include <type_traits>
@@ -181,7 +182,7 @@ class EventQueue {
   template <typename F>
   EventId push_deadline(TimePoint at, F&& action) {
     const std::uint32_t slot = slot_holding(std::forward<F>(action));
-    if (lane_size_ != 0 && at < slots_[lane_back()].at) return link(slot, at);
+    if (!lane_.empty() && at < slots_[lane_.back()].at) return link(slot, at);
     return link_deadline(slot, at);
   }
 
@@ -313,24 +314,16 @@ class EventQueue {
   /// when none is left. The caller releases the old front's slot.
   void advance_lane(std::size_t pos);
 
-  [[nodiscard]] std::uint32_t lane_at(std::size_t i) const {
-    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
-  }
-  [[nodiscard]] std::uint32_t lane_back() const { return lane_at(lane_size_ - 1); }
   [[nodiscard]] bool is_lane_front(std::uint32_t slot) const {
-    return lane_size_ != 0 && lane_[lane_head_] == slot;
+    return !lane_.empty() && lane_.front() == slot;
   }
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> heap_;  ///< slot indices, binary min-heap
   std::uint32_t free_head_ = kNpos;
   std::uint64_t next_seq_ = 0;
-  /// The deadline lane: a ring of slot indices, its size a power of two
-  /// (or zero), holding lane_size_ entries from lane_head_ on.
-  std::vector<std::uint32_t> lane_;
-  std::size_t lane_head_ = 0;
-  std::size_t lane_size_ = 0;
-  std::size_t waiting_ = 0;  ///< live lane entries behind the front
+  std::deque<std::uint32_t> lane_;  ///< the deadline lane's slot indices, front first
+  std::size_t waiting_ = 0;         ///< live lane entries behind the front
 #if SANPERF_AUDIT_ENABLED
   static constexpr std::uint64_t kAuditPeriod = 1024;  ///< ops between self-checks
   mutable std::uint64_t audit_ops_ = 0;
